@@ -10,9 +10,9 @@ profile = cc.metric_profile(c5)
 print("C5:", c5)
 print("girth", profile.girth, "diameter", profile.diameter)
 
-# One BFS record is enough to see the shape of the metric data: distances,
-# exact shortest-path counts, and the predecessor lists that let us rebuild
-# the paths themselves.
+# One BFS record is enough to see the shape of the metric data: distances
+# and exact shortest-path counts.  The paths themselves are rebuilt by
+# stepping to a neighbor one unit closer to the root.
 record = cc.bfs_record(c5, 0)
 print("dist from 0:", record.dist)
 print("path counts:", record.sigma)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -180,7 +179,7 @@ def _print_table(report: dict, indent: str = "") -> None:
 def _analysis_pipeline(args) -> tuple[Graph, MetricProfile, CycleCensus, _Phases]:
     g = _read_graph(args.graph)
     phases = _Phases()
-    profile = phases.run("metric", metric_profile, g, threads=args.threads)
+    profile = phases.run("metric", metric_profile, g)
     odd = phases.run("pairs", odd_antipodal_pairs, g, profile)
     even = phases.run("pairs_even", even_antipodal_pairs, g, profile)
     phases.seconds["pairs"] += phases.seconds.pop("pairs_even")
@@ -231,7 +230,7 @@ def _cmd_moore(args) -> int:
 def _cmd_spectral(args) -> int:
     g = _read_graph(args.graph)
     phases = _Phases()
-    profile = phases.run("metric", metric_profile, g, threads=args.threads)
+    profile = phases.run("metric", metric_profile, g)
     report = _base_report(args.graph, g, profile)
     report["spectral"] = phases.run(
         "spectral", _spectral_section, g, profile, args.max_n
@@ -274,10 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=0, metavar="U64",
         help="seed for randomized generators (default: 0)",
-    )
-    common.add_argument(
-        "--threads", type=int, default=os.cpu_count(), metavar="K",
-        help="worker cap for the metric scan (default: all cores)",
     )
     common.add_argument(
         "--timings", action="store_true",

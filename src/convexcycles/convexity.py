@@ -5,7 +5,7 @@ between two of its vertices stays on the cycle.  Odd convex cycles are
 found through (edge, vertex) pairs whose endpoints sit at equal distance
 from the vertex with unique shortest paths; even convex cycles through
 vertex pairs joined by exactly two shortest paths.  Candidates rebuilt
-from those pairs are then verified vertex-pair by vertex-pair.
+from their owner pairs are then verified vertex-pair by vertex-pair.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ def _odd_candidate(
     # both exist by the pair conditions; they must meet only at the vertex
     if len(set(path_u) & set(path_v)) != 1:
         return None
-    return tuple(path_u + path_v[-2::-1])
+    built = tuple(path_u + path_v[-2::-1])
+    return built if min(built) == pair.vertex else None
 
 
 def _even_candidate(
@@ -181,7 +182,8 @@ def _even_candidate(
     first, second = two_shortest_paths(g, profile, pair.u, pair.v)
     if set(first) & set(second) != {pair.u, pair.v}:
         return None
-    return tuple(first + second[-2:0:-1])
+    built = tuple(first + second[-2:0:-1])
+    return built if min(built) == pair.u else None
 
 
 def enumerate_convex_cycles(
@@ -192,29 +194,23 @@ def enumerate_convex_cycles(
 ) -> CycleCensus:
     """The exact convex-cycle census.
 
-    Every convex cycle reconstructs from each of its antipodal pairs, so
-    collecting candidates over all pairs, deduplicating canonically, and
-    keeping the ones that pass is_convex_cycle yields exactly the convex
-    cycles.  Works per component automatically: pairs never straddle
-    components.  Precomputed pair lists may be passed in to avoid a rescan.
+    Every convex cycle reconstructs from each of its antipodal pairs: an
+    odd L-cycle from its L odd pairs, one per vertex as apex, and an even
+    L-cycle from its L/2 even pairs, which cover its vertices once.  So
+    exactly one pair of each convex cycle has the cycle's minimum vertex as
+    its apex (odd) or as u (even); keeping only candidates built from that
+    owner pair and passing is_convex_cycle yields each convex cycle once.
+    Works per component automatically: pairs never straddle components.
+    Precomputed pair lists may be passed in to avoid a rescan.
     """
     if odd_pairs is None:
         odd_pairs = odd_antipodal_pairs(g, profile)
     if even_pairs is None:
         even_pairs = even_antipodal_pairs(g, profile)
-    candidates: dict[tuple[int, ...], Cycle] = {}
-    for odd_pair in odd_pairs:
-        built = _odd_candidate(g, profile, odd_pair)
-        if built is not None:
-            cyc = Cycle(built)
-            candidates.setdefault(cyc.vertices, cyc)
-    for even_pair in even_pairs:
-        built = _even_candidate(g, profile, even_pair)
-        if built is not None:
-            cyc = Cycle(built)
-            candidates.setdefault(cyc.vertices, cyc)
+    owned = [_odd_candidate(g, profile, p) for p in odd_pairs]
+    owned += [_even_candidate(g, profile, p) for p in even_pairs]
     return CycleCensus.from_cycles(
-        c for c in candidates.values() if is_convex_cycle(g, profile, c)
+        c for c in map(Cycle, filter(None, owned)) if is_convex_cycle(g, profile, c)
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import Disconnected, OutOfRange
@@ -21,15 +20,14 @@ from .graphs import Graph
 class DistanceRecord:
     """BFS result from one root.
 
-    preds[v] lists the neighbors of v one step closer to the root, in
-    discovery order; preds[v][0] is the BFS-tree parent.  sigma[v] is the
-    exact number of distinct shortest root-v paths (0 when unreachable).
+    sigma[v] is the exact number of distinct shortest root-v paths (0 when
+    unreachable).  Paths are rebuilt through the graph's adjacency from the
+    neighbors w of v with dist[w] == dist[v] - 1.
     """
 
     root: int
     dist: tuple[int | None, ...]
     sigma: tuple[int, ...]
-    preds: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -49,12 +47,11 @@ class MetricProfile:
 
 
 def bfs_record(g: Graph, root: int) -> DistanceRecord:
-    """Distances, shortest-path counts, and predecessor sets from one root."""
+    """Distances and shortest-path counts from one root."""
     if not 0 <= root < g.n:
         raise OutOfRange(f"root {root} outside 0..{g.n - 1}")
     dist: list[int | None] = [None] * g.n
     sigma = [0] * g.n
-    preds: list[list[int]] = [[] for _ in range(g.n)]
     dist[root] = 0
     sigma[root] = 1
     queue = deque([root])
@@ -68,52 +65,39 @@ def bfs_record(g: Graph, root: int) -> DistanceRecord:
             if dw is None:
                 dist[w] = du1
                 sigma[w] = su
-                preds[w].append(u)
                 queue.append(w)
             elif dw == du1:
                 sigma[w] += su
-                preds[w].append(u)
-    return DistanceRecord(root, tuple(dist), tuple(sigma), tuple(map(tuple, preds)))
+    return DistanceRecord(root, tuple(dist), tuple(sigma))
 
 
 def _girth_from_records(g: Graph, records: tuple[DistanceRecord, ...]) -> int | float:
-    """Shortest cycle length via the per-root non-tree-edge scan, O(n*m).
+    """Shortest cycle length from the per-root dist and sigma rows, O(n*(n+m)).
 
-    For each root, every edge that is not a BFS-tree edge closes a walk of
-    length dist(x)+dist(y)+1 containing a cycle no longer than that, and a
-    root lying on a shortest cycle yields the exact girth (shortest cycles
-    are isometric).
+    From a root, an edge with both ends at distance d closes an odd walk of
+    length 2d+1, and a vertex at distance d with sigma >= 2 has two shortest
+    paths enclosing a cycle of length <= 2d.  A root on a shortest cycle
+    (which is isometric) sees its far edge or far vertex at exactly g.
     """
     best: int | float = math.inf
     edges = g.edge_list
     for rec in records:
         dist = rec.dist
-        preds = rec.preds
         for x, y in edges:
-            dx = dist[x]
-            dy = dist[y]
-            if dx is None or dy is None:
-                continue
-            if preds[x] and preds[x][0] == y:
-                continue
-            if preds[y] and preds[y][0] == x:
-                continue
-            cand = dx + dy + 1
-            if cand < best:
-                best = cand
-                if best == 3:
-                    return 3
+            d = dist[x]
+            if d is not None and d == dist[y] and 2 * d + 1 < best:
+                best = 2 * d + 1
+        for d, s in zip(dist, rec.sigma):
+            if s >= 2 and 2 * d < best:
+                best = 2 * d
+        if best == 3:
+            return 3
     return best
 
 
-def metric_profile(g: Graph, threads: int | None = None) -> MetricProfile:
-    """All-roots BFS profile; `threads` > 1 maps roots over a thread pool
-    (record order, and hence every downstream result, is unaffected)."""
-    if threads is not None and threads > 1 and g.n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(lambda r: bfs_record(g, r), range(g.n)))
-    else:
-        records = tuple(bfs_record(g, r) for r in range(g.n))
+def metric_profile(g: Graph) -> MetricProfile:
+    """All-roots BFS profile."""
+    records = tuple(bfs_record(g, r) for r in range(g.n))
     connected = True
     diameter: int | float = 0
     for rec in records:
@@ -153,10 +137,16 @@ def unique_shortest_path(
     _check_reachable(profile, u, v)
     if rec.sigma[v] != 1:
         return None
+    dist = rec.dist
+    adjacency = g.adjacency
     path = [v]
     cur = v
-    while cur != u:
-        cur = rec.preds[cur][0]  # sigma == 1 forces a single predecessor chain
+    for d in range(dist[v] - 1, -1, -1):
+        # sigma == 1 forces exactly one neighbor one step closer to u
+        for w in adjacency[cur]:
+            if dist[w] == d:
+                break
+        cur = w
         path.append(cur)
     path.reverse()
     return path
@@ -170,18 +160,24 @@ def two_shortest_paths(
     _check_reachable(profile, u, v)
     if rec.sigma[v] != 2:
         return None
+    dist = rec.dist
+    adjacency = g.adjacency
     paths: list[list[int]] = []
-    stack = [v]
-
-    def walk(cur: int) -> None:
-        if cur == u:
-            paths.append(stack[::-1])
-            return
-        for p in rec.preds[cur]:
-            stack.append(p)
-            walk(p)
+    # depth-first walk back from v over predecessors, one neighbor
+    # iterator per vertex of the current partial path
+    path = [v]
+    stack = [iter(adjacency[v])]
+    while stack:
+        if path[-1] == u:
+            paths.append(path[::-1])
+        d = dist[path[-1]] - 1
+        for w in stack[-1]:
+            if dist[w] == d:
+                path.append(w)
+                stack.append(iter(adjacency[w]))
+                break
+        else:
             stack.pop()
-
-    walk(v)
+            path.pop()
     first, second = sorted(paths)
     return first, second

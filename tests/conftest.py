@@ -24,6 +24,17 @@ def q3_graph() -> cc.Graph:
     return cc.from_edge_list(8, edges)
 
 
+def subdivided(g: cc.Graph, pieces: int) -> cc.Graph:
+    """g with every edge cut into `pieces` edges by new inner vertices."""
+    n = g.n
+    edges = []
+    for e in g.edge_list:
+        chain = [e.u, *range(n, n + pieces - 1), e.v]
+        n += pieces - 1
+        edges += zip(chain, chain[1:])
+    return cc.from_edge_list(n, edges)
+
+
 @pytest.fixture(scope="session")
 def petersen() -> cc.Graph:
     return cc.petersen_graph()
@@ -63,3 +74,26 @@ def corpus() -> list[cc.Graph]:
 @pytest.fixture(scope="session")
 def corpus_profiles(corpus) -> list[tuple[cc.Graph, cc.MetricProfile]]:
     return [(g, cc.metric_profile(g)) for g in corpus]
+
+
+@pytest.fixture(scope="session")
+def beyond_corpus_profiles(petersen, q3) -> list[tuple[cc.Graph, cc.MetricProfile]]:
+    """Graphs past the n <= 7 corpus, which has no even girth above 6 and
+    no convex cycle longer than 7.  Subdivided Petersen (girth 10) has 12
+    convex 10-cycles, K4 with each edge cut in 3 has 4 convex 9-cycles and
+    subdivided K3,3 has none."""
+    c5_and_c8 = cc.from_edge_list(
+        13, [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 1) % 8) for i in range(8)],
+    )
+    graphs = [
+        cc.cycle_graph(8),
+        cc.cycle_graph(11),
+        cc.cycle_graph(12),
+        q3,
+        c5_and_c8,
+        subdivided(petersen, 2),
+        subdivided(cc.complete_graph(4), 3),
+        subdivided(cc.complete_bipartite_graph(3, 3), 2),
+    ]
+    return [(g, cc.metric_profile(g)) for g in graphs]

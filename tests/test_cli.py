@@ -99,12 +99,24 @@ class TestAnalyze:
         assert report["girth"] is None
         assert report["extremal"]["classification"] == "NotApplicable"
 
-    def test_byte_identical_across_runs_and_threads(self, petersen_file):
+    def test_byte_identical_across_runs(self, petersen_file):
         runs = [
-            run_cli("analyze", petersen_file, "--format", "json", "--threads", t)
-            for t in ("1", "4", "4")
+            run_cli("analyze", petersen_file, "--format", "json") for _ in range(3)
         ]
+        assert all(r.returncode == 0 and r.stdout for r in runs)
         assert len({r.stdout for r in runs}) == 1
+
+    @pytest.mark.parametrize(
+        "n, classification", [(2000, "EvenCycle"), (2001, "MooreGraph")]
+    )
+    def test_long_cycle(self, tmp_path, capsys, n, classification):
+        # shortest paths of length ~n/2 must not hit the recursion limit
+        path = tmp_path / f"c{n}.g6"
+        path.write_text(cc.write_graph6(cc.cycle_graph(n)) + "\n")
+        assert cc.cli_run(["analyze", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["census"]["total"] == 1
+        assert report["extremal"]["classification"] == classification
 
     def test_table_and_json_report_identical_numbers(self, petersen_file):
         as_json = json.loads(

@@ -163,11 +163,11 @@ class TestEnumeration:
                 cc.is_convex_cycle(g, profile, c) for c in census.cycles
             )
 
-    def test_matches_oracle_on_random_order8(self):
-        for seed in range(150):
-            g = cc.gnp_random_graph(8, 0.4, 8800 + seed)
+    def test_matches_oracle_on_random_order8(self, beyond_corpus_profiles):
+        graphs = [cc.gnp_random_graph(8, 0.4, 8800 + seed) for seed in range(150)]
+        for g in graphs + [g for g, _ in beyond_corpus_profiles]:
             census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
-            brute = cc.brute_force_convex_cycles(g, 8)
+            brute = cc.brute_force_convex_cycles(g, g.n)
             assert census.cycles == brute.cycles
 
     def test_deterministic(self, petersen, petersen_profile):

@@ -1,0 +1,28 @@
+"""Smoke test: the demos run to completion against the package in src/.
+
+demos/03_spectral_counting.py is left out: it repeats the degree-57
+expansion that acceptance criterion 05 already times.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_census_walkthrough.py", "02_extremal_bound.py"])
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
