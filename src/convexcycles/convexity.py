@@ -221,24 +221,24 @@ def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:
     adjacency = g.adjacency
     found: list[Cycle] = []
     on_path = [False] * g.n
-    path: list[int] = []
-
-    def extend(u: int, start: int) -> None:
-        for w in adjacency[u]:
-            if w == start and len(path) >= 3 and path[1] < path[-1]:
-                found.append(Cycle(tuple(path)))
-            elif w > start and not on_path[w] and len(path) < max_len:
-                on_path[w] = True
-                path.append(w)
-                extend(w, start)
-                path.pop()
-                on_path[w] = False
-
     for start in range(g.n):
-        path[:] = [start]
+        # depth-first over simple paths from their minimum vertex, one
+        # neighbor iterator per vertex of the current path
+        path = [start]
         on_path[start] = True
-        extend(start, start)
-        on_path[start] = False
+        stack = [iter(adjacency[start])]
+        while stack:
+            for w in stack[-1]:
+                if w == start and len(path) >= 3 and path[1] < path[-1]:
+                    found.append(Cycle(tuple(path)))
+                elif w > start and not on_path[w] and len(path) < max_len:
+                    on_path[w] = True
+                    path.append(w)
+                    stack.append(iter(adjacency[w]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
     return CycleCensus.from_cycles(
         c for c in found if is_convex_cycle(g, profile, c)
     )

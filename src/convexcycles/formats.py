@@ -4,7 +4,8 @@ graph6 packs the upper triangle of the adjacency matrix, column by column,
 into 6-bit groups offset by 63; the short header covers n <= 62 and the
 '~'-prefixed long headers cover larger orders.  The edge-list format is one
 "u v" pair per line with '#' comments; the vertex count is taken to be
-1 + the largest endpoint mentioned.
+1 + the largest endpoint mentioned, and may not exceed the largest order a
+4-byte graph6 header holds.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from .errors import ParseError
 from .graphs import Graph, from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
+# Largest order the 4-byte graph6 size header holds: '~' and three 6-bit
+# groups, the first below 63 so that it cannot read as the '~~' marker.  An
+# edge list implies its order from its largest label, so one stray label
+# could otherwise allocate millions of adjacency lists; it gets this limit.
+FOUR_BYTE_MAX_ORDER = 258047
 
 
 def _decode_size(data: list[int]) -> tuple[int, int]:
@@ -74,7 +80,7 @@ def parse_graph6(text: str) -> Graph:
 def _encode_size(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= FOUR_BYTE_MAX_ORDER:
         return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     if n <= 68719476735:
         return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
@@ -115,6 +121,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: non-integer endpoint in {raw!r}") from exc
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex in {raw!r}")
+        if max(u, v) >= FOUR_BYTE_MAX_ORDER:
+            raise ParseError(
+                f"line {lineno}: vertex {max(u, v)} implies order above {FOUR_BYTE_MAX_ORDER}"
+            )
         edges.append((u, v))
         top = max(top, u, v)
     return from_edge_list(top + 1, edges)

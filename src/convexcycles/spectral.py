@@ -3,23 +3,26 @@ of shortest cycles.
 
 char_poly runs the division-free Berkowitz recurrence over Python integers,
 so every coefficient is exact at any order.  expand_factored multiplies
-binomial powers; large products go through Kronecker substitution (pack the
-coefficients into one huge integer, multiply once, unpack), with gmpy2
-supplying fast big-integer multiplication when available.
+binomial powers; large products go through decimal Kronecker substitution:
+each polynomial is packed into one exact Decimal with a fixed number of
+decimal digits per coefficient, the two are multiplied once (libmpdec uses a
+number-theoretic transform for huge operands, where int multiplication is
+Karatsuba), and the coefficients are read back from the product's digits.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from math import comb
 
 from .errors import InconsistentInput, InvalidParameter, NotApplicable, ParseError
 from .graphs import Graph
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is optional, pure int works
-    _mpz = None
+# Exact integer arithmetic on Decimals of any size, in a private context so
+# the caller's decimal settings neither apply nor change.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -111,40 +114,68 @@ def _schoolbook_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _bigmul(a: int, b: int) -> int:
-    if _mpz is not None:
-        return int(_mpz(a) * _mpz(b))
-    return a * b
+def _digits(value: int) -> str:
+    """Decimal digits of a non-negative int.  str(value) refuses ints past
+    the interpreter's str-digits limit; the Decimal conversion does not."""
+    return str(Decimal(value))
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    buf = b"".join(c.to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(buf, "little")
+def _int(digits: str) -> int:
+    """int(digits) for a digit string of any length.  int() refuses strings
+    longer than sys.get_int_max_str_digits() (4300 by default, 0 meaning no
+    limit, absent before Python 3.10.7), so longer ones are read in chunks
+    of that many digits."""
+    step = getattr(sys, "get_int_max_str_digits", int)() or len(digits) or 1
+    value = 0
+    for i in range(0, len(digits), step):
+        chunk = digits[i:i + step]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
-def _unpack(value: int, width: int, count: int) -> list[int]:
-    buf = value.to_bytes(width * count, "little")
-    return [
-        int.from_bytes(buf[i * width:(i + 1) * width], "little")
-        for i in range(count)
-    ]
+def _pack_decimal(coeffs: list[int], width: int) -> Decimal:
+    """sum(c * 10**(width*i) for i, c in enumerate(coeffs)) as an exact
+    Decimal: the positive and the negated negative coefficients are written
+    as zero-padded width-digit slots, highest power first, and subtracted."""
+    zero = "0" * width
+    pos = "".join(
+        _digits(c).zfill(width) if c > 0 else zero for c in reversed(coeffs)
+    )
+    neg = "".join(
+        _digits(-c).zfill(width) if c < 0 else zero for c in reversed(coeffs)
+    )
+    return _EXACT.subtract(Decimal(pos), Decimal(neg))
 
 
 def _kronecker_mul(p: list[int], q: list[int]) -> list[int]:
-    """Multiply via integer packing; signs handled by a positive/negative
-    split so each packed product stays non-negative slot by slot."""
-    bound = sum(abs(c) for c in p) * sum(abs(c) for c in q)
-    width = max(1, (bound.bit_length() + 7) // 8)
-    p_pos = _pack([c if c > 0 else 0 for c in p], width)
-    p_neg = _pack([-c if c < 0 else 0 for c in p], width)
-    q_pos = _pack([c if c > 0 else 0 for c in q], width)
-    q_neg = _pack([-c if c < 0 else 0 for c in q], width)
-    same = _bigmul(p_pos, q_pos) + _bigmul(p_neg, q_neg)
-    cross = _bigmul(p_pos, q_neg) + _bigmul(p_neg, q_pos)
-    count = len(p) + len(q) - 1
-    plus = _unpack(same, width, count)
-    minus = _unpack(cross, width, count)
-    return [a - b for a, b in zip(plus, minus)]
+    """Multiply by decimal Kronecker substitution, signs included.
+
+    Every product coefficient is at most sum|p| * sum|q| in magnitude, which
+    is below half of 10**width, so each one is the balanced residue of its
+    width-digit slot plus the carry the slot below it borrowed."""
+    width = len(_digits(sum(map(abs, p)) * sum(map(abs, q)))) + 1
+    product = _EXACT.multiply(_pack_decimal(p, width), _pack_decimal(q, width))
+    digits = str(_EXACT.abs(product))
+    sign = -1 if product.is_signed() else 1
+    full = 10 ** width
+    half = full // 2
+    out = []
+    carry = 0
+    end = len(digits)
+    for _ in range(len(p) + len(q) - 1):
+        start = max(0, end - width)
+        c = carry + sign * _int(digits[start:end])
+        end = start
+        if c >= half:
+            c -= full
+            carry = 1
+        elif c < -half:
+            c += full
+            carry = -1
+        else:
+            carry = 0
+        out.append(c)
+    return out
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:

@@ -195,6 +195,12 @@ class TestOtherSubcommands:
         assert forced.returncode == 0
         assert json.loads(forced.stdout)["census"]["total"] == 1
 
+    def test_oracle_long_cycle(self, tmp_path, capsys):
+        path = tmp_path / "c1200.g6"
+        path.write_text(cc.write_graph6(cc.cycle_graph(1200)) + "\n")
+        assert cc.cli_run(["oracle", str(path), "--force", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["census"]["total"] == 1
+
 
 class TestExitCodes:
     def test_missing_file(self):
@@ -204,6 +210,15 @@ class TestExitCodes:
         path = tmp_path / "bad.g6"
         path.write_text("C\n")
         assert run_cli("analyze", str(path)).returncode == 2
+
+    def test_edge_list_order_refused(self, tmp_path, capsys):
+        # refused before 10**8 adjacency lists are allocated
+        path = tmp_path / "huge.txt"
+        path.write_text("0 100000000\n")
+        assert cc.cli_run(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2

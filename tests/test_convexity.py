@@ -198,6 +198,10 @@ class TestBruteForce:
         assert cc.brute_force_convex_cycles(g, 3).total == 10
         assert cc.brute_force_convex_cycles(g, 2).total == 0
 
+    def test_long_cycle(self):
+        # a path of 1200 vertices must not hit the recursion limit
+        assert cc.brute_force_convex_cycles(cc.cycle_graph(1200), 1200).total == 1
+
 
 class TestGirthCycleCount:
     def test_examples(self, petersen, petersen_profile):

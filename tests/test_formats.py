@@ -85,7 +85,9 @@ class TestEdgeList:
         g = cc.gnp_random_graph(9, 0.5, 77)
         assert cc.parse_edge_list(cc.write_edge_list(g)) == g
 
-    @pytest.mark.parametrize("bad", ["0\n", "0 1 2\n", "a b\n", "-1 2\n"])
+    @pytest.mark.parametrize(
+        "bad", ["0\n", "0 1 2\n", "a b\n", "-1 2\n", "0 258047\n"]
+    )
     def test_parse_errors(self, bad):
         with pytest.raises(cc.ParseError):
             cc.parse_edge_list(bad)

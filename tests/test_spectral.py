@@ -94,6 +94,65 @@ class TestExpandFactored:
             assert list(cc.expand_factored(factors).coeffs) == expected
 
 
+def _sign_and_carry_cases() -> list:
+    rng = random.Random(2718)
+    big = 10**12 - 1
+
+    def rand(n: int, bound: int) -> list[int]:
+        return [rng.randint(-bound, bound) for _ in range(n)]
+
+    cases = [
+        pytest.param(
+            [-rng.randint(1, 10**9) for _ in range(25)],
+            [-rng.randint(1, 10**9) for _ in range(31)],
+            id="all-negative",
+        ),
+        pytest.param(
+            [(-1) ** i * rng.randint(1, 10**9) for i in range(27)],
+            [(-1) ** (i + 1) * rng.randint(1, 10**9) for i in range(20)],
+            id="alternating-signs",
+        ),
+        # every coefficient is +-(the largest magnitude of its list)
+        pytest.param([big] * 30, [-big] * 19, id="extreme-same-sign"),
+        pytest.param(
+            [(-1) ** i * big for i in range(18)],
+            [(-1) ** (i + 1) * big for i in range(33)],
+            id="extreme-alternating",
+        ),
+        pytest.param(
+            [rng.choice((-big, big)) for _ in range(40)],
+            [rng.choice((-big, big)) for _ in range(40)],
+            id="extreme-random-signs",
+        ),
+        # one product slot is exactly -sum|p| * sum|q|
+        pytest.param(
+            [0] * 8 + [big] + [0] * 8, [0] * 17 + [-big], id="slot-at-bound"
+        ),
+        # coefficients with more digits than int() and str() accept by default
+        pytest.param(
+            [(-1) ** i * 10**5000 for i in range(20)],
+            [-(10**4500)] * 18,
+            id="past-str-digits-limit",
+        ),
+        pytest.param([0] * 20, rand(25, 9), id="zero"),
+        pytest.param([0] * 17, [0] * 17, id="zero-times-zero"),
+    ]
+    # both sides of the schoolbook threshold of 16
+    cases += [
+        pytest.param(rand(n, 10**6), rand(m, 10**6), id=f"lengths-{n}x{m}")
+        for n in (16, 17, 18)
+        for m in (16, 17, 18)
+    ]
+    cases.append(
+        pytest.param(
+            rand(rng.randint(501, 700), 10**30),
+            rand(rng.randint(501, 700), 10**30),
+            id="long-random",
+        )
+    )
+    return cases
+
+
 class TestPolyMul:
     def test_kronecker_agrees_with_schoolbook(self):
         rng = random.Random(4242)
@@ -105,6 +164,10 @@ class TestPolyMul:
     def test_zero_heavy_inputs(self):
         p = [0] * 20 + [5]
         q = [-3] + [0] * 30 + [7]
+        assert _poly_mul(p, q) == _schoolbook_mul(p, q)
+
+    @pytest.mark.parametrize("p, q", _sign_and_carry_cases())
+    def test_signs_and_carries_agree_with_schoolbook(self, p, q):
         assert _poly_mul(p, q) == _schoolbook_mul(p, q)
 
 
