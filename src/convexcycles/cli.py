@@ -283,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="convexcycles",
         description="Convex-cycle census, extremal bound, and spectral counts "
         "for simple graphs.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,8 +4,9 @@ A cycle subgraph is convex when every shortest path of the host graph
 between two of its vertices stays on the cycle.  Odd convex cycles are
 found through (edge, vertex) pairs whose endpoints sit at equal distance
 from the vertex with unique shortest paths; even convex cycles through
-vertex pairs joined by exactly two shortest paths.  Candidates rebuilt
-from their owner pairs are then verified vertex-pair by vertex-pair.
+vertex pairs joined by exactly two shortest paths.  Each candidate is
+walked once, from its owner pair through the owner's own BFS record, and
+then verified vertex-pair by vertex-pair.
 """
 
 from __future__ import annotations
@@ -16,33 +17,27 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCycle, NotApplicable
 from .graphs import Edge, Graph
-from .metric import (
-    MetricProfile,
-    metric_profile,
-    two_shortest_paths,
-    unique_shortest_path,
-)
+from .metric import MetricProfile, metric_profile
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation over both orientations.
+    """Lexicographically least rotation over both orientations, in O(L).
 
-    The result starts at the smallest vertex and is invariant under
-    rotation and reflection of the input sequence.
+    The vertices are distinct, so that rotation starts at the smallest
+    vertex and continues towards the smaller of its two neighbors; it is
+    invariant under rotation and reflection of the input sequence.
     """
     seq = tuple(vertices)
-    if len(seq) < 3:
-        raise InvalidCycle(f"a cycle needs at least 3 vertices, got {len(seq)}")
-    if len(set(seq)) != len(seq):
+    length = len(seq)
+    if length < 3:
+        raise InvalidCycle(f"a cycle needs at least 3 vertices, got {length}")
+    if len(set(seq)) != length:
         raise InvalidCycle(f"repeated vertex in cycle sequence {seq}")
-    best: tuple[int, ...] | None = None
-    for oriented in (seq, seq[::-1]):
-        for shift in range(len(oriented)):
-            rotation = oriented[shift:] + oriented[:shift]
-            if best is None or rotation < best:
-                best = rotation
-    assert best is not None
-    return best
+    i = seq.index(min(seq))
+    if seq[(i + 1) % length] > seq[i - 1]:
+        seq = seq[::-1]
+        i = length - 1 - i
+    return seq[i:] + seq[:i]
 
 
 @dataclass(frozen=True)
@@ -139,17 +134,17 @@ def is_convex_cycle(g: Graph, profile: MetricProfile, c: Cycle) -> bool:
     """
     verts = c.vertices
     length = len(verts)
-    for i, v in enumerate(verts):
+    records = profile.records
+    for v in verts:
         if not 0 <= v < g.n:
             raise InvalidCycle(f"vertex {v} outside 0..{g.n - 1}")
-        if not g.has_edge(v, verts[(i + 1) % length]):
-            raise InvalidCycle(
-                f"consecutive vertices {v}, {verts[(i + 1) % length]} are not adjacent"
-            )
+    for v, w in zip(verts, verts[1:] + verts[:1]):
+        if records[v].dist[w] != 1:
+            raise InvalidCycle(f"consecutive vertices {v}, {w} are not adjacent")
     half = length // 2
     even = length % 2 == 0
     for i in range(length):
-        rec = profile.records[verts[i]]
+        rec = records[verts[i]]
         dist = rec.dist
         sigma = rec.sigma
         for j in range(i + 1, length):
@@ -164,26 +159,43 @@ def is_convex_cycle(g: Graph, profile: MetricProfile, c: Cycle) -> bool:
     return True
 
 
-def _odd_candidate(
-    g: Graph, profile: MetricProfile, pair: OddAntipodalPair
+def _owned_cycle(
+    adjacency: tuple[tuple[int, ...], ...],
+    dist: tuple[int | None, ...],
+    owner: int,
+    a: int,
+    b: int,
+    far: tuple[int, ...],
 ) -> tuple[int, ...] | None:
-    path_u = unique_shortest_path(g, profile, pair.edge.u, pair.vertex)
-    path_v = unique_shortest_path(g, profile, pair.edge.v, pair.vertex)
-    # both exist by the pair conditions; they must meet only at the vertex
-    if len(set(path_u) & set(path_v)) != 1:
-        return None
-    built = tuple(path_u + path_v[-2::-1])
-    return built if min(built) == pair.vertex else None
+    """The cycle owner ~ a, *far, b ~ owner in canonical order, or None.
 
-
-def _even_candidate(
-    g: Graph, profile: MetricProfile, pair: EvenAntipodalPair
-) -> tuple[int, ...] | None:
-    first, second = two_shortest_paths(g, profile, pair.u, pair.v)
-    if set(first) & set(second) != {pair.u, pair.v}:
-        return None
-    built = tuple(first + second[-2:0:-1])
-    return built if min(built) == pair.u else None
+    a and b are distinct, at equal distance from owner and with one shortest
+    path each; dist is owner's BFS row, so every step back to owner has one
+    neighbor at distance d - 1.  Both walks stay at equal distance, so they
+    share a vertex only if they meet on the same level.  None when a walk
+    passes a vertex below owner (owner is not the candidate's minimum) or
+    the walks meet before owner (the paths are not internally disjoint).
+    """
+    left = []
+    right = []
+    d = dist[a]
+    while d:
+        if a < owner or b < owner or a == b:
+            return None
+        left.append(a)
+        right.append(b)
+        d -= 1
+        # step each walk to its one neighbor a level closer to owner
+        for a in adjacency[a]:
+            if dist[a] == d:
+                break
+        for b in adjacency[b]:
+            if dist[b] == d:
+                break
+    if left[-1] > right[-1]:
+        left, right = right, left
+    left.reverse()
+    return (owner, *left, *far, *right)
 
 
 def enumerate_convex_cycles(
@@ -207,8 +219,20 @@ def enumerate_convex_cycles(
         odd_pairs = odd_antipodal_pairs(g, profile)
     if even_pairs is None:
         even_pairs = even_antipodal_pairs(g, profile)
-    owned = [_odd_candidate(g, profile, p) for p in odd_pairs]
-    owned += [_even_candidate(g, profile, p) for p in even_pairs]
+    adjacency = g.adjacency
+    records = profile.records
+    owned = [
+        _owned_cycle(adjacency, records[v].dist, v, x, y, ())
+        for (x, y), v in odd_pairs
+    ]
+    for u, v in even_pairs:
+        dist = records[u].dist
+        d = dist[v] - 1
+        below = [w for w in adjacency[v] if dist[w] == d]
+        # sigma[v] == 2: two predecessors of sigma 1 each, or one shared
+        # predecessor of sigma 2, in which case the paths are not disjoint
+        if len(below) == 2:
+            owned.append(_owned_cycle(adjacency, dist, u, *below, (v,)))
     return CycleCensus.from_cycles(
         c for c in map(Cycle, filter(None, owned)) if is_convex_cycle(g, profile, c)
     )

@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import Disconnected, OutOfRange
+from .errors import OutOfRange
 from .graphs import Graph
 
 
@@ -119,65 +119,3 @@ def girth(g: Graph) -> int | float:
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; math.inf when disconnected."""
     return metric_profile(g).diameter
-
-
-def _check_reachable(profile: MetricProfile, u: int, v: int) -> None:
-    n = len(profile.records)
-    if not (0 <= u < n and 0 <= v < n):
-        raise OutOfRange(f"vertex pair ({u}, {v}) outside 0..{n - 1}")
-    if profile.records[u].dist[v] is None:
-        raise Disconnected(f"vertices {u} and {v} lie in different components")
-
-
-def unique_shortest_path(
-    g: Graph, profile: MetricProfile, u: int, v: int
-) -> list[int] | None:
-    """The single shortest u,v-path, or None when it is not unique."""
-    rec = profile.records[u]
-    _check_reachable(profile, u, v)
-    if rec.sigma[v] != 1:
-        return None
-    dist = rec.dist
-    adjacency = g.adjacency
-    path = [v]
-    cur = v
-    for d in range(dist[v] - 1, -1, -1):
-        # sigma == 1 forces exactly one neighbor one step closer to u
-        for w in adjacency[cur]:
-            if dist[w] == d:
-                break
-        cur = w
-        path.append(cur)
-    path.reverse()
-    return path
-
-
-def two_shortest_paths(
-    g: Graph, profile: MetricProfile, u: int, v: int
-) -> tuple[list[int], list[int]] | None:
-    """Both shortest u,v-paths when exactly two exist, else None."""
-    rec = profile.records[u]
-    _check_reachable(profile, u, v)
-    if rec.sigma[v] != 2:
-        return None
-    dist = rec.dist
-    adjacency = g.adjacency
-    paths: list[list[int]] = []
-    # depth-first walk back from v over predecessors, one neighbor
-    # iterator per vertex of the current partial path
-    path = [v]
-    stack = [iter(adjacency[v])]
-    while stack:
-        if path[-1] == u:
-            paths.append(path[::-1])
-        d = dist[path[-1]] - 1
-        for w in stack[-1]:
-            if dist[w] == d:
-                path.append(w)
-                stack.append(iter(adjacency[w]))
-                break
-        else:
-            stack.pop()
-            path.pop()
-    first, second = sorted(paths)
-    return first, second

@@ -52,17 +52,19 @@ class IntPolynomial:
 
     def to_text(self) -> str:
         """Space-separated exact decimal coefficients, constant first."""
-        return " ".join(str(c) for c in self.coeffs)
+        return " ".join(map(_digits, self.coeffs))
 
     @classmethod
     def from_text(cls, text: str) -> "IntPolynomial":
-        try:
-            coeffs = tuple(int(tok) for tok in text.split())
-        except ValueError as exc:
-            raise ParseError(f"non-integer coefficient in {text!r}") from exc
+        coeffs = []
+        for tok in text.split():
+            digits = tok[1:] if tok[0] in "+-" else tok
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"non-integer coefficient {tok[:40]!r}")
+            coeffs.append(-_int(digits) if tok[0] == "-" else _int(digits))
         if not coeffs:
             raise ParseError("empty polynomial text")
-        return cls(coeffs)
+        return cls(tuple(coeffs))
 
 
 def char_poly(g: Graph) -> IntPolynomial:
@@ -115,8 +117,9 @@ def _schoolbook_mul(p: list[int], q: list[int]) -> list[int]:
 
 
 def _digits(value: int) -> str:
-    """Decimal digits of a non-negative int.  str(value) refuses ints past
-    the interpreter's str-digits limit; the Decimal conversion does not."""
+    """str(value) for an int of any size, '-' included when negative.
+    str(value) refuses ints past the interpreter's str-digits limit; the
+    Decimal conversion does not."""
     return str(Decimal(value))
 
 

@@ -51,12 +51,16 @@ def count_shortest_paths(g: Graph, u: int, v: int) -> int:
     return len(all_shortest_paths(g, u, v))
 
 
-def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
-    options = []
+def canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least rotation over both orientations, by trying
+    all 2L of them."""
+    best = None
     for oriented in (seq, seq[::-1]):
         for shift in range(len(oriented)):
-            options.append(oriented[shift:] + oriented[:shift])
-    return min(options)
+            rotation = oriented[shift:] + oriented[:shift]
+            if best is None or rotation < best:
+                best = rotation
+    return best
 
 
 def all_simple_cycles(g: Graph, max_len: int) -> set[tuple[int, ...]]:
@@ -67,7 +71,7 @@ def all_simple_cycles(g: Graph, max_len: int) -> set[tuple[int, ...]]:
         last = path[-1]
         for w in g.adjacency[last]:
             if w == path[0] and len(path) >= 3:
-                cycles.add(_canonical(tuple(path)))
+                cycles.add(canonical_cycle(tuple(path)))
             elif w not in used and w > path[0] and len(path) < max_len:
                 used.add(w)
                 path.append(w)

@@ -229,6 +229,24 @@ class TestExitCodes:
     def test_missing_subcommand(self):
         assert run_cli().returncode == 2
 
+    @staticmethod
+    def check_flags_follow(command, flags, capsys):
+        # after the subcommand a flag applies; before it, it is refused
+        # rather than silently replaced by the subcommand's default
+        assert cc.cli_run(command) == 0
+        default = capsys.readouterr().out
+        assert cc.cli_run(command + flags) == 0
+        assert capsys.readouterr().out != default
+        assert cc.cli_run(flags + command) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_seed_follows_the_subcommand(self, capsys):
+        self.check_flags_follow(["generate", "gnp", "12", "0.5"], ["--seed", "5"], capsys)
+
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--timings"]])
+    def test_report_flags_follow_the_subcommand(self, petersen_file, capsys, flags):
+        self.check_flags_follow(["analyze", petersen_file], flags, capsys)
+
     def test_run_function_returns_codes(self, capsys):
         assert cc.cli_run(["generate", "petersen"]) == 0
         capsys.readouterr()

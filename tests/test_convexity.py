@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import convexcycles as cc
 
 from . import oracles
+from .conftest import subdivided
 from .strategies import cycles_as_sequences, graphs
 
 
@@ -27,6 +29,10 @@ class TestCanonicalForm:
         if flip:
             variant = variant[::-1]
         assert cc.canonical_cycle(variant) == cc.canonical_cycle(seq)
+
+    @given(cycles_as_sequences())
+    def test_matches_exhaustive_search(self, seq):
+        assert cc.canonical_cycle(seq) == oracles.canonical_cycle(seq)
 
     @given(cycles_as_sequences())
     def test_idempotent(self, seq):
@@ -180,6 +186,25 @@ class TestEnumeration:
         g = cc.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
         assert census.total == 2
+
+
+class TestRelabelling:
+    def test_census_follows_a_relabelling(self, petersen):
+        # a census is kept from each cycle's minimum vertex and its walk
+        # stops at the first vertex below it, so a relabelling moves both;
+        # the census must move with the labels all the same
+        graphs = [cc.gnp_random_graph(n, 0.15, 7000 + n) for n in range(20, 41)]
+        graphs += [cc.cycle_graph(291), cc.cycle_graph(340), subdivided(petersen, 3)]
+        rng = random.Random(7)
+        for g in graphs:
+            census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
+            for _ in range(3):
+                label = rng.sample(range(g.n), g.n)
+                h = cc.from_edge_list(g.n, [(label[u], label[v]) for u, v in g.edge_list])
+                moved = cc.CycleCensus.from_cycles(
+                    cc.Cycle(tuple(label[v] for v in c.vertices)) for c in census.cycles
+                )
+                assert cc.enumerate_convex_cycles(h, cc.metric_profile(h)) == moved
 
 
 class TestBruteForce:

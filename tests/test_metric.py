@@ -110,66 +110,3 @@ class TestProfileInvariants:
                 for v in range(n):
                     for w in range(n):
                         assert profile.dist(u, w) <= profile.dist(u, v) + profile.dist(v, w)
-
-
-class TestPathReconstruction:
-    def test_unique_path_on_c5(self):
-        g = cc.cycle_graph(5)
-        profile = cc.metric_profile(g)
-        assert cc.unique_shortest_path(g, profile, 0, 2) == [0, 1, 2]
-
-    def test_absent_when_not_unique(self, k23):
-        profile = cc.metric_profile(k23)
-        assert cc.unique_shortest_path(k23, profile, 0, 1) is None
-
-    def test_edge_is_unique_geodesic(self, petersen, petersen_profile):
-        e = petersen.edge_list[0]
-        assert cc.unique_shortest_path(petersen, petersen_profile, e.u, e.v) == [e.u, e.v]
-
-    def test_two_paths_on_c6(self):
-        g = cc.cycle_graph(6)
-        profile = cc.metric_profile(g)
-        assert cc.two_shortest_paths(g, profile, 0, 3) == ([0, 1, 2, 3], [0, 5, 4, 3])
-
-    def test_two_paths_on_q3(self, q3):
-        profile = cc.metric_profile(q3)
-        paths = cc.two_shortest_paths(q3, profile, 0b000, 0b011)
-        assert paths == ([0b000, 0b001, 0b011], [0b000, 0b010, 0b011])
-
-    def test_two_paths_on_k23(self, k23):
-        profile = cc.metric_profile(k23)
-        paths = cc.two_shortest_paths(k23, profile, 2, 3)
-        assert paths == ([2, 0, 3], [2, 1, 3])
-
-    def test_two_paths_absent(self, k23):
-        profile = cc.metric_profile(k23)
-        assert cc.two_shortest_paths(k23, profile, 0, 1) is None  # three paths
-
-    def test_disconnected_raises(self):
-        g = cc.from_edge_list(4, [(0, 1), (2, 3)])
-        profile = cc.metric_profile(g)
-        with pytest.raises(cc.Disconnected):
-            cc.unique_shortest_path(g, profile, 0, 2)
-        with pytest.raises(cc.Disconnected):
-            cc.two_shortest_paths(g, profile, 0, 2)
-
-    @given(graphs(min_n=2, max_n=7))
-    def test_reconstructed_paths_are_shortest(self, g: cc.Graph):
-        profile = cc.metric_profile(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                if profile.dist(u, v) is None or u == v:
-                    continue
-                if profile.sigma(u, v) == 1:
-                    path = cc.unique_shortest_path(g, profile, u, v)
-                    assert path is not None
-                    assert len(path) == profile.dist(u, v) + 1
-                    assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
-                elif profile.sigma(u, v) == 2:
-                    pair = cc.two_shortest_paths(g, profile, u, v)
-                    assert pair is not None
-                    first, second = pair
-                    assert first != second
-                    for path in pair:
-                        assert len(path) == profile.dist(u, v) + 1
-                        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))

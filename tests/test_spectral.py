@@ -244,8 +244,23 @@ class TestPolynomialText:
     def test_text_is_constant_first(self):
         assert cc.expand_factored([(1, 2)]).to_text() == "1 -2 1"
 
+    def test_coefficients_past_the_str_digits_limit(self):
+        # (x - 10**5)**1000: the constant 10**5000 has 5001 digits, past
+        # the interpreter's default 4300-digit int/str conversion limit
+        poly = cc.expand_factored([(10**5, 1000)])
+        text = poly.to_text()
+        assert text.startswith("1" + "0" * 5000 + " ")
+        assert text.endswith(" -100000000 1")
+        assert cc.IntPolynomial.from_text(text) == poly
+        assert cc.IntPolynomial.from_text("1" * 5000).coeffs == ((10**5000 - 1) // 9,)
+        assert cc.IntPolynomial.from_text("-" + "1" * 5000).coeffs == (
+            -(10**5000 - 1) // 9,
+        )
+
     def test_bad_text(self):
         with pytest.raises(cc.ParseError):
             cc.IntPolynomial.from_text("1 two 3")
         with pytest.raises(cc.ParseError):
             cc.IntPolynomial.from_text("   ")
+        with pytest.raises(cc.ParseError):  # a sign inside a long token
+            cc.IntPolynomial.from_text("1" * 4300 + "-5")
