@@ -1,55 +1,58 @@
-# Walk through the core census machinery on a few small graphs: BFS
-# profiles, antipodal pairs, convexity checks, and the full enumeration.
+# Walk through the census machinery on a few small graphs: one BFS row,
+# the antipodal pairs it shows, the convexity test, and the one-pass census.
 
 import convexcycles as cc
 
 # ## A 5-cycle: the smallest interesting case
 
 c5 = cc.cycle_graph(5)
-profile = cc.metric_profile(c5)
+profile, census = cc.profile_and_census(c5)
 print("C5:", c5)
 print("girth", profile.girth, "diameter", profile.diameter)
 
-# One BFS record is enough to see the shape of the metric data: distances
-# and exact shortest-path counts.  The paths themselves are rebuilt by
-# stepping to a neighbor one unit closer to the root.
+# One BFS row holds distances and exact shortest-path counts.  The census
+# pass runs one such row per root, in increasing root order, and drops
+# each row once its root is done.
 record = cc.bfs_record(c5, 0)
 print("dist from 0:", record.dist)
 print("path counts:", record.sigma)
 
 # Every edge of an odd cycle pairs with the vertex "opposite" it: both
-# endpoints sit at equal distance with unique shortest paths.
-pairs = cc.odd_antipodal_pairs(c5, profile)
-print("odd antipodal pairs:", pairs)
-
-census = cc.enumerate_convex_cycles(c5, profile)
+# endpoints sit at equal distance with unique shortest paths.  From root 0
+# that is the edge 2-3, at distance 2 with one path to each end.
+odd_pairs = [
+    (e, 0) for e in c5.edge_list
+    if record.dist[e.u] == record.dist[e.v] >= 1
+    and record.sigma[e.u] == record.sigma[e.v] == 1
+]
+print("odd antipodal pairs of root 0:", odd_pairs)
 print("census:", census.total, "cycle(s):", [c.vertices for c in census.cycles])
 
-# ## An even cycle uses the other pair type
+# ## An even cycle uses the other pair type: two shortest paths
 
 c6 = cc.cycle_graph(6)
-profile6 = cc.metric_profile(c6)
-print("\nC6 odd pairs:", cc.odd_antipodal_pairs(c6, profile6))
-print("C6 even pairs:", cc.even_antipodal_pairs(c6, profile6))
-print("C6 census:", cc.enumerate_convex_cycles(c6, profile6).total)
+row = cc.bfs_record(c6, 0)
+far = [w for w in range(c6.n) if row.sigma[w] == 2]
+print("\nC6 vertices two shortest paths away from 0:", far)
+print("C6 census:", cc.enumerate_convex_cycles(c6).total)
 
-# ## K_{2,3}: pairs exist but no cycle survives verification
+# ## K_{2,3}: candidate squares exist but none is convex
 
 k23 = cc.complete_bipartite_graph(2, 3)
-pk = cc.metric_profile(k23)
-print("\nK_{2,3} even pairs:", cc.even_antipodal_pairs(k23, pk))
+row = cc.bfs_record(k23, 2)
+print("\nK_{2,3} path counts from vertex 2:", row.sigma)
 
-# The three 4-cycles all contain the two-side pair, which is joined by
-# *three* shortest paths, so none of them is convex:
+# A cycle is convex exactly when each of its antipodal pairs (here the two
+# diagonals of the square) is joined by the on-cycle paths only.  The
+# pair (0, 1) has *three* shortest paths, so no square is convex:
 square = cc.Cycle((0, 2, 1, 3))
-print("square", square.vertices, "convex?", cc.is_convex_cycle(k23, pk, square))
-print("K_{2,3} census:", cc.enumerate_convex_cycles(k23, pk).total)
+print("square", square.vertices, "convex?", cc.is_convex_cycle(k23, square))
+print("K_{2,3} census:", cc.enumerate_convex_cycles(k23).total)
 
 # ## The Petersen graph, and the brute-force cross-check
 
 petersen = cc.petersen_graph()
-pp = cc.metric_profile(petersen)
-census = cc.enumerate_convex_cycles(petersen, pp)
+pp, census = cc.profile_and_census(petersen)
 print("\nPetersen census:", census.total, "by length:", census.by_length)
 
 brute = cc.brute_force_convex_cycles(petersen, 10)

@@ -7,8 +7,7 @@ import convexcycles as cc
 
 
 def survey(name, g):
-    profile = cc.metric_profile(g)
-    census = cc.enumerate_convex_cycles(g, profile)
+    profile, census = cc.profile_and_census(g)
     if profile.girth == inf or not profile.connected:
         print(f"{name:<22} n={g.n:<3} m={g.m:<4} (bound not applicable)")
         return

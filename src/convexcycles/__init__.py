@@ -2,19 +2,18 @@
 even-cycle / Moore-graph equality classification, and exact spectral
 girth-cycle counting for simple graphs."""
 
-from .cli import run as cli_run
 from .convexity import (
     Cycle,
     CycleCensus,
-    EvenAntipodalPair,
-    OddAntipodalPair,
     brute_force_convex_cycles,
     canonical_cycle,
+    diameter,
     enumerate_convex_cycles,
-    even_antipodal_pairs,
+    girth,
     girth_cycle_count,
     is_convex_cycle,
-    odd_antipodal_pairs,
+    metric_profile,
+    profile_and_census,
 )
 from .errors import (
     ConsistencyError,
@@ -59,14 +58,7 @@ from .graphs import (
     hoffman_singleton_graph,
     petersen_graph,
 )
-from .metric import (
-    DistanceRecord,
-    MetricProfile,
-    bfs_record,
-    diameter,
-    girth,
-    metric_profile,
-)
+from .metric import DistanceRecord, MetricProfile, bfs_record
 from .spectral import (
     IntPolynomial,
     char_poly,
@@ -75,6 +67,17 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the CLI module is imported on first use, so that running it with
+    # `python -m convexcycles.cli` does not find it imported already
+    if name == "cli_run":
+        from .cli import run
+
+        return run
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Classification",
@@ -86,7 +89,6 @@ __all__ = [
     "DistanceRecord",
     "DuplicateEdge",
     "Edge",
-    "EvenAntipodalPair",
     "ExtremalReport",
     "Graph",
     "InconsistentInput",
@@ -98,7 +100,6 @@ __all__ = [
     "MooreCountCheck",
     "MooreReport",
     "NotApplicable",
-    "OddAntipodalPair",
     "OutOfRange",
     "ParseError",
     "bfs_record",
@@ -115,7 +116,6 @@ __all__ = [
     "delete_vertex",
     "diameter",
     "enumerate_convex_cycles",
-    "even_antipodal_pairs",
     "expand_factored",
     "from_edge_list",
     "generate",
@@ -128,10 +128,10 @@ __all__ = [
     "is_moore",
     "load_graph_text",
     "metric_profile",
-    "odd_antipodal_pairs",
     "parse_edge_list",
     "parse_graph6",
     "petersen_graph",
+    "profile_and_census",
     "write_edge_list",
     "write_graph6",
 ]

@@ -19,10 +19,9 @@ from pathlib import Path
 
 from .convexity import (
     CycleCensus,
-    enumerate_convex_cycles,
-    even_antipodal_pairs,
-    odd_antipodal_pairs,
     brute_force_convex_cycles,
+    metric_profile,
+    profile_and_census,
 )
 from .errors import (
     ConsistencyError,
@@ -34,7 +33,7 @@ from .errors import (
 from .extremal import check_extremal, check_moore_by_count, is_moore
 from .formats import load_graph_text, write_graph6
 from .graphs import Graph, generate
-from .metric import MetricProfile, metric_profile
+from .metric import MetricProfile
 from .spectral import char_poly, girth_cycle_count_spectral
 
 DEFAULT_SPECTRAL_CAP = 100
@@ -179,13 +178,7 @@ def _print_table(report: dict, indent: str = "") -> None:
 def _analysis_pipeline(args) -> tuple[Graph, MetricProfile, CycleCensus, _Phases]:
     g = _read_graph(args.graph)
     phases = _Phases()
-    profile = phases.run("metric", metric_profile, g)
-    odd = phases.run("pairs", odd_antipodal_pairs, g, profile)
-    even = phases.run("pairs_even", even_antipodal_pairs, g, profile)
-    phases.seconds["pairs"] += phases.seconds.pop("pairs_even")
-    census = phases.run(
-        "enumeration", enumerate_convex_cycles, g, profile, odd, even
-    )
+    profile, census = phases.run("census", profile_and_census, g)
     return g, profile, census, phases
 
 
@@ -230,7 +223,7 @@ def _cmd_moore(args) -> int:
 def _cmd_spectral(args) -> int:
     g = _read_graph(args.graph)
     phases = _Phases()
-    profile = phases.run("metric", metric_profile, g)
+    profile = phases.run("census", metric_profile, g)
     report = _base_report(args.graph, g, profile)
     report["spectral"] = phases.run(
         "spectral", _spectral_section, g, profile, args.max_n

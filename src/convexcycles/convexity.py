@@ -1,23 +1,28 @@
-"""Antipodal-pair detection and convex-cycle enumeration.
+"""Convex-cycle census, girth and diameter in one streaming BFS pass.
 
 A cycle subgraph is convex when every shortest path of the host graph
-between two of its vertices stays on the cycle.  Odd convex cycles are
-found through (edge, vertex) pairs whose endpoints sit at equal distance
-from the vertex with unique shortest paths; even convex cycles through
-vertex pairs joined by exactly two shortest paths.  Each candidate is
-walked once, from its owner pair through the owner's own BFS record, and
-then verified vertex-pair by vertex-pair.
+between two of its vertices stays on the cycle.  An L-cycle is convex
+exactly when each of its antipodal pairs, the vertex pairs floor(L/2) steps
+apart along it (L of them for odd L, L/2 for even L), lies at distance
+floor(L/2) and is joined by one shortest path (odd L) or two (even L).
+Odd candidates come from (edge, vertex) pairs whose endpoints sit at equal
+distance from the vertex with unique shortest paths, even candidates from
+vertex pairs joined by exactly two shortest paths.  The pass visits roots
+in increasing order with one BFS each, walks the candidates the root owns
+(as their minimum vertex) through its row, checks their antipodal pairs
+that start at the root and defers every other pair to the row of its
+smaller vertex, which comes later; then it drops the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .errors import InvalidCycle, NotApplicable
-from .graphs import Edge, Graph
-from .metric import MetricProfile, metric_profile
+from .errors import ConsistencyError, InvalidCycle, NotApplicable
+from .graphs import Graph
+from .metric import DistanceRecord, MetricProfile, _bfs, bfs_record
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -54,16 +59,6 @@ class Cycle:
         return len(self.vertices)
 
 
-class OddAntipodalPair(NamedTuple):
-    edge: Edge
-    vertex: int
-
-
-class EvenAntipodalPair(NamedTuple):
-    u: int
-    v: int
-
-
 @dataclass(frozen=True)
 class CycleCensus:
     """Convex cycles with their odd/even split and length histogram."""
@@ -91,77 +86,9 @@ class CycleCensus:
         )
 
 
-def odd_antipodal_pairs(g: Graph, profile: MetricProfile) -> list[OddAntipodalPair]:
-    """All (edge xy, vertex v) with d(x,v) = d(y,v) = k >= 1 and unique
-    shortest paths from both endpoints to v."""
-    pairs = []
-    edges = g.edge_list
-    for v in range(g.n):
-        rec = profile.records[v]
-        dist = rec.dist
-        sigma = rec.sigma
-        for e in edges:
-            dx = dist[e.u]
-            if dx is None or dx < 1:
-                continue
-            if dx == dist[e.v] and sigma[e.u] == 1 and sigma[e.v] == 1:
-                pairs.append(OddAntipodalPair(e, v))
-    return pairs
-
-
-def even_antipodal_pairs(g: Graph, profile: MetricProfile) -> list[EvenAntipodalPair]:
-    """All unordered vertex pairs at distance >= 2 joined by exactly two
-    shortest paths."""
-    pairs = []
-    for u in range(g.n):
-        rec = profile.records[u]
-        dist = rec.dist
-        sigma = rec.sigma
-        for v in range(u + 1, g.n):
-            d = dist[v]
-            if d is not None and d >= 2 and sigma[v] == 2:
-                pairs.append(EvenAntipodalPair(u, v))
-    return pairs
-
-
-def is_convex_cycle(g: Graph, profile: MetricProfile, c: Cycle) -> bool:
-    """Check convexity through the distance/path-count criterion.
-
-    For every vertex pair on the cycle the host distance must equal the
-    arc distance and the host shortest-path count must equal the on-cycle
-    count (2 for antipodal pairs of an even cycle, 1 otherwise); together
-    these force every host geodesic between cycle vertices onto the cycle.
-    """
-    verts = c.vertices
-    length = len(verts)
-    records = profile.records
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise InvalidCycle(f"vertex {v} outside 0..{g.n - 1}")
-    for v, w in zip(verts, verts[1:] + verts[:1]):
-        if records[v].dist[w] != 1:
-            raise InvalidCycle(f"consecutive vertices {v}, {w} are not adjacent")
-    half = length // 2
-    even = length % 2 == 0
-    for i in range(length):
-        rec = records[verts[i]]
-        dist = rec.dist
-        sigma = rec.sigma
-        for j in range(i + 1, length):
-            t = j - i
-            if t > length - t:
-                t = length - t
-            w = verts[j]
-            if dist[w] != t:
-                return False
-            if sigma[w] != (2 if even and t == half else 1):
-                return False
-    return True
-
-
 def _owned_cycle(
     adjacency: tuple[tuple[int, ...], ...],
-    dist: tuple[int | None, ...],
+    dist: Sequence[int | None],
     owner: int,
     a: int,
     b: int,
@@ -198,50 +125,166 @@ def _owned_cycle(
     return (owner, *left, *far, *right)
 
 
-def enumerate_convex_cycles(
-    g: Graph,
-    profile: MetricProfile,
-    odd_pairs: list[OddAntipodalPair] | None = None,
-    even_pairs: list[EvenAntipodalPair] | None = None,
-) -> CycleCensus:
-    """The exact convex-cycle census.
+def _antipodal_pairs(verts: Sequence[int]) -> list[tuple[int, int]]:
+    """The antipodal pairs of a cycle, each as (smaller, larger) vertex."""
+    length = len(verts)
+    half = length // 2
+    pairs = []
+    for i in range(length if length % 2 else half):
+        a = verts[i]
+        b = verts[(i + half) % length]
+        pairs.append((a, b) if a < b else (b, a))
+    return pairs
 
-    Every convex cycle reconstructs from each of its antipodal pairs: an
-    odd L-cycle from its L odd pairs, one per vertex as apex, and an even
-    L-cycle from its L/2 even pairs, which cover its vertices once.  So
-    exactly one pair of each convex cycle has the cycle's minimum vertex as
-    its apex (odd) or as u (even); keeping only candidates built from that
-    owner pair and passing is_convex_cycle yields each convex cycle once.
-    Works per component automatically: pairs never straddle components.
-    Precomputed pair lists may be passed in to avoid a rescan.
+
+def _lemma_target(length: int) -> tuple[int, int]:
+    """(distance, shortest-path count) each antipodal pair must show."""
+    return length // 2, 1 if length % 2 else 2
+
+
+def _lemma_holds(
+    rows: Sequence[DistanceRecord] | dict[int, DistanceRecord], verts: Sequence[int]
+) -> bool:
+    """The antipodal-pair test of a cycle of the graph; rows[u] must be
+    the BFS record of u for the smaller vertex u of every antipodal pair."""
+    half, want = _lemma_target(len(verts))
+    for lo, hi in _antipodal_pairs(verts):
+        rec = rows[lo]
+        if rec.dist[hi] != half or rec.sigma[hi] != want:
+            return False
+    return True
+
+
+def is_convex_cycle(g: Graph, c: Cycle) -> bool:
+    """Check convexity through the antipodal-pair test, with one BFS per
+    distinct smaller vertex of a pair."""
+    verts = c.vertices
+    for v in verts:
+        if not 0 <= v < g.n:
+            raise InvalidCycle(f"vertex {v} outside 0..{g.n - 1}")
+    for v, w in zip(verts, verts[1:] + verts[:1]):
+        if w not in g.adjacency[v]:
+            raise InvalidCycle(f"consecutive vertices {v}, {w} are not adjacent")
+    smaller = {lo for lo, _ in _antipodal_pairs(verts)}
+    return _lemma_holds({lo: bfs_record(g, lo) for lo in smaller}, verts)
+
+
+def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
+    """Girth, diameter, connectivity and the exact convex-cycle census.
+
+    Every convex cycle reconstructs from each of its antipodal pairs, so
+    exactly one pair of each has the cycle's minimum vertex as its apex
+    (odd) or as its smaller end (even); each root walks only the candidates
+    it owns that way, and each candidate is walked once.  Girth is the
+    least 2d+1 over same-level edges and 2d over vertices with two or more
+    shortest paths.  For odd girth g = 2k+1 each girth cycle shows one
+    same-level edge at level k to each of its g vertices and no other such
+    edge exists, so g times the census's girth-cycle count must equal that
+    edge count; a mismatch raises ConsistencyError.  Memory is O(n + m)
+    for the current row plus O(L) per candidate L-cycle.
     """
-    if odd_pairs is None:
-        odd_pairs = odd_antipodal_pairs(g, profile)
-    if even_pairs is None:
-        even_pairs = even_antipodal_pairs(g, profile)
     adjacency = g.adjacency
-    records = profile.records
-    owned = [
-        _owned_cycle(adjacency, records[v].dist, v, x, y, ())
-        for (x, y), v in odd_pairs
-    ]
-    for u, v in even_pairs:
-        dist = records[u].dist
-        d = dist[v] - 1
-        below = [w for w in adjacency[v] if dist[w] == d]
-        # sigma[v] == 2: two predecessors of sigma 1 each, or one shared
-        # predecessor of sigma 2, in which case the paths are not disjoint
-        if len(below) == 2:
-            owned.append(_owned_cycle(adjacency, dist, u, *below, (v,)))
-    return CycleCensus.from_cycles(
-        c for c in map(Cycle, filter(None, owned)) if is_convex_cycle(g, profile, c)
+    n = g.n
+    even_best: int | float = math.inf
+    odd_best: int | float = math.inf
+    far_edges = 0
+    longest: int | float = 0
+    connected = True
+    candidates: list[tuple[int, ...]] = []
+    # (distance, path count) still required of each candidate's pairs;
+    # None once one pair failed
+    targets: list[tuple[int, int] | None] = []
+    # smaller vertex of a pair -> flat [larger vertex, candidate index, ...]
+    deferred: dict[int, list[int]] = {}
+    for v in range(n):
+        dist, sigma, order, level, merged = _bfs(adjacency, v)
+        if len(order) < n:
+            connected = False
+        if dist[order[-1]] > longest:
+            longest = dist[order[-1]]
+        pending = iter(deferred.pop(v, ()))
+        for w, cid in zip(pending, pending):
+            target = targets[cid]
+            if target is not None and (dist[w], sigma[w]) != target:
+                targets[cid] = None
+        if level:
+            d = dist[level[0][0]]
+            if 2 * d + 1 <= odd_best:
+                if 2 * d + 1 < odd_best:
+                    odd_best = 2 * d + 1
+                    far_edges = 0
+                for x, _ in level:
+                    if dist[x] != d:
+                        break
+                    far_edges += 1
+        if merged and 2 * dist[merged[0]] < even_best:
+            even_best = 2 * dist[merged[0]]
+        # level holds each edge once as (x, y) with x < y
+        owned = [
+            _owned_cycle(adjacency, dist, v, x, y, ())
+            for x, y in level
+            if x > v and sigma[x] == 1 and sigma[y] == 1
+        ]
+        for w in merged:
+            # a merged vertex has two or more predecessors, so sigma 2
+            # means exactly two, each with one shortest path
+            if w > v and sigma[w] == 2:
+                d = dist[w] - 1
+                a, b = [u for u in adjacency[w] if dist[u] == d]
+                owned.append(_owned_cycle(adjacency, dist, v, a, b, (w,)))
+        for cycle in filter(None, owned):
+            cid = len(candidates)
+            target = _lemma_target(len(cycle))
+            for lo, hi in _antipodal_pairs(cycle):
+                if lo != v:
+                    deferred.setdefault(lo, []).extend((hi, cid))
+                elif (dist[hi], sigma[hi]) != target:
+                    target = None
+                    break
+            candidates.append(cycle)
+            targets.append(target)
+    census = CycleCensus.from_cycles(
+        Cycle(c) for c, t in zip(candidates, targets) if t is not None
     )
+    shortest = min(odd_best, even_best)
+    if shortest == odd_best != math.inf:
+        counted = census.by_length.get(shortest, 0)
+        if far_edges != shortest * counted:
+            raise ConsistencyError(
+                f"{far_edges} same-level edges at distance {shortest // 2} imply "
+                f"{far_edges / shortest:g} cycles of odd girth {shortest}, "
+                f"but the census has {counted}"
+            )
+    profile = MetricProfile(shortest, longest if connected else math.inf, connected)
+    return profile, census
+
+
+def metric_profile(g: Graph) -> MetricProfile:
+    """Girth, diameter and connectivity, from the census pass."""
+    return profile_and_census(g)[0]
+
+
+def enumerate_convex_cycles(g: Graph) -> CycleCensus:
+    """The exact convex-cycle census, from the census pass.  Works per
+    component automatically: antipodal pairs never straddle components."""
+    return profile_and_census(g)[1]
+
+
+def girth(g: Graph) -> int | float:
+    """Length of a shortest cycle; math.inf for forests."""
+    return metric_profile(g).girth
+
+
+def diameter(g: Graph) -> int | float:
+    """Largest pairwise distance; math.inf when disconnected."""
+    return metric_profile(g).diameter
 
 
 def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:
     """Exhaustive oracle: DFS every simple cycle of length <= max_len, then
-    filter by is_convex_cycle.  Exponential; meant for small graphs."""
-    profile = metric_profile(g)
+    filter by the antipodal-pair test on BFS rows computed once per root.
+    Exponential; meant for small graphs."""
+    rows = [bfs_record(g, r) for r in range(g.n)]
     adjacency = g.adjacency
     found: list[Cycle] = []
     on_path = [False] * g.n
@@ -263,9 +306,7 @@ def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:
             else:
                 stack.pop()
                 on_path[path.pop()] = False
-    return CycleCensus.from_cycles(
-        c for c in found if is_convex_cycle(g, profile, c)
-    )
+    return CycleCensus.from_cycles(c for c in found if _lemma_holds(rows, c.vertices))
 
 
 def girth_cycle_count(
@@ -278,5 +319,5 @@ def girth_cycle_count(
     if profile.girth % 2 == 0:
         raise NotApplicable(f"girth {profile.girth} is even")
     if census is None:
-        census = enumerate_convex_cycles(g, profile)
+        census = enumerate_convex_cycles(g)
     return census.by_length.get(int(profile.girth), 0)

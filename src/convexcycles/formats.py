@@ -10,6 +10,9 @@ into 6-bit groups offset by 63; the short header covers n <= 62 and the
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .errors import ParseError
 from .graphs import Graph, from_edge_list
 
@@ -20,8 +23,17 @@ GRAPH6_HEADER = ">>graph6<<"
 # could otherwise allocate millions of adjacency lists; it gets this limit.
 FOUR_BYTE_MAX_ORDER = 258047
 
+_OUTSIDE_ALPHABET = re.compile(r"[^?-~]")
+_FROM_GRAPH6 = bytes((c - 63) % 256 for c in range(256))
+_TO_GRAPH6 = bytes((c + 63) % 256 for c in range(256))
+_NONZERO = re.compile(rb"[^\x00]")
+# offsets, most significant first, of the set bits of each 6-bit group
+_SET_BITS = tuple(
+    tuple(j for j in range(6) if group >> (5 - j) & 1) for group in range(64)
+)
 
-def _decode_size(data: list[int]) -> tuple[int, int]:
+
+def _decode_size(data: bytes) -> tuple[int, int]:
     """Return (n, index of first payload byte)."""
     if not data:
         raise ParseError("empty graph6 line")
@@ -51,12 +63,10 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(GRAPH6_HEADER):]
     if not line:
         raise ParseError("empty graph6 line")
-    data = []
-    for ch in line:
-        b = ord(ch) - 63
-        if not 0 <= b <= 63:
-            raise ParseError(f"character {ch!r} outside the graph6 alphabet")
-        data.append(b)
+    bad = _OUTSIDE_ALPHABET.search(line)
+    if bad:
+        raise ParseError(f"character {bad.group()!r} outside the graph6 alphabet")
+    data = line.encode("ascii").translate(_FROM_GRAPH6)
     # the '~' marker itself decodes to 63, only legal inside the size header
     n, start = _decode_size(data)
     nbits = n * (n - 1) // 2
@@ -66,14 +76,16 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(f"graph6 payload too short: {len(payload)} bytes, need {need}")
     if len(payload) > need:
         raise ParseError(f"graph6 payload too long: {len(payload)} bytes, need {need}")
+    # bit b of the payload is the pair (u, v), u < v, with b = v(v-1)/2 + u;
+    # bits at or past nbits are padding
     edges = []
-    bit = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte, off = divmod(bit, 6)
-            if payload[byte] >> (5 - off) & 1:
-                edges.append((u, v))
-            bit += 1
+    for match in _NONZERO.finditer(payload):
+        i = match.start()
+        for offset in _SET_BITS[payload[i]]:
+            b = 6 * i + offset
+            if b < nbits:
+                v = (1 + isqrt(8 * b + 1)) // 2
+                edges.append((b - v * (v - 1) // 2, v))
     return from_edge_list(n, edges)
 
 
@@ -89,19 +101,16 @@ def _encode_size(n: int) -> str:
 
 def write_graph6(g: Graph) -> str:
     """Encode a labeled graph as one graph6 line (no trailing newline)."""
-    chunks = [_encode_size(g.n)]
-    acc = 0
-    width = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = (acc << 1) | (1 if g.has_edge(u, v) else 0)
-            width += 1
-            if width == 6:
-                chunks.append(chr(acc + 63))
-                acc, width = 0, 0
-    if width:
-        chunks.append(chr((acc << (6 - width)) + 63))
-    return "".join(chunks)
+    payload = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for v, nbrs in enumerate(g.adjacency):
+        row = v * (v - 1) // 2
+        # adjacency lists are sorted, so the neighbors below v come first
+        for u in nbrs:
+            if u >= v:
+                break
+            b = row + u
+            payload[b // 6] |= 32 >> b % 6
+    return _encode_size(g.n) + payload.translate(_TO_GRAPH6).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

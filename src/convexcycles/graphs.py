@@ -65,11 +65,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return Edge(u, v) in self._edge_set
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 

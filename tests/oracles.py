@@ -1,16 +1,20 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here recomputes results from first principles (plain BFS, path
-enumeration, permutation/Bareiss determinants) without touching the library
-code paths under test.
+enumeration, permutation/Bareiss determinants, per-bit graph6 decoding)
+without touching the library code paths under test.  The all-roots census
+pipeline below is the slow reference for the library's one-pass census: a
+BFS record per root kept for the whole graph, scans of every antipodal pair,
+a path rebuild per pair and an O(L^2) vertex-pair verifier.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import permutations
 
-from convexcycles import Graph
+from convexcycles import DistanceRecord, Graph
 
 
 def bfs_distances(g: Graph, root: int) -> list[int | None]:
@@ -24,6 +28,172 @@ def bfs_distances(g: Graph, root: int) -> list[int | None]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def bfs_counts(g: Graph, root: int) -> DistanceRecord:
+    """Distances and exact shortest-path counts from one root."""
+    dist: list[int | None] = [None] * g.n
+    sigma = [0] * g.n
+    dist[root] = 0
+    sigma[root] = 1
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+            if dist[w] == dist[u] + 1:
+                sigma[w] += sigma[u]
+    return DistanceRecord(root, tuple(dist), tuple(sigma))
+
+
+def all_roots_records(g: Graph) -> list[DistanceRecord]:
+    return [bfs_counts(g, r) for r in range(g.n)]
+
+
+def girth_from_records(g: Graph, records: list[DistanceRecord]) -> int | float:
+    """From a root, an edge with both ends at distance d closes an odd walk
+    of length 2d+1, and a vertex at distance d with sigma >= 2 has two
+    shortest paths enclosing a cycle of length <= 2d; a root on a shortest
+    cycle sees its far edge or far vertex at exactly the girth."""
+    best: int | float = math.inf
+    for rec in records:
+        for x, y in g.edge_list:
+            d = rec.dist[x]
+            if d is not None and d == rec.dist[y]:
+                best = min(best, 2 * d + 1)
+        for d, s in zip(rec.dist, rec.sigma):
+            if s >= 2:
+                best = min(best, 2 * d)
+    return best
+
+
+def odd_antipodal_pairs(
+    g: Graph, records: list[DistanceRecord]
+) -> list[tuple[tuple[int, int], int]]:
+    """All (edge xy, vertex v) with d(x,v) = d(y,v) = k >= 1 and unique
+    shortest paths from both endpoints to v."""
+    pairs = []
+    for v, rec in enumerate(records):
+        for x, y in g.edge_list:
+            d = rec.dist[x]
+            if d is None or d < 1 or d != rec.dist[y]:
+                continue
+            if rec.sigma[x] == 1 and rec.sigma[y] == 1:
+                pairs.append(((x, y), v))
+    return pairs
+
+
+def even_antipodal_pairs(
+    g: Graph, records: list[DistanceRecord]
+) -> list[tuple[int, int]]:
+    """All vertex pairs u < v at distance >= 2 joined by exactly two
+    shortest paths."""
+    return [
+        (u, v)
+        for u, rec in enumerate(records)
+        for v in range(u + 1, g.n)
+        if rec.dist[v] is not None and rec.dist[v] >= 2 and rec.sigma[v] == 2
+    ]
+
+
+def is_convex_cycle_pairwise(records: list[DistanceRecord], verts) -> bool:
+    """Every vertex pair of a cycle of the graph: host distance equals arc
+    distance, and the host path count equals the on-cycle count (2 for the
+    antipodal pairs of an even cycle, 1 otherwise)."""
+    length = len(verts)
+    for i in range(length):
+        rec = records[verts[i]]
+        for j in range(i + 1, length):
+            t = min(j - i, length - (j - i))
+            w = verts[j]
+            if rec.dist[w] != t:
+                return False
+            if rec.sigma[w] != (2 if length % 2 == 0 and 2 * t == length else 1):
+                return False
+    return True
+
+
+def _path_to_root(g: Graph, rec: DistanceRecord, x: int) -> list[int]:
+    """x, then one neighbor a level closer to the root at each step."""
+    path = [x]
+    while rec.dist[path[-1]]:
+        cur = path[-1]
+        path.append(next(w for w in g.adjacency[cur] if rec.dist[w] == rec.dist[cur] - 1))
+    return path
+
+
+def reference_census(g: Graph) -> tuple[int | float, int | float, bool, list[tuple[int, ...]]]:
+    """(girth, diameter, connected, convex cycles) by the all-roots pipeline:
+    every antipodal pair rebuilds its candidate, and the candidates that are
+    cycles pass the pairwise verifier; cycles sorted by (length, vertices)."""
+    records = all_roots_records(g)
+    connected = all(d is not None for rec in records for d in rec.dist)
+    diameter = max((d for rec in records for d in rec.dist if d is not None), default=0)
+    candidates = []
+    for (x, y), v in odd_antipodal_pairs(g, records):
+        rec = records[v]
+        candidates.append(_path_to_root(g, rec, x)[::-1] + _path_to_root(g, rec, y)[:-1])
+    for u, v in even_antipodal_pairs(g, records):
+        rec = records[u]
+        below = [w for w in g.adjacency[v] if rec.dist[w] == rec.dist[v] - 1]
+        if len(below) == 2:
+            a, b = below
+            candidates.append(
+                _path_to_root(g, rec, a)[::-1] + [v] + _path_to_root(g, rec, b)[:-1]
+            )
+    cycles = {
+        canonical_cycle(tuple(c))
+        for c in candidates
+        if len(set(c)) == len(c) and is_convex_cycle_pairwise(records, c)
+    }
+    return (
+        girth_from_records(g, records),
+        diameter if connected else math.inf,
+        connected,
+        sorted(cycles, key=lambda c: (len(c), c)),
+    )
+
+
+def graph6_per_bit(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """(n, edges u < v) of one graph6 line, reading every payload bit in
+    column order; padding bits are ignored."""
+    data = [ord(ch) - 63 for ch in text.strip().removeprefix(">>graph6<<")]
+    if data[0] < 63:
+        n, start = data[0], 1
+    elif data[1] < 63:
+        n, start = (data[1] << 12) | (data[2] << 6) | data[3], 4
+    else:
+        n = 0
+        for b in data[2:8]:
+            n = (n << 6) | b
+        start = 8
+    edges = set()
+    bit = 0
+    for v in range(1, n):
+        for u in range(v):
+            byte, off = divmod(bit, 6)
+            if data[start + byte] >> (5 - off) & 1:
+                edges.add((u, v))
+            bit += 1
+    return n, edges
+
+
+def graph6_per_pair(g: Graph) -> str:
+    """One graph6 line, asking the edge set about every vertex pair in
+    column order."""
+    edges = set(g.edge_list)
+    n = g.n
+    if n <= 62:
+        chars = [chr(n + 63)]
+    else:
+        chars = ["~"] + [chr(((n >> s) & 63) + 63) for s in (12, 6, 0)]
+    bits = [int((u, v) in edges) for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    for i in range(0, len(bits), 6):
+        chars.append(chr(int("".join(map(str, bits[i:i + 6])), 2) + 63))
+    return "".join(chars)
 
 
 def all_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:

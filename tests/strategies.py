@@ -27,3 +27,18 @@ def cycles_as_sequences(draw, max_len: int = 9) -> tuple[int, ...]:
         st.lists(st.integers(0, 50), min_size=length, max_size=length, unique=True)
     )
     return tuple(labels)
+
+
+@st.composite
+def graphs_with_a_cycle(draw, max_n: int = 9) -> tuple[Graph, tuple[int, ...]]:
+    """A graph and one of its cycles: a cycle through some of the vertices
+    plus a sparse random set of further edges."""
+    n = draw(st.integers(3, max_n))
+    order = draw(st.permutations(range(n)))
+    cycle = tuple(order[: draw(st.integers(3, n))])
+    pairs = list(combinations(range(n), 2))
+    top = (1 << len(pairs)) - 1
+    mask = draw(st.integers(0, top)) & draw(st.integers(0, top))
+    edges = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+    edges |= {(min(e), max(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    return from_edge_list(n, sorted(edges)), cycle

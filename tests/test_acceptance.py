@@ -16,6 +16,7 @@ import pytest
 
 import convexcycles as cc
 
+from . import oracles
 from .conftest import CONNECTED_COUNTS
 
 
@@ -30,8 +31,7 @@ def criterion(num: int, description: str):
 
 
 def analyzed(g: cc.Graph):
-    profile = cc.metric_profile(g)
-    return profile, cc.enumerate_convex_cycles(g, profile)
+    return cc.profile_and_census(g)
 
 
 def test_criterion_01_petersen(petersen):
@@ -128,7 +128,7 @@ def test_criterion_06_oracle_equivalence(corpus_profiles):
         assert per_order == CONNECTED_COUNTS  # corpus really is exhaustive
         violations = 0
         for g, profile in corpus_profiles:
-            census = cc.enumerate_convex_cycles(g, profile)
+            census = cc.enumerate_convex_cycles(g)
             brute = cc.brute_force_convex_cycles(g, g.n)
             if census.cycles != brute.cycles:
                 violations += 1
@@ -164,11 +164,12 @@ def test_criterion_08_per_vertex_pair_bound(corpus_profiles):
         "odd antipodal pairs; 0 violations",
     ):
         violations = 0
-        for g, profile in corpus_profiles:
+        for g, _ in corpus_profiles:
             cap = g.m - g.n + 1
             per_vertex = [0] * g.n
-            for pair in cc.odd_antipodal_pairs(g, profile):
-                per_vertex[pair.vertex] += 1
+            records = oracles.all_roots_records(g)
+            for _, v in oracles.odd_antipodal_pairs(g, records):
+                per_vertex[v] += 1
             if per_vertex and max(per_vertex) > cap:
                 violations += 1
         assert violations == 0

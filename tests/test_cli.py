@@ -220,6 +220,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("module", ["convexcycles.cli", "convexcycles"])
+    def test_refusal_is_one_stderr_line(self, tmp_path, module):
+        path = tmp_path / "huge.txt"
+        path.write_text("0 100000000\n")
+        result = subprocess.run(
+            [sys.executable, "-m", module, "analyze", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
 
@@ -251,6 +264,26 @@ class TestExitCodes:
         assert cc.cli_run(["generate", "petersen"]) == 0
         capsys.readouterr()
         assert cc.cli_run(["generate", "nope"]) == 2
+
+    def test_dropped_girth_cycle_maps_to_three(self, petersen_file, monkeypatch, capsys):
+        # the far-edge count reads only BFS rows, so it notices a census
+        # that lost a girth cycle in the walk
+        import convexcycles.convexity as convexity
+
+        walk = convexity._owned_cycle
+        dropped = []
+
+        def drop_first(*args):
+            cycle = walk(*args)
+            if cycle is not None and not dropped:
+                dropped.append(cycle)
+                return None
+            return cycle
+
+        monkeypatch.setattr(convexity, "_owned_cycle", drop_first)
+        assert cc.cli_run(["analyze", petersen_file]) == 3
+        assert len(dropped[0]) == 5
+        assert "same-level edges" in capsys.readouterr().err
 
     def test_consistency_violation_maps_to_three(
         self, petersen_file, monkeypatch, capsys

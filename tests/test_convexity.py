@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import convexcycles as cc
+from convexcycles import convexity
 
 from . import oracles
 from .conftest import subdivided
-from .strategies import cycles_as_sequences, graphs
+from .strategies import cycles_as_sequences, graphs, graphs_with_a_cycle
 
 
 class TestCanonicalForm:
@@ -46,23 +47,29 @@ class TestCanonicalForm:
             cc.canonical_cycle((0, 1, 0))
 
 
+def odd_pairs(g: cc.Graph) -> list[tuple[tuple[int, int], int]]:
+    return oracles.odd_antipodal_pairs(g, oracles.all_roots_records(g))
+
+
+def even_pairs(g: cc.Graph) -> list[tuple[int, int]]:
+    return oracles.even_antipodal_pairs(g, oracles.all_roots_records(g))
+
+
 class TestOddPairs:
     def test_c5_has_five(self):
-        g = cc.cycle_graph(5)
-        pairs = cc.odd_antipodal_pairs(g, cc.metric_profile(g))
+        pairs = odd_pairs(cc.cycle_graph(5))
         assert len(pairs) == 5
         # each vertex pairs with its opposite edge
-        assert cc.OddAntipodalPair(cc.Edge(2, 3), 0) in pairs
+        assert ((2, 3), 0) in pairs
 
-    def test_petersen_has_sixty(self, petersen, petersen_profile):
-        assert len(cc.odd_antipodal_pairs(petersen, petersen_profile)) == 60
+    def test_petersen_has_sixty(self, petersen):
+        assert len(odd_pairs(petersen)) == 60
 
     def test_even_cycle_has_none(self):
-        g = cc.cycle_graph(6)
-        assert cc.odd_antipodal_pairs(g, cc.metric_profile(g)) == []
+        assert odd_pairs(cc.cycle_graph(6)) == []
 
-    def test_matches_independent_definition(self, corpus_profiles):
-        for g, profile in corpus_profiles[:300]:
+    def test_matches_independent_definition(self, corpus):
+        for g in corpus[:300]:
             expected = set()
             for v in range(g.n):
                 dist = oracles.bfs_distances(g, v)
@@ -75,117 +82,156 @@ class TestOddPairs:
                         and oracles.count_shortest_paths(g, e.v, v) == 1
                     ):
                         expected.add((e, v))
-            got = {(p.edge, p.vertex) for p in cc.odd_antipodal_pairs(g, profile)}
-            assert got == expected
+            assert set(odd_pairs(g)) == expected
 
 
 class TestEvenPairs:
     def test_c6(self):
-        g = cc.cycle_graph(6)
-        pairs = cc.even_antipodal_pairs(g, cc.metric_profile(g))
-        assert pairs == [
-            cc.EvenAntipodalPair(0, 3),
-            cc.EvenAntipodalPair(1, 4),
-            cc.EvenAntipodalPair(2, 5),
-        ]
+        assert even_pairs(cc.cycle_graph(6)) == [(0, 3), (1, 4), (2, 5)]
 
     def test_q3_all_distance_two_pairs(self, q3):
-        pairs = cc.even_antipodal_pairs(q3, cc.metric_profile(q3))
-        assert len(pairs) == 12
+        assert len(even_pairs(q3)) == 12
 
     def test_k23_only_the_far_side(self, k23):
-        pairs = cc.even_antipodal_pairs(k23, cc.metric_profile(k23))
-        assert pairs == [
-            cc.EvenAntipodalPair(2, 3),
-            cc.EvenAntipodalPair(2, 4),
-            cc.EvenAntipodalPair(3, 4),
-        ]
+        assert even_pairs(k23) == [(2, 3), (2, 4), (3, 4)]
 
 
 class TestIsConvexCycle:
     def test_k4_triangles(self):
         g = cc.complete_graph(4)
-        profile = cc.metric_profile(g)
         for verts in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]:
-            assert cc.is_convex_cycle(g, profile, cc.Cycle(verts))
+            assert cc.is_convex_cycle(g, cc.Cycle(verts))
 
     def test_k23_squares_fail(self, k23):
-        profile = cc.metric_profile(k23)
         # 4-cycles alternate sides: 0-x-1-y; the pair (0, 1) has three paths
-        assert not cc.is_convex_cycle(k23, profile, cc.Cycle((0, 2, 1, 3)))
+        assert not cc.is_convex_cycle(k23, cc.Cycle((0, 2, 1, 3)))
 
-    def test_petersen_hexagons_fail(self, petersen, petersen_profile):
+    def test_petersen_hexagons_fail(self, petersen):
         hexagons = [
             c for c in oracles.all_simple_cycles(petersen, 6) if len(c) == 6
         ]
         assert hexagons
         for verts in hexagons:
-            assert not cc.is_convex_cycle(petersen, petersen_profile, cc.Cycle(verts))
+            assert not cc.is_convex_cycle(petersen, cc.Cycle(verts))
 
     def test_not_a_cycle_of_g(self):
         g = cc.cycle_graph(5)
-        profile = cc.metric_profile(g)
         with pytest.raises(cc.InvalidCycle):
-            cc.is_convex_cycle(g, profile, cc.Cycle((0, 1, 3)))
+            cc.is_convex_cycle(g, cc.Cycle((0, 1, 3)))
         with pytest.raises(cc.InvalidCycle):
-            cc.is_convex_cycle(g, profile, cc.Cycle((0, 1, 7)))
+            cc.is_convex_cycle(g, cc.Cycle((0, 1, 7)))
 
-    def test_matches_literal_definition(self, corpus_profiles):
+    def test_matches_literal_definition(self, corpus):
         checked = 0
-        for g, profile in corpus_profiles:
+        for g in corpus:
             if g.n > 6:
                 break
             for verts in oracles.all_simple_cycles(g, g.n):
                 expected = oracles.is_convex_cycle_by_definition(g, verts)
-                assert cc.is_convex_cycle(g, profile, cc.Cycle(verts)) == expected
+                assert cc.is_convex_cycle(g, cc.Cycle(verts)) == expected
                 checked += 1
         assert checked > 400
 
 
+class TestAntipodalLemma:
+    @given(graphs_with_a_cycle())
+    def test_matches_pairwise_on_hypothesis_cycles(self, drawn):
+        g, verts = drawn
+        records = oracles.all_roots_records(g)
+        expected = oracles.is_convex_cycle_pairwise(records, verts)
+        assert cc.is_convex_cycle(g, cc.Cycle(verts)) == expected
+
+    def test_matches_pairwise_on_every_corpus_cycle(self, corpus):
+        checked = convex = 0
+        for g in corpus:
+            records = oracles.all_roots_records(g)
+            for verts in oracles.all_simple_cycles(g, g.n):
+                expected = oracles.is_convex_cycle_pairwise(records, verts)
+                assert convexity._lemma_holds(records, verts) == expected
+                checked += 1
+                convex += expected
+        assert checked == 39_512 and convex == 5_297
+
+
 class TestEnumeration:
-    def test_petersen(self, petersen, petersen_profile):
-        census = cc.enumerate_convex_cycles(petersen, petersen_profile)
+    def test_petersen(self, petersen):
+        census = cc.enumerate_convex_cycles(petersen)
         assert census.total == 12
         assert census.by_length == {5: 12}
         assert census.even_count == 0
 
     def test_c6_is_its_own_census(self):
         g = cc.cycle_graph(6)
-        census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
+        census = cc.enumerate_convex_cycles(g)
         assert census.total == 1
         assert census.cycles[0].vertices == (0, 1, 2, 3, 4, 5)
 
     def test_q3_squares(self, q3):
-        census = cc.enumerate_convex_cycles(q3, cc.metric_profile(q3))
+        census = cc.enumerate_convex_cycles(q3)
         assert census.total == 6
         assert census.by_length == {4: 6}
 
-    def test_census_counts_consistent(self, corpus_profiles):
-        for g, profile in corpus_profiles[:300]:
-            census = cc.enumerate_convex_cycles(g, profile)
+    def test_census_counts_consistent(self, corpus):
+        for g in corpus[:300]:
+            census = cc.enumerate_convex_cycles(g)
             assert census.total == census.odd_count + census.even_count == len(census.cycles)
             assert sum(census.by_length.values()) == census.total
-            assert all(
-                cc.is_convex_cycle(g, profile, c) for c in census.cycles
-            )
+            assert all(cc.is_convex_cycle(g, c) for c in census.cycles)
 
     def test_matches_oracle_on_random_order8(self, beyond_corpus_profiles):
         graphs = [cc.gnp_random_graph(8, 0.4, 8800 + seed) for seed in range(150)]
         for g in graphs + [g for g, _ in beyond_corpus_profiles]:
-            census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
+            census = cc.enumerate_convex_cycles(g)
             brute = cc.brute_force_convex_cycles(g, g.n)
             assert census.cycles == brute.cycles
 
-    def test_deterministic(self, petersen, petersen_profile):
-        a = cc.enumerate_convex_cycles(petersen, petersen_profile)
-        b = cc.enumerate_convex_cycles(petersen, petersen_profile)
+    def test_deterministic(self, petersen):
+        a = cc.enumerate_convex_cycles(petersen)
+        b = cc.enumerate_convex_cycles(petersen)
         assert a.cycles == b.cycles
 
     def test_disconnected_union(self):
         # two triangles in separate components: both counted
         g = cc.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
+        census = cc.enumerate_convex_cycles(g)
         assert census.total == 2
+
+
+class TestReferencePipeline:
+    """The one-pass census against the all-roots reference pipeline."""
+
+    @staticmethod
+    def check(g: cc.Graph) -> None:
+        profile, census = cc.profile_and_census(g)
+        girth, diameter, connected, cycles = oracles.reference_census(g)
+        assert (profile.girth, profile.diameter, profile.connected) == (
+            girth, diameter, connected,
+        )
+        assert [c.vertices for c in census.cycles] == cycles
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            self.check(g)
+
+    def test_seeded_gnp(self):
+        for i in range(400):
+            n = 3 + i % 38
+            p = (0.05, 0.1, 0.2, 0.35)[i % 4]
+            self.check(cc.gnp_random_graph(n, p, 12_000 + i))
+
+    def test_beyond_corpus(self, beyond_corpus_profiles):
+        for g, _ in beyond_corpus_profiles:
+            self.check(g)
+
+
+class TestFarEdgeCheck:
+    def test_silent_on_corpus(self, corpus):
+        # the pass raises ConsistencyError when the check fails
+        odd = 0
+        for g in corpus:
+            profile, _ = cc.profile_and_census(g)
+            odd += profile.girth != math.inf and profile.girth % 2 == 1
+        assert odd > 400
 
 
 class TestRelabelling:
@@ -197,14 +243,14 @@ class TestRelabelling:
         graphs += [cc.cycle_graph(291), cc.cycle_graph(340), subdivided(petersen, 3)]
         rng = random.Random(7)
         for g in graphs:
-            census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
+            census = cc.enumerate_convex_cycles(g)
             for _ in range(3):
                 label = rng.sample(range(g.n), g.n)
                 h = cc.from_edge_list(g.n, [(label[u], label[v]) for u, v in g.edge_list])
                 moved = cc.CycleCensus.from_cycles(
                     cc.Cycle(tuple(label[v] for v in c.vertices)) for c in census.cycles
                 )
-                assert cc.enumerate_convex_cycles(h, cc.metric_profile(h)) == moved
+                assert cc.enumerate_convex_cycles(h) == moved
 
 
 class TestBruteForce:
@@ -261,13 +307,13 @@ class TestGirthCycleCount:
 
 
 class TestPairAccounting:
-    def test_each_cycle_contributes_its_pairs(self, corpus_profiles):
-        for g, profile in corpus_profiles[:300]:
-            census = cc.enumerate_convex_cycles(g, profile)
+    def test_each_cycle_contributes_its_pairs(self, corpus):
+        for g in corpus[:300]:
+            census = cc.enumerate_convex_cycles(g)
             if not census.cycles:
                 continue
-            odd = cc.odd_antipodal_pairs(g, profile)
-            even = cc.even_antipodal_pairs(g, profile)
+            odd = odd_pairs(g)
+            even = even_pairs(g)
             for cycle in census.cycles:
                 members = set(cycle.vertices)
                 length = cycle.length
@@ -277,30 +323,30 @@ class TestPairAccounting:
                 }
                 if length % 2 == 1:
                     mine = [
-                        p for p in odd if p.edge in edges and p.vertex in members
+                        (e, v) for e, v in odd if e in edges and v in members
                     ]
                     assert len(mine) == length
                 else:
                     mine = [
-                        p for p in even if p.u in members and p.v in members
+                        (u, v) for u, v in even if u in members and v in members
                     ]
                     assert len(mine) == length // 2
 
-    def test_per_vertex_bound(self, corpus_profiles):
-        for g, profile in corpus_profiles[:300]:
+    def test_per_vertex_bound(self, corpus):
+        for g in corpus[:300]:
             cap = g.m - g.n + 1
             per_vertex = [0] * g.n
-            for p in cc.odd_antipodal_pairs(g, profile):
-                per_vertex[p.vertex] += 1
+            for _, v in odd_pairs(g):
+                per_vertex[v] += 1
             assert max(per_vertex, default=0) <= cap
 
 
 class TestPendantInvariance:
     @given(graphs(min_n=1, max_n=7), st.integers(0, 10**6))
     def test_census_unchanged(self, g: cc.Graph, pick: int):
-        census = cc.enumerate_convex_cycles(g, cc.metric_profile(g))
+        census = cc.enumerate_convex_cycles(g)
         target = pick % g.n
         grown = cc.from_edge_list(g.n + 1, list(g.edge_list) + [(target, g.n)])
-        grown_census = cc.enumerate_convex_cycles(grown, cc.metric_profile(grown))
+        grown_census = cc.enumerate_convex_cycles(grown)
         assert grown_census.total == census.total
         assert grown_census.by_length == census.by_length

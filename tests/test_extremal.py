@@ -9,9 +9,7 @@ import convexcycles as cc
 
 
 def analyzed(g: cc.Graph):
-    profile = cc.metric_profile(g)
-    census = cc.enumerate_convex_cycles(g, profile)
-    return profile, census
+    return cc.profile_and_census(g)
 
 
 class TestBound:
@@ -116,7 +114,7 @@ class TestCheckExtremal:
     def test_hoffman_singleton_equality(
         self, hoffman_singleton, hoffman_singleton_profile
     ):
-        census = cc.enumerate_convex_cycles(hoffman_singleton, hoffman_singleton_profile)
+        census = cc.enumerate_convex_cycles(hoffman_singleton)
         report = cc.check_extremal(hoffman_singleton, hoffman_singleton_profile, census)
         assert report.equality
         assert report.total == report.bound == 1260
@@ -173,7 +171,7 @@ class TestCorpusInvariants:
         for g, profile in corpus_profiles:
             if profile.girth == math.inf:
                 continue
-            census = cc.enumerate_convex_cycles(g, profile)
+            census = cc.enumerate_convex_cycles(g)
             assert census.total * profile.girth <= g.n * (g.m - g.n + 1)
 
     def test_even_census_bound_and_equality(self, corpus_profiles):
@@ -181,7 +179,7 @@ class TestCorpusInvariants:
         for g, profile in corpus_profiles:
             if profile.girth == math.inf:
                 continue
-            census = cc.enumerate_convex_cycles(g, profile)
+            census = cc.enumerate_convex_cycles(g)
             lhs = census.even_count * profile.girth
             rhs = g.n * (g.m - g.n + 1)
             assert lhs <= rhs

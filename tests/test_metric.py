@@ -57,11 +57,12 @@ class TestBfsRecord:
                 assert du is not None and dv is not None
                 assert abs(du - dv) <= 1
 
-    def test_sigma_matches_brute_force_on_corpus(self, corpus_profiles):
-        for g, profile in corpus_profiles:
+    def test_sigma_matches_brute_force_on_corpus(self, corpus):
+        for g in corpus:
             for u in range(g.n):
+                rec = cc.bfs_record(g, u)
                 for v in range(u + 1, g.n):
-                    assert profile.sigma(u, v) == oracles.count_shortest_paths(g, u, v)
+                    assert rec.sigma[v] == oracles.count_shortest_paths(g, u, v)
 
     def test_sigma_matches_brute_force_random_order8(self):
         for seed in range(40):
@@ -100,13 +101,15 @@ class TestProfileInvariants:
     def test_symmetry_and_triangle_inequality(self, corpus_profiles):
         for g, profile in corpus_profiles[:250]:
             n = g.n
+            rows = [cc.bfs_record(g, r) for r in range(n)]
+            dist = [rec.dist for rec in rows]
             for u in range(n):
                 for v in range(u + 1, n):
-                    assert profile.dist(u, v) == profile.dist(v, u)
-                    assert profile.sigma(u, v) == profile.sigma(v, u)
+                    assert dist[u][v] == dist[v][u]
+                    assert rows[u].sigma[v] == rows[v].sigma[u]
             if not profile.connected:
                 continue
             for u in range(n):
                 for v in range(n):
                     for w in range(n):
-                        assert profile.dist(u, w) <= profile.dist(u, v) + profile.dist(v, w)
+                        assert dist[u][w] <= dist[u][v] + dist[v][w]
