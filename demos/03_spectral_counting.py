@@ -40,8 +40,9 @@ print("5-cycles:", cc.girth_cycle_count_spectral(computed, 50, 5))
 #
 # A 57-regular Moore graph of diameter 2 would have 3250 vertices and
 # characteristic polynomial (x-57)(x+8)^1520(x-7)^1729.  The graph's
-# existence is open, but its polynomial is concrete: expanding the
-# degree-3250 product takes one big-integer multiplication.
+# existence is open, but its polynomial is concrete: with only three
+# distinct roots, each of the 3250 coefficients follows from the three above
+# it by a short exact recurrence, so no big polynomial product is needed.
 
 start = time.perf_counter()
 huge = cc.expand_factored([(57, 1), (-8, 1520), (7, 1729)])

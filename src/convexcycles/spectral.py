@@ -2,27 +2,28 @@
 of shortest cycles.
 
 char_poly runs the division-free Berkowitz recurrence over Python integers,
-so every coefficient is exact at any order.  expand_factored multiplies
-binomial powers; large products go through decimal Kronecker substitution:
-each polynomial is packed into one exact Decimal with a fixed number of
-decimal digits per coefficient, the two are multiplied once (libmpdec uses a
-number-theoretic transform for huge operands, where int multiplication is
-Karatsuba), and the coefficients are read back from the product's digits.
+so every coefficient is exact at any order.  expand_factored never multiplies
+two large polynomials: a product of integer-root powers P satisfies the
+first-order differential equation Q*P' = R*P with small Q and R, so its
+coefficients follow a linear recurrence with one exact division each
+(Stanley, "Differentiably finite power series", 1980).  Integer graph
+spectra have few distinct eigenvalues, which keeps the recurrence short.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from math import comb
+from decimal import Decimal
 
-from .errors import InconsistentInput, InvalidParameter, NotApplicable, ParseError
+from .errors import (
+    ConsistencyError,
+    InconsistentInput,
+    InvalidParameter,
+    NotApplicable,
+    ParseError,
+)
 from .graphs import Graph
-
-# Exact integer arithmetic on Decimals of any size, in a private context so
-# the caller's decimal settings neither apply nor change.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -106,16 +107,6 @@ def char_poly(g: Graph) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(coeffs)))
 
 
-def _schoolbook_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
 def _digits(value: int) -> str:
     """str(value) for an int of any size, '-' included when negative.
     str(value) refuses ints past the interpreter's str-digits limit; the
@@ -136,84 +127,44 @@ def _int(digits: str) -> int:
     return value
 
 
-def _pack_decimal(coeffs: list[int], width: int) -> Decimal:
-    """sum(c * 10**(width*i) for i, c in enumerate(coeffs)) as an exact
-    Decimal: the positive and the negated negative coefficients are written
-    as zero-padded width-digit slots, highest power first, and subtracted."""
-    zero = "0" * width
-    pos = "".join(
-        _digits(c).zfill(width) if c > 0 else zero for c in reversed(coeffs)
-    )
-    neg = "".join(
-        _digits(-c).zfill(width) if c < 0 else zero for c in reversed(coeffs)
-    )
-    return _EXACT.subtract(Decimal(pos), Decimal(neg))
-
-
-def _kronecker_mul(p: list[int], q: list[int]) -> list[int]:
-    """Multiply by decimal Kronecker substitution, signs included.
-
-    Every product coefficient is at most sum|p| * sum|q| in magnitude, which
-    is below half of 10**width, so each one is the balanced residue of its
-    width-digit slot plus the carry the slot below it borrowed."""
-    width = len(_digits(sum(map(abs, p)) * sum(map(abs, q)))) + 1
-    product = _EXACT.multiply(_pack_decimal(p, width), _pack_decimal(q, width))
-    digits = str(_EXACT.abs(product))
-    sign = -1 if product.is_signed() else 1
-    full = 10 ** width
-    half = full // 2
-    out = []
-    carry = 0
-    end = len(digits)
-    for _ in range(len(p) + len(q) - 1):
-        start = max(0, end - width)
-        c = carry + sign * _int(digits[start:end])
-        end = start
-        if c >= half:
-            c -= full
-            carry = 1
-        elif c < -half:
-            c += full
-            carry = -1
-        else:
-            carry = 0
-        out.append(c)
-    return out
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    if min(len(p), len(q)) <= 16:
-        return _schoolbook_mul(p, q)
-    return _kronecker_mul(p, q)
-
-
-def _binomial_power(root: int, multiplicity: int) -> list[int]:
-    """(x - root)**multiplicity as an ascending coefficient list."""
-    powers = [1]
-    for _ in range(multiplicity):
-        powers.append(powers[-1] * -root)
-    return [
-        comb(multiplicity, j) * powers[multiplicity - j]
-        for j in range(multiplicity + 1)
-    ]
-
-
 def expand_factored(factors: list[tuple[int, int]]) -> IntPolynomial:
-    """Expand a product of integer-root powers prod (x - a)**k exactly."""
-    expanded = []
+    """Expand a product of integer-root powers P = prod (x - a)**k exactly.
+
+    With Q = prod (x - a) over the t distinct roots and R = sum k*Q/(x - a),
+    P satisfies Q*P' = R*P.  Comparing the coefficients of x**(J+t-1) gives,
+    for N = deg P and J < N,
+        (N - J)*p_J = sum_{d=1..t} (q_{t-d}*(J + d) - r_{t-1-d})*p_{J+d}
+    (r_{-1} = 0), so each coefficient costs t big-by-small products and one
+    division by N - J.  The division is exact; a remainder raises
+    ConsistencyError.
+    """
+    merged: dict[int, int] = {}
     for root, multiplicity in factors:
         if multiplicity < 1:
             raise InvalidParameter(
                 f"multiplicity must be >= 1, got {multiplicity} for root {root}"
             )
-        expanded.append(_binomial_power(root, multiplicity))
-    if not expanded:
-        return IntPolynomial((1,))
-    expanded.sort(key=len)
-    acc = expanded[0]
-    for poly in expanded[1:]:
-        acc = _poly_mul(acc, poly)
-    return IntPolynomial(tuple(acc))
+        merged[root] = merged.get(root, 0) + multiplicity
+    # ascending coefficients of Q and R; both multiply by (x - a) per root
+    q, r = [1], [0]
+    for a, k in merged.items():
+        r = [s - a * c + k * b for s, c, b in zip([0] + r, r + [0], q + [0])]
+        q = [s - a * c for s, c in zip([0] + q, q + [0])]
+    t = len(merged)
+    n = sum(merged.values())
+    steps = [(q[t - d], r[t - 1 - d] if d < t else 0) for d in range(1, t + 1)]
+    p = [0] * (n + t + 1)
+    p[n] = 1
+    for j in range(n - 1, -1, -1):
+        acc = 0
+        for d, (qd, rd) in enumerate(steps, 1):
+            acc += (qd * (j + d) - rd) * p[j + d]
+        p[j], rem = divmod(acc, n - j)
+        if rem:
+            raise ConsistencyError(
+                f"coefficient x^{j}: division by {n - j} leaves remainder {rem}"
+            )
+    return IntPolynomial(tuple(p[:n + 1]))
 
 
 def girth_cycle_count_spectral(p: IntPolynomial, n: int, g: int) -> int:

@@ -341,3 +341,40 @@ def char_poly_value(g: Graph, x: int) -> int:
     for i in range(g.n):
         mat[i][i] += x
     return det_bareiss(mat)
+
+
+def expand_factored(
+    factors: list[tuple[int, int]], modulus: int | None = None
+) -> list[int]:
+    """Ascending coefficients of prod (x - a)**k: each power from binomial
+    coefficients, the powers multiplied by schoolbook products.  Repeated
+    roots stay separate factors.  With a modulus every coefficient is
+    reduced modulo it, which keeps degree-3000 products to small ints."""
+    coeffs = [1]
+    for a, k in factors:
+        power = [math.comb(k, j) * (-a) ** (k - j) for j in range(k + 1)]
+        if modulus:
+            power = [b % modulus for b in power]
+        product = [0] * (len(coeffs) + k)
+        for i, c in enumerate(coeffs):
+            if c:
+                for j, b in enumerate(power):
+                    product[i + j] += c * b
+        coeffs = [c % modulus for c in product] if modulus else product
+    return coeffs
+
+
+def newton_coefficient(factors: list[tuple[int, int]], g: int) -> int:
+    """Coefficient of x**(n-g) in prod (x - a)**k, n the sum of the k.
+
+    It is (-1)**g times the elementary symmetric function e_g of the roots
+    counted with multiplicity, which Newton's identities
+    m*e_m = sum_{i=1..m} (-1)**(i-1) * e_{m-i} * p_i give from the power
+    sums p_i = sum k*a**i, i <= g: O(g^2) integer work, no expansion."""
+    power_sums = [sum(k * a**i for a, k in factors) for i in range(g + 1)]
+    e = [1]
+    for m in range(1, g + 1):
+        total = sum((-1) ** (i - 1) * e[m - i] * power_sums[i] for i in range(1, m + 1))
+        assert total % m == 0
+        e.append(total // m)
+    return (-1) ** g * e[g]

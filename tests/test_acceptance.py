@@ -106,9 +106,12 @@ def test_criterion_05_degree57_polynomial():
         "spectral count 58094400 = (3250/5)(92625-3250+1); < 60 s",
     ):
         start = time.perf_counter()
-        poly = cc.expand_factored([(57, 1), (-8, 1520), (7, 1729)])
+        factors = [(57, 1), (-8, 1520), (7, 1729)]
+        poly = cc.expand_factored(factors)
         assert poly.degree == 3250
         assert poly.coefficient(3245) == -116188800
+        # Newton's identities give the same coefficient from the power sums
+        assert oracles.newton_coefficient(factors, 5) == poly.coefficient(3245)
         count = cc.girth_cycle_count_spectral(poly, 3250, 5)
         assert count == 58094400
         assert count == Fraction(3250 * (92625 - 3250 + 1), 5)

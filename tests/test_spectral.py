@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import math
 import random
-from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import convexcycles as cc
-from convexcycles.spectral import _poly_mul, _schoolbook_mul
 
 from . import oracles
 
@@ -65,6 +65,9 @@ class TestExpandFactored:
     def test_multiplicity_validated(self):
         with pytest.raises(cc.InvalidParameter):
             cc.expand_factored([(3, 0)])
+        # the first bad factor in input order is named, before any merging
+        with pytest.raises(cc.InvalidParameter, match="got 0 for root 3"):
+            cc.expand_factored([(1, 2), (3, 0), (1, 1), (4, -1)])
 
     def test_hoffman_singleton_factored_form(self, hoffman_singleton):
         assert cc.expand_factored([(7, 1), (2, 28), (-3, 21)]) == cc.char_poly(
@@ -87,88 +90,62 @@ class TestExpandFactored:
             factors = [
                 (rng.randint(-9, 9), rng.randint(1, 25)) for _ in range(rng.randint(1, 4))
             ]
-            expected = reduce(
-                _schoolbook_mul,
-                [list(cc.expand_factored([f]).coeffs) for f in factors],
+            assert list(cc.expand_factored(factors).coeffs) == oracles.expand_factored(
+                factors
             )
-            assert list(cc.expand_factored(factors).coeffs) == expected
 
-
-def _sign_and_carry_cases() -> list:
-    rng = random.Random(2718)
-    big = 10**12 - 1
-
-    def rand(n: int, bound: int) -> list[int]:
-        return [rng.randint(-bound, bound) for _ in range(n)]
-
-    cases = [
-        pytest.param(
-            [-rng.randint(1, 10**9) for _ in range(25)],
-            [-rng.randint(1, 10**9) for _ in range(31)],
-            id="all-negative",
-        ),
-        pytest.param(
-            [(-1) ** i * rng.randint(1, 10**9) for i in range(27)],
-            [(-1) ** (i + 1) * rng.randint(1, 10**9) for i in range(20)],
-            id="alternating-signs",
-        ),
-        # every coefficient is +-(the largest magnitude of its list)
-        pytest.param([big] * 30, [-big] * 19, id="extreme-same-sign"),
-        pytest.param(
-            [(-1) ** i * big for i in range(18)],
-            [(-1) ** (i + 1) * big for i in range(33)],
-            id="extreme-alternating",
-        ),
-        pytest.param(
-            [rng.choice((-big, big)) for _ in range(40)],
-            [rng.choice((-big, big)) for _ in range(40)],
-            id="extreme-random-signs",
-        ),
-        # one product slot is exactly -sum|p| * sum|q|
-        pytest.param(
-            [0] * 8 + [big] + [0] * 8, [0] * 17 + [-big], id="slot-at-bound"
-        ),
-        # coefficients with more digits than int() and str() accept by default
-        pytest.param(
-            [(-1) ** i * 10**5000 for i in range(20)],
-            [-(10**4500)] * 18,
-            id="past-str-digits-limit",
-        ),
-        pytest.param([0] * 20, rand(25, 9), id="zero"),
-        pytest.param([0] * 17, [0] * 17, id="zero-times-zero"),
-    ]
-    # both sides of the schoolbook threshold of 16
-    cases += [
-        pytest.param(rand(n, 10**6), rand(m, 10**6), id=f"lengths-{n}x{m}")
-        for n in (16, 17, 18)
-        for m in (16, 17, 18)
-    ]
-    cases.append(
-        pytest.param(
-            rand(rng.randint(501, 700), 10**30),
-            rand(rng.randint(501, 700), 10**30),
-            id="long-random",
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0, 1, -1, 7]), st.integers(-10**5, 10**5)),
+                st.integers(1, 60),
+            ),
+            min_size=1,
+            max_size=6,
         )
     )
-    return cases
+    def test_matches_reference_product(self, factors):
+        assert list(cc.expand_factored(factors).coeffs) == oracles.expand_factored(
+            factors
+        )
 
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            pytest.param([(0, 7)], id="zero-root"),
+            pytest.param([(-12345, 1)], id="linear"),
+            pytest.param([(3, 4), (-2, 5), (3, 6), (0, 1), (0, 2)], id="repeated-roots"),
+            pytest.param([(7, 1), (2, 28), (-3, 21)], id="hoffman-singleton"),
+            # coefficients up to 10**5000, past the 4300-digit int/str limit
+            pytest.param([(10**5, 1000)], id="past-str-digits-limit"),
+        ],
+    )
+    def test_fixed_cases_match_reference(self, factors):
+        assert list(cc.expand_factored(factors).coeffs) == oracles.expand_factored(
+            factors
+        )
 
-class TestPolyMul:
-    def test_kronecker_agrees_with_schoolbook(self):
-        rng = random.Random(4242)
-        for _ in range(25):
-            p = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(17, 60))]
-            q = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(17, 60))]
-            assert _poly_mul(p, q) == _schoolbook_mul(p, q)
+    def test_zero_root(self):
+        assert cc.expand_factored([(0, 7)]).coeffs == (0,) * 7 + (1,)
 
-    def test_zero_heavy_inputs(self):
-        p = [0] * 20 + [5]
-        q = [-3] + [0] * 30 + [7]
-        assert _poly_mul(p, q) == _schoolbook_mul(p, q)
+    def test_repeated_root_equals_merged_form(self):
+        listed = [(3, 4), (-2, 5), (3, 6), (0, 1), (0, 2)]
+        assert cc.expand_factored(listed) == cc.expand_factored([(3, 10), (-2, 5), (0, 3)])
 
-    @pytest.mark.parametrize("p, q", _sign_and_carry_cases())
-    def test_signs_and_carries_agree_with_schoolbook(self, p, q):
-        assert _poly_mul(p, q) == _schoolbook_mul(p, q)
+    def test_degree57_moore_spectrum(self):
+        # the exact reference product takes tens of seconds at degree 3250;
+        # it is compared modulo a prime, and the top coefficients, the
+        # constant term and point values exactly
+        factors = [(57, 1), (-8, 1520), (7, 1729)]
+        poly = cc.expand_factored(factors)
+        prime = 2**61 - 1
+        assert [c % prime for c in poly.coeffs] == oracles.expand_factored(
+            factors, prime
+        )
+        for g in range(40):
+            assert poly.coefficient(3250 - g) == oracles.newton_coefficient(factors, g)
+        for x in (0, 1, -1, 2, -3, 13, 57, -8, 7):
+            assert poly(x) == (x - 57) * (x + 8) ** 1520 * (x - 7) ** 1729
 
 
 class TestSpectralCount:
