@@ -148,6 +148,68 @@ class TestExpandFactored:
             assert poly(x) == (x - 57) * (x + 8) ** 1520 * (x - 7) ** 1729
 
 
+def _sign_and_carry_cases() -> list:
+    rng = random.Random(2718)
+    big = 10**12 - 1
+
+    def rand(t: int, bound: int, max_k: int) -> list[tuple[int, int]]:
+        return [(rng.randint(-bound, bound), rng.randint(1, max_k)) for _ in range(t)]
+
+    cases = [
+        pytest.param(
+            [(-rng.randint(1, 10**9), rng.randint(1, 8)) for _ in range(6)],
+            id="all-negative",
+        ),
+        pytest.param(
+            [((-1) ** i * rng.randint(1, 10**9), rng.randint(1, 5)) for i in range(9)],
+            id="alternating-signs",
+        ),
+        # one root of the largest magnitude, listed twice
+        pytest.param([(big, 30), (big, 19)], id="extreme-same-sign"),
+        # (x**2 - big**2)**18, every odd coefficient zero
+        pytest.param([((-1) ** i * big, 2) for i in range(18)], id="extreme-alternating"),
+        pytest.param(
+            [(rng.choice((-big, big)), rng.randint(1, 3)) for _ in range(40)],
+            id="extreme-random-signs",
+        ),
+        # x**17 * (x + big): the constant term is zero, x**17 carries big
+        pytest.param([(0, 8), (-big, 1), (0, 9)], id="slot-at-bound"),
+        # coefficients up to about 10**5000, more digits than int() and str()
+        # accept by default
+        pytest.param([(10**2500, 2), (-(10**2250), 2)], id="past-str-digits-limit"),
+        pytest.param([(0, 20)] + rand(3, 9, 8), id="zero"),
+        pytest.param([(0, 17), (0, 17)], id="zero-times-zero"),
+    ]
+    # two factors of neighbouring multiplicities
+    cases += [
+        pytest.param(
+            [(rng.randint(-10**6, 10**6), n), (rng.randint(-10**6, 10**6), m)],
+            id=f"lengths-{n}x{m}",
+        )
+        for n in (16, 17, 18)
+        for m in (16, 17, 18)
+    ]
+    cases.append(pytest.param(rand(12, 10**30, 50), id="long-random"))
+    return cases
+
+
+class TestPolyMul:
+    """expand_factored against the schoolbook product of tests/oracles.py
+    on sign patterns, extreme and huge roots, zero roots and lengths."""
+
+    def test_zero_heavy_inputs(self):
+        factors = [(0, 20), (5, 1), (0, 10), (-3, 1), (0, 1)]
+        poly = cc.expand_factored(factors)
+        assert list(poly.coeffs) == oracles.expand_factored(factors)
+        assert poly.coeffs[:31] == (0,) * 31
+
+    @pytest.mark.parametrize("factors", _sign_and_carry_cases())
+    def test_signs_and_carries_agree_with_schoolbook(self, factors):
+        assert list(cc.expand_factored(factors).coeffs) == oracles.expand_factored(
+            factors
+        )
+
+
 class TestSpectralCount:
     def test_hoffman_singleton(self, hoffman_singleton):
         poly = cc.char_poly(hoffman_singleton)
