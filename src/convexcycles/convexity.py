@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConsistencyError, InvalidCycle, NotApplicable
 from .graphs import Graph
@@ -169,6 +169,54 @@ def is_convex_cycle(g: Graph, c: Cycle) -> bool:
     return _lemma_holds({lo: bfs_record(g, lo) for lo in smaller}, verts)
 
 
+def _count_cutoff(
+    adjacency: tuple[tuple[int, ...], ...],
+    root: int,
+    pending: Sequence[int],
+    targets: Sequence[tuple[int, int] | None],
+) -> Callable[..., bool]:
+    """The stop test metric._bfs puts to root's census row, as a closure.
+
+    Asked while the row scans level d, it ends path counting when the pass
+    reads no sigma at level d + 1 or below: (a) every live pair deferred to
+    root (pending is flat [larger vertex, candidate index, ...]) lies at
+    distance d or less; (b) root's first cycle event was found while
+    scanning a level above d, so its girth event and far-edge count are
+    complete; (c) no vertex at level d has one shortest path that runs
+    through vertices above root, so no candidate root owns reaches level d.
+    The vertices that do, the clean frontier, advance level by level, and
+    the pending depth is read at the first check that passes (b).
+    """
+    depth = None
+    clean = [root]
+    clean_level = 0
+
+    def reached(d, dist, sigma, level, merged) -> bool:
+        nonlocal depth, clean, clean_level
+        # merges found so far were found while scanning levels above d
+        if not merged and not (level and dist[level[0][0]] < d):
+            return False
+        if depth is None:
+            it = iter(pending)
+            depth = max(
+                (t[0] for _, cid in zip(it, it) if (t := targets[cid]) is not None),
+                default=0,
+            )
+        if d < depth:
+            return False
+        while clean and clean_level < d:
+            clean_level += 1
+            clean = [
+                w
+                for x in clean
+                for w in adjacency[x]
+                if dist[w] == clean_level and sigma[w] == 1 and w > root
+            ]
+        return not clean
+
+    return reached
+
+
 def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     """Girth, diameter, connectivity and the exact convex-cycle census.
 
@@ -182,6 +230,13 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     edge exists, so g times the census's girth-cycle count must equal that
     edge count; a mismatch raises ConsistencyError.  Memory is O(n + m)
     for the current row plus O(L) per candidate L-cycle.
+
+    A root's row counts shortest paths only as deep as the pass reads them.
+    A root owns only cycles whose vertices all lie above it, so once no
+    vertex at level d has a single shortest path through such vertices, no
+    live pair deferred to the root lies deeper than d and the root's girth
+    events are complete, sigma below level d is never read: the row is
+    finished with distances only, which the eccentricity still needs.
     """
     adjacency = g.adjacency
     n = g.n
@@ -197,13 +252,16 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     # smaller vertex of a pair -> flat [larger vertex, candidate index, ...]
     deferred: dict[int, list[int]] = {}
     for v in range(n):
-        dist, sigma, order, level, merged = _bfs(adjacency, v)
+        pending = deferred.pop(v, ())
+        dist, sigma, order, level, merged = _bfs(
+            adjacency, v, _count_cutoff(adjacency, v, pending, targets)
+        )
         if len(order) < n:
             connected = False
         if dist[order[-1]] > longest:
             longest = dist[order[-1]]
-        pending = iter(deferred.pop(v, ()))
-        for w, cid in zip(pending, pending):
+        pairs = iter(pending)
+        for w, cid in zip(pairs, pairs):
             target = targets[cid]
             if target is not None and (dist[w], sigma[w]) != target:
                 targets[cid] = None

@@ -147,7 +147,7 @@ def looks_like_graph6(line: str) -> bool:
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         return True
-    return bool(s) and all(63 <= ord(c) <= 126 for c in s)
+    return bool(s) and not _OUTSIDE_ALPHABET.search(s)
 
 
 def load_graph_text(text: str) -> Graph:

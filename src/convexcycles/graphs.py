@@ -33,7 +33,7 @@ class Graph:
     construction and safe to share between threads.
     """
 
-    __slots__ = ("n", "m", "adjacency", "edge_list", "_edge_set")
+    __slots__ = ("n", "m", "adjacency", "edge_list")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -55,7 +55,6 @@ class Graph:
             tuple(sorted(nbrs)) for nbrs in adjacency
         )
         self.edge_list: tuple[Edge, ...] = tuple(sorted(seen))
-        self._edge_set = frozenset(seen)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:
@@ -78,10 +77,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edge_set == other._edge_set
+        return self.n == other.n and self.edge_list == other.edge_list
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edge_set))
+        return hash((self.n, self.edge_list))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

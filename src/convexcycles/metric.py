@@ -10,6 +10,8 @@ runs it once per root and keeps no row past its own root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Callable
 
 from .errors import OutOfRange
 from .graphs import Graph
@@ -38,7 +40,11 @@ class MetricProfile:
     connected: bool
 
 
-def _bfs(adjacency: tuple[tuple[int, ...], ...], root: int):
+def _bfs(
+    adjacency: tuple[tuple[int, ...], ...],
+    root: int,
+    stop: Callable[..., bool] | None = None,
+):
     """One BFS row with the events the census pass reads off it.
 
     Returns (dist, sigma, order, level, merged): the distance and path-count
@@ -46,6 +52,12 @@ def _bfs(adjacency: tuple[tuple[int, ...], ...], root: int):
     ends sit at equal distance, and the vertices that gained a second
     shortest path, once per extra predecessor.  level and merged come in
     BFS order, hence by nondecreasing distance.
+
+    stop, when given, is called as stop(d, dist, sigma, level, merged) at
+    the first merge into each level d + 1, before that merge is recorded;
+    sigma is final through level d then.  Once it returns True the row is
+    finished with distances only: dist and order stay exact, sigma is exact
+    only through level d, and level and merged gain nothing more.
     """
     dist: list[int | None] = [None] * len(adjacency)
     sigma = [0] * len(adjacency)
@@ -54,8 +66,11 @@ def _bfs(adjacency: tuple[tuple[int, ...], ...], root: int):
     order = [root]
     level = []
     merged = []
+    # the last level whose first merge has been put to stop
+    checked = -1 if stop else len(adjacency)
     # the loop also visits the vertices it appends, which makes order a queue
-    for u in order:
+    queue = iter(order)
+    for u in queue:
         du = dist[u]
         du1 = du + 1
         su = sigma[u]
@@ -66,10 +81,25 @@ def _bfs(adjacency: tuple[tuple[int, ...], ...], root: int):
                 sigma[w] = su
                 order.append(w)
             elif dw == du1:
+                if du > checked:
+                    checked = du
+                    if stop(du, dist, sigma, level, merged):
+                        break
                 sigma[w] += su
                 merged.append(w)
             elif dw == du and u < w:
                 level.append((u, w))
+        else:
+            continue
+        # counting stopped while scanning u: rescan it and finish the queue
+        # with distances only
+        for u in chain((u,), queue):
+            du1 = dist[u] + 1
+            for w in adjacency[u]:
+                if dist[w] is None:
+                    dist[w] = du1
+                    order.append(w)
+        break
     return dist, sigma, order, level, merged
 
 

@@ -223,6 +223,17 @@ class TestReferencePipeline:
         for g, _ in beyond_corpus_profiles:
             self.check(g)
 
+    def test_relabelled_grids(self):
+        # grids stop counting shortest paths earliest: no odd cycle, and
+        # few vertices with one shortest path through vertices above the root
+        rng = random.Random(8)
+        for r in range(2, 10):
+            for c in range(2, 10):
+                label = rng.sample(range(r * c), r * c)
+                edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
+                edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
+                self.check(cc.from_edge_list(r * c, [(label[u], label[v]) for u, v in edges]))
+
 
 class TestFarEdgeCheck:
     def test_silent_on_corpus(self, corpus):

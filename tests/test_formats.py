@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 import convexcycles as cc
+from convexcycles import formats
 
 from . import oracles
 from .conftest import CORPUS_FILE
@@ -154,3 +155,19 @@ class TestAutoDetect:
 
     def test_header_line(self):
         assert cc.load_graph_text(">>graph6<<A_\n").m == 1
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("C~", True),
+            ("?", True),  # 63, the alphabet's first character
+            (">>graph6<<C~", True),
+            ("C>", False),  # '>' is 62, one below the alphabet
+            ("C\x7f", False),  # 127, one above it
+            ("C\u00e9", False),  # not ASCII
+            ("0 1", False),
+            ("", False),
+        ],
+    )
+    def test_looks_like_graph6(self, line, expected):
+        assert formats.looks_like_graph6(line) is expected

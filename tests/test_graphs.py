@@ -19,6 +19,7 @@ class TestConstruction:
         a = cc.from_edge_list(4, [(0, 1), (2, 3), (1, 2)])
         b = cc.from_edge_list(4, [(2, 1), (1, 0), (3, 2)])
         assert a == b
+        assert hash(a) == hash(b)
 
     def test_loop_rejected(self):
         with pytest.raises(cc.InvalidEdge):

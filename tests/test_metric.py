@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 import convexcycles as cc
+from convexcycles.metric import _bfs
 
 from . import oracles
 from .strategies import graphs
@@ -70,6 +71,34 @@ class TestBfsRecord:
             rec = cc.bfs_record(g, 0)
             for v in range(g.n):
                 assert rec.sigma[v] == oracles.count_shortest_paths(g, 0, v)
+
+
+class TestStoppedRow:
+    def test_distances_stay_exact_after_counting_stops(self, corpus):
+        # stop is asked at the first merge into each level d + 1 and here
+        # ends counting from level 1 on; dist and order must stay exact,
+        # sigma exact through the level it stopped at, and level and merged
+        # must hold nothing found after it
+        for g in corpus:
+            for root in range(g.n):
+                asked = []
+
+                def stop(d, *_):
+                    asked.append(d)
+                    return d >= 1
+
+                dist, sigma, order, level, merged = _bfs(g.adjacency, root, stop)
+                exact = oracles.bfs_counts(g, root)
+                assert dist == list(exact.dist)
+                assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
+                assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+                assert asked == sorted(set(asked))
+                last = asked[-1] if asked and asked[-1] >= 1 else math.inf
+                for v in order:
+                    if dist[v] <= last:
+                        assert sigma[v] == exact.sigma[v]
+                assert all(dist[w] <= last for w in merged)
+                assert all(dist[u] <= last for u, _ in level)
 
 
 class TestGirthDiameter:
