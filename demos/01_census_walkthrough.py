@@ -34,7 +34,7 @@ c6 = cc.cycle_graph(6)
 row = cc.bfs_record(c6, 0)
 far = [w for w in range(c6.n) if row.sigma[w] == 2]
 print("\nC6 vertices two shortest paths away from 0:", far)
-print("C6 census:", cc.enumerate_convex_cycles(c6).total)
+print("C6 census:", cc.profile_and_census(c6)[1].total)
 
 # ## K_{2,3}: candidate squares exist but none is convex
 
@@ -47,7 +47,7 @@ print("\nK_{2,3} path counts from vertex 2:", row.sigma)
 # pair (0, 1) has *three* shortest paths, so no square is convex:
 square = cc.Cycle((0, 2, 1, 3))
 print("square", square.vertices, "convex?", cc.is_convex_cycle(k23, square))
-print("K_{2,3} census:", cc.enumerate_convex_cycles(k23).total)
+print("K_{2,3} census:", cc.profile_and_census(k23)[1].total)
 
 # ## The Petersen graph, and the brute-force cross-check
 
@@ -60,4 +60,4 @@ print("oracle agrees?", census.cycles == brute.cycles)
 
 # Girth-cycle counting rides on the census: with odd girth, every
 # shortest-length cycle is convex.
-print("girth cycles:", cc.girth_cycle_count(petersen, pp, census))
+print("girth cycles:", cc.girth_cycle_count(pp, census))

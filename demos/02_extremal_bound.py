@@ -43,9 +43,9 @@ for name, g in [
     ("C_7", cc.cycle_graph(7)),
     ("K_4 minus an edge", cc.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
 ]:
-    profile = cc.metric_profile(g)
+    profile, census = cc.profile_and_census(g)
     moore = cc.is_moore(g, profile)
-    check = cc.check_moore_by_count(g, profile)
+    check = cc.check_moore_by_count(g, profile, census)
     print(
         f"{name:<18} moore={moore.is_moore!s:<5} "
         f"count={check.count} target={check.target} "

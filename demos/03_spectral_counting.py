@@ -16,12 +16,12 @@ for name, g in [
     ("Petersen", cc.petersen_graph()),
 ]:
     poly = cc.char_poly(g)
-    profile = cc.metric_profile(g)
+    profile, census = cc.profile_and_census(g)
     girth = int(profile.girth)
     spectral = cc.girth_cycle_count_spectral(poly, g.n, girth)
-    census = cc.girth_cycle_count(g, profile)
+    counted = cc.girth_cycle_count(profile, census)
     print(f"{name:<9} p(x) degree {poly.degree}, girth {girth}: "
-          f"spectral count {spectral}, census count {census}")
+          f"spectral count {spectral}, census count {counted}")
 
 # ## The Hoffman-Singleton graph
 #

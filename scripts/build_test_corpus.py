@@ -22,7 +22,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from convexcycles import from_edge_list, metric_profile, write_graph6
+from convexcycles import from_edge_list, profile_and_census, write_graph6
 
 MAX_N = 7
 ALL_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -97,7 +97,7 @@ def main() -> None:
     for n in range(1, MAX_N + 1):
         connected = [
             mask for mask in sorted(reps[n])
-            if metric_profile(mask_to_graph(n, mask)).connected
+            if profile_and_census(mask_to_graph(n, mask))[0].connected
         ]
         assert len(connected) == CONNECTED_GRAPHS[n], (n, len(connected))
         lines += [write_graph6(mask_to_graph(n, mask)) for mask in connected]

@@ -7,12 +7,8 @@ from .convexity import (
     CycleCensus,
     brute_force_convex_cycles,
     canonical_cycle,
-    diameter,
-    enumerate_convex_cycles,
-    girth,
     girth_cycle_count,
     is_convex_cycle,
-    metric_profile,
     profile_and_census,
 )
 from .errors import (
@@ -114,12 +110,9 @@ __all__ = [
     "convex_cycle_bound",
     "cycle_graph",
     "delete_vertex",
-    "diameter",
-    "enumerate_convex_cycles",
     "expand_factored",
     "from_edge_list",
     "generate",
-    "girth",
     "girth_cycle_count",
     "girth_cycle_count_spectral",
     "gnp_random_graph",
@@ -127,7 +120,6 @@ __all__ = [
     "is_convex_cycle",
     "is_moore",
     "load_graph_text",
-    "metric_profile",
     "parse_edge_list",
     "parse_graph6",
     "petersen_graph",

@@ -17,18 +17,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .convexity import (
-    CycleCensus,
-    brute_force_convex_cycles,
-    metric_profile,
-    profile_and_census,
-)
+from .convexity import CycleCensus, brute_force_convex_cycles, profile_and_census
 from .errors import (
     ConsistencyError,
     ConvexCyclesError,
     Disconnected,
     InvalidParameter,
     NotApplicable,
+    ParseError,
 )
 from .extremal import check_extremal, check_moore_by_count, is_moore
 from .formats import load_graph_text, write_graph6
@@ -42,9 +38,13 @@ DEFAULT_ORACLE_CAP = 12
 
 def _read_graph(source: str) -> Graph:
     if source == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        text = Path(source).read_text()
+        data = Path(source).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
     return load_graph_text(text)
 
 
@@ -223,7 +223,7 @@ def _cmd_moore(args) -> int:
 def _cmd_spectral(args) -> int:
     g = _read_graph(args.graph)
     phases = _Phases()
-    profile = phases.run("census", metric_profile, g)
+    profile, _ = phases.run("census", profile_and_census, g)
     report = _base_report(args.graph, g, profile)
     report["spectral"] = phases.run(
         "spectral", _spectral_section, g, profile, args.max_n
@@ -250,7 +250,7 @@ def _cmd_oracle(args) -> int:
     max_len = args.max_len if args.max_len is not None else g.n
     phases = _Phases()
     census = phases.run("oracle", brute_force_convex_cycles, g, max_len)
-    profile = metric_profile(g)
+    profile, _ = profile_and_census(g)
     report = _base_report(args.graph, g, profile)
     report["max_len"] = max_len
     report["census"] = _census_section(census)

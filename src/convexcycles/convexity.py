@@ -71,7 +71,8 @@ class CycleCensus:
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Cycle]) -> "CycleCensus":
-        ordered = sorted(set(cycles), key=lambda c: (c.length, c.vertices))
+        """Census of distinct cycles; a repeated cycle is counted twice."""
+        ordered = sorted(cycles, key=lambda c: (c.length, c.vertices))
         histogram: dict[int, int] = {}
         odd = 0
         for c in ordered:
@@ -229,7 +230,8 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     same-level edge at level k to each of its g vertices and no other such
     edge exists, so g times the census's girth-cycle count must equal that
     edge count; a mismatch raises ConsistencyError.  Memory is O(n + m)
-    for the current row plus O(L) per candidate L-cycle.
+    for the current row plus O(L) per candidate L-cycle.  Antipodal pairs
+    never straddle components, so the census covers every component.
 
     A root's row counts shortest paths only as deep as the pass reads them.
     A root owns only cycles whose vertices all lie above it, so once no
@@ -317,27 +319,6 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     return profile, census
 
 
-def metric_profile(g: Graph) -> MetricProfile:
-    """Girth, diameter and connectivity, from the census pass."""
-    return profile_and_census(g)[0]
-
-
-def enumerate_convex_cycles(g: Graph) -> CycleCensus:
-    """The exact convex-cycle census, from the census pass.  Works per
-    component automatically: antipodal pairs never straddle components."""
-    return profile_and_census(g)[1]
-
-
-def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle; math.inf for forests."""
-    return metric_profile(g).girth
-
-
-def diameter(g: Graph) -> int | float:
-    """Largest pairwise distance; math.inf when disconnected."""
-    return metric_profile(g).diameter
-
-
 def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:
     """Exhaustive oracle: DFS every simple cycle of length <= max_len, then
     filter by the antipodal-pair test on BFS rows computed once per root.
@@ -367,15 +348,11 @@ def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:
     return CycleCensus.from_cycles(c for c in found if _lemma_holds(rows, c.vertices))
 
 
-def girth_cycle_count(
-    g: Graph, profile: MetricProfile, census: CycleCensus | None = None
-) -> int:
+def girth_cycle_count(profile: MetricProfile, census: CycleCensus) -> int:
     """Number of shortest cycles, for odd girth (where every girth-length
     cycle is convex, so the census histogram answers exactly)."""
     if profile.girth == math.inf:
         raise NotApplicable("acyclic graph: no girth cycles")
     if profile.girth % 2 == 0:
         raise NotApplicable(f"girth {profile.girth} is even")
-    if census is None:
-        census = enumerate_convex_cycles(g)
     return census.by_length.get(int(profile.girth), 0)

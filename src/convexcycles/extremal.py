@@ -83,7 +83,7 @@ def is_moore(g: Graph, profile: MetricProfile) -> MooreReport:
 
 
 def check_moore_by_count(
-    g: Graph, profile: MetricProfile, census: CycleCensus | None = None
+    g: Graph, profile: MetricProfile, census: CycleCensus
 ) -> MooreCountCheck:
     """Count girth cycles and compare with the exact target n(m-n+1)/g.
 
@@ -94,7 +94,7 @@ def check_moore_by_count(
         raise Disconnected("counting criterion needs a connected graph")
     if profile.girth == math.inf or profile.girth % 2 == 0:
         raise NotApplicable(f"girth {profile.girth} is not odd and finite")
-    count = girth_cycle_count(g, profile, census)
+    count = girth_cycle_count(profile, census)
     target = convex_cycle_bound(g.n, g.m, profile.girth)
     verdict = count == target
     if verdict != is_moore(g, profile).is_moore:

@@ -134,6 +134,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(
                 f"line {lineno}: vertex {max(u, v)} implies order above {FOUR_BYTE_MAX_ORDER}"
             )
+        # int() also accepts signs, underscores and non-ASCII digits; this
+        # check comes last so that the refusals above keep their messages
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ParseError(f"line {lineno}: endpoint not in ASCII digits in {raw!r}")
         edges.append((u, v))
         top = max(top, u, v)
     return from_edge_list(top + 1, edges)

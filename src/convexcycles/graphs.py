@@ -56,14 +56,6 @@ class Graph:
         )
         self.edge_list: tuple[Edge, ...] = tuple(sorted(seen))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
-            raise OutOfRange(f"vertex {v} outside 0..{self.n - 1}")
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 

@@ -41,8 +41,8 @@ def petersen() -> cc.Graph:
 
 
 @pytest.fixture(scope="session")
-def petersen_profile(petersen) -> cc.MetricProfile:
-    return cc.metric_profile(petersen)
+def petersen_analysis(petersen) -> tuple[cc.MetricProfile, cc.CycleCensus]:
+    return cc.profile_and_census(petersen)
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +51,10 @@ def hoffman_singleton() -> cc.Graph:
 
 
 @pytest.fixture(scope="session")
-def hoffman_singleton_profile(hoffman_singleton) -> cc.MetricProfile:
-    return cc.metric_profile(hoffman_singleton)
+def hoffman_singleton_analysis(
+    hoffman_singleton,
+) -> tuple[cc.MetricProfile, cc.CycleCensus]:
+    return cc.profile_and_census(hoffman_singleton)
 
 
 @pytest.fixture(scope="session")
@@ -71,13 +73,20 @@ def corpus() -> list[cc.Graph]:
     return [cc.parse_graph6(line) for line in lines if line.strip()]
 
 
-@pytest.fixture(scope="session")
-def corpus_profiles(corpus) -> list[tuple[cc.Graph, cc.MetricProfile]]:
-    return [(g, cc.metric_profile(g)) for g in corpus]
+Analyzed = tuple[cc.Graph, cc.MetricProfile, cc.CycleCensus]
+
+
+def analyzed_all(graphs: list[cc.Graph]) -> list[Analyzed]:
+    return [(g, *cc.profile_and_census(g)) for g in graphs]
 
 
 @pytest.fixture(scope="session")
-def beyond_corpus_profiles(petersen, q3) -> list[tuple[cc.Graph, cc.MetricProfile]]:
+def corpus_profiles(corpus) -> list[Analyzed]:
+    return analyzed_all(corpus)
+
+
+@pytest.fixture(scope="session")
+def beyond_corpus_profiles(petersen, q3) -> list[Analyzed]:
     """Graphs past the n <= 7 corpus, which has no even girth above 6 and
     no convex cycle longer than 7.  Subdivided Petersen (girth 10) has 12
     convex 10-cycles, K4 with each edge cut in 3 has 4 convex 9-cycles and
@@ -96,4 +105,4 @@ def beyond_corpus_profiles(petersen, q3) -> list[tuple[cc.Graph, cc.MetricProfil
         subdivided(cc.complete_graph(4), 3),
         subdivided(cc.complete_bipartite_graph(3, 3), 2),
     ]
-    return [(g, cc.metric_profile(g)) for g in graphs]
+    return analyzed_all(graphs)

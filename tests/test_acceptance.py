@@ -126,12 +126,11 @@ def test_criterion_06_oracle_equivalence(corpus_profiles):
         "the brute-force oracle and the bound inequality holds; 0 violations",
     ):
         per_order: dict[int, int] = {}
-        for g, _ in corpus_profiles:
+        for g, _, _ in corpus_profiles:
             per_order[g.n] = per_order.get(g.n, 0) + 1
         assert per_order == CONNECTED_COUNTS  # corpus really is exhaustive
         violations = 0
-        for g, profile in corpus_profiles:
-            census = cc.enumerate_convex_cycles(g)
+        for g, profile, census in corpus_profiles:
             brute = cc.brute_force_convex_cycles(g, g.n)
             if census.cycles != brute.cycles:
                 violations += 1
@@ -149,10 +148,10 @@ def test_criterion_07_count_criterion_equivalence(corpus_profiles):
     ):
         disagreements = 0
         checked = 0
-        for g, profile in corpus_profiles:
+        for g, profile, census in corpus_profiles:
             if profile.girth == math.inf or profile.girth % 2 == 0:
                 continue
-            check = cc.check_moore_by_count(g, profile)
+            check = cc.check_moore_by_count(g, profile, census)
             if check.is_moore_by_count != cc.is_moore(g, profile).is_moore:
                 disagreements += 1
             checked += 1
@@ -167,7 +166,7 @@ def test_criterion_08_per_vertex_pair_bound(corpus_profiles):
         "odd antipodal pairs; 0 violations",
     ):
         violations = 0
-        for g, _ in corpus_profiles:
+        for g, _, _ in corpus_profiles:
             cap = g.m - g.n + 1
             per_vertex = [0] * g.n
             records = oracles.all_roots_records(g)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convexcycles as cc
 
@@ -211,6 +215,28 @@ class TestExitCodes:
         path.write_text("C\n")
         assert run_cli("analyze", str(path)).returncode == 2
 
+    def test_non_utf8_file_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe0 1\n")
+        assert cc.cli_run(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "UTF-8" in captured.err
+
+    def test_non_utf8_stdin_refused(self):
+        # stdin is decoded as strict UTF-8 whatever the locale, so no
+        # surrogate escape such as '\udcff' leaks into the message
+        result = subprocess.run(
+            [sys.executable, "-m", "convexcycles", "analyze", "-"],
+            input=b"\xff\xfe0 1\n",
+            capture_output=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert len(result.stderr.splitlines()) == 1
+        assert b"UTF-8" in result.stderr and b"udcff" not in result.stderr
+
     def test_edge_list_order_refused(self, tmp_path, capsys):
         # refused before 10**8 adjacency lists are allocated
         path = tmp_path / "huge.txt"
@@ -296,3 +322,68 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "check_extremal", explode)
         assert cc.cli_run(["analyze", petersen_file]) == 3
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------- fuzz
+
+_JUNK = ["#", "-1", "+1", "1_0", "-0", "x", "٣", "０", "258047", "1e3", "\x00"]
+_EDGE_TOKENS = st.one_of(st.integers(0, 12).map(str), st.sampled_from(_JUNK))
+_EDGE_PAIRS = st.tuples(st.integers(0, 12), st.integers(0, 12)).map("%d %d".__mod__)
+# two lines in three are plain pairs, so that some inputs parse
+_EDGE_LINES = st.one_of(
+    _EDGE_PAIRS, _EDGE_PAIRS, st.lists(_EDGE_TOKENS, max_size=4).map(" ".join)
+)
+_EDGE_LISTS = st.lists(_EDGE_LINES, max_size=12).map(lambda lines: "\n".join(lines).encode())
+_G6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+# built once: jsonschema.validate re-checks the schema on every call
+_REPORT_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+def _g6_sized(n: int):
+    """A size byte for order n and a payload of the length n needs."""
+    need = (n * (n - 1) // 2 + 5) // 6
+    return st.text(_G6_CHARS, min_size=need, max_size=need).map(lambda p: chr(63 + n) + p)
+
+
+_GRAPH6_LINES = st.tuples(
+    st.sampled_from(["", ">>graph6<<"]),
+    st.one_of(st.text(_G6_CHARS, max_size=40), st.integers(0, 12).flatmap(_g6_sized)),
+).map(lambda parts: "".join(parts).encode())
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestRunFuzz:
+    """`analyze --format json` on arbitrary input exits 0 with a report
+    that fits the schema, or 2 with one stderr line and no report."""
+
+    @staticmethod
+    def check(path: Path, data: bytes) -> None:
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cc.cli_run(["analyze", str(path), "--format", "json"])
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            _REPORT_VALIDATOR.validate(json.loads(out.getvalue()))
+        else:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+    @settings(max_examples=300)
+    @given(st.binary(max_size=48))
+    def test_arbitrary_bytes(self, fuzz_path, data):
+        self.check(fuzz_path, data)
+
+    @settings(max_examples=300)
+    @given(_EDGE_LISTS)
+    def test_edge_lists_with_junk(self, fuzz_path, data):
+        self.check(fuzz_path, data)
+
+    @settings(max_examples=300)
+    @given(_GRAPH6_LINES)
+    def test_graph6_alphabet(self, fuzz_path, data):
+        self.check(fuzz_path, data)

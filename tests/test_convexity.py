@@ -15,6 +15,10 @@ from .conftest import subdivided
 from .strategies import cycles_as_sequences, graphs, graphs_with_a_cycle
 
 
+def census_of(g: cc.Graph) -> cc.CycleCensus:
+    return cc.profile_and_census(g)[1]
+
+
 class TestCanonicalForm:
     def test_starts_at_minimum(self):
         assert cc.canonical_cycle((4, 2, 7)) == (2, 4, 7)
@@ -154,46 +158,46 @@ class TestAntipodalLemma:
 
 
 class TestEnumeration:
-    def test_petersen(self, petersen):
-        census = cc.enumerate_convex_cycles(petersen)
+    def test_petersen(self, petersen_analysis):
+        _, census = petersen_analysis
         assert census.total == 12
         assert census.by_length == {5: 12}
         assert census.even_count == 0
 
     def test_c6_is_its_own_census(self):
         g = cc.cycle_graph(6)
-        census = cc.enumerate_convex_cycles(g)
+        census = census_of(g)
         assert census.total == 1
         assert census.cycles[0].vertices == (0, 1, 2, 3, 4, 5)
 
     def test_q3_squares(self, q3):
-        census = cc.enumerate_convex_cycles(q3)
+        census = census_of(q3)
         assert census.total == 6
         assert census.by_length == {4: 6}
 
     def test_census_counts_consistent(self, corpus):
         for g in corpus[:300]:
-            census = cc.enumerate_convex_cycles(g)
+            census = census_of(g)
             assert census.total == census.odd_count + census.even_count == len(census.cycles)
             assert sum(census.by_length.values()) == census.total
             assert all(cc.is_convex_cycle(g, c) for c in census.cycles)
 
     def test_matches_oracle_on_random_order8(self, beyond_corpus_profiles):
         graphs = [cc.gnp_random_graph(8, 0.4, 8800 + seed) for seed in range(150)]
-        for g in graphs + [g for g, _ in beyond_corpus_profiles]:
-            census = cc.enumerate_convex_cycles(g)
+        cases = [(g, census_of(g)) for g in graphs]
+        for g, census in cases + [(g, census) for g, _, census in beyond_corpus_profiles]:
             brute = cc.brute_force_convex_cycles(g, g.n)
             assert census.cycles == brute.cycles
 
     def test_deterministic(self, petersen):
-        a = cc.enumerate_convex_cycles(petersen)
-        b = cc.enumerate_convex_cycles(petersen)
+        a = census_of(petersen)
+        b = census_of(petersen)
         assert a.cycles == b.cycles
 
     def test_disconnected_union(self):
         # two triangles in separate components: both counted
         g = cc.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        census = cc.enumerate_convex_cycles(g)
+        census = census_of(g)
         assert census.total == 2
 
 
@@ -220,7 +224,7 @@ class TestReferencePipeline:
             self.check(cc.gnp_random_graph(n, p, 12_000 + i))
 
     def test_beyond_corpus(self, beyond_corpus_profiles):
-        for g, _ in beyond_corpus_profiles:
+        for g, _, _ in beyond_corpus_profiles:
             self.check(g)
 
     def test_relabelled_grids(self):
@@ -254,14 +258,14 @@ class TestRelabelling:
         graphs += [cc.cycle_graph(291), cc.cycle_graph(340), subdivided(petersen, 3)]
         rng = random.Random(7)
         for g in graphs:
-            census = cc.enumerate_convex_cycles(g)
+            census = census_of(g)
             for _ in range(3):
                 label = rng.sample(range(g.n), g.n)
                 h = cc.from_edge_list(g.n, [(label[u], label[v]) for u, v in g.edge_list])
                 moved = cc.CycleCensus.from_cycles(
                     cc.Cycle(tuple(label[v] for v in c.vertices)) for c in census.cycles
                 )
-                assert cc.enumerate_convex_cycles(h) == moved
+                assert census_of(h) == moved
 
 
 class TestBruteForce:
@@ -286,27 +290,27 @@ class TestBruteForce:
 
 
 class TestGirthCycleCount:
-    def test_examples(self, petersen, petersen_profile):
-        assert cc.girth_cycle_count(petersen, petersen_profile) == 12
+    def test_examples(self, petersen_analysis):
+        assert cc.girth_cycle_count(*petersen_analysis) == 12
         k5 = cc.complete_graph(5)
-        assert cc.girth_cycle_count(k5, cc.metric_profile(k5)) == 10
+        assert cc.girth_cycle_count(*cc.profile_and_census(k5)) == 10
         c7 = cc.cycle_graph(7)
-        assert cc.girth_cycle_count(c7, cc.metric_profile(c7)) == 1
+        assert cc.girth_cycle_count(*cc.profile_and_census(c7)) == 1
 
     def test_even_girth_rejected(self):
         g = cc.cycle_graph(6)
         with pytest.raises(cc.NotApplicable):
-            cc.girth_cycle_count(g, cc.metric_profile(g))
+            cc.girth_cycle_count(*cc.profile_and_census(g))
 
     def test_forest_rejected(self):
         g = cc.from_edge_list(3, [(0, 1), (1, 2)])
         with pytest.raises(cc.NotApplicable):
-            cc.girth_cycle_count(g, cc.metric_profile(g))
+            cc.girth_cycle_count(*cc.profile_and_census(g))
 
     def test_counts_all_girth_cycles_on_corpus(self, corpus_profiles):
         # for odd girth, every shortest-length cycle is convex, so the
         # census histogram must equal the exhaustive cycle count
-        for g, profile in corpus_profiles:
+        for g, profile, census in corpus_profiles:
             if profile.girth == math.inf or profile.girth % 2 == 0:
                 continue
             expected = sum(
@@ -314,13 +318,13 @@ class TestGirthCycleCount:
                 for verts in oracles.all_simple_cycles(g, int(profile.girth))
                 if len(verts) == profile.girth
             )
-            assert cc.girth_cycle_count(g, profile) == expected
+            assert cc.girth_cycle_count(profile, census) == expected
 
 
 class TestPairAccounting:
     def test_each_cycle_contributes_its_pairs(self, corpus):
         for g in corpus[:300]:
-            census = cc.enumerate_convex_cycles(g)
+            census = census_of(g)
             if not census.cycles:
                 continue
             odd = odd_pairs(g)
@@ -355,9 +359,9 @@ class TestPairAccounting:
 class TestPendantInvariance:
     @given(graphs(min_n=1, max_n=7), st.integers(0, 10**6))
     def test_census_unchanged(self, g: cc.Graph, pick: int):
-        census = cc.enumerate_convex_cycles(g)
+        census = census_of(g)
         target = pick % g.n
         grown = cc.from_edge_list(g.n + 1, list(g.edge_list) + [(target, g.n)])
-        grown_census = cc.enumerate_convex_cycles(grown)
+        grown_census = census_of(grown)
         assert grown_census.total == census.total
         assert grown_census.by_length == census.by_length

@@ -40,66 +40,66 @@ class TestBound:
 
 
 class TestIsMoore:
-    def test_petersen(self, petersen, petersen_profile):
-        report = cc.is_moore(petersen, petersen_profile)
+    def test_petersen(self, petersen, petersen_analysis):
+        report = cc.is_moore(petersen, petersen_analysis[0])
         assert report.is_moore
         assert report.diameter == 2
         assert report.degree == 3
 
     def test_k4(self):
         g = cc.complete_graph(4)
-        report = cc.is_moore(g, cc.metric_profile(g))
+        report = cc.is_moore(g, analyzed(g)[0])
         assert report.is_moore
         assert report.diameter == 1
         assert report.girth == 3
         assert report.degree == 3
 
     def test_q3_even_girth(self, q3):
-        assert not cc.is_moore(q3, cc.metric_profile(q3)).is_moore
+        assert not cc.is_moore(q3, analyzed(q3)[0]).is_moore
 
     def test_odd_cycle_yes_even_cycle_no(self):
         c7 = cc.cycle_graph(7)
-        assert cc.is_moore(c7, cc.metric_profile(c7)).is_moore
+        assert cc.is_moore(c7, analyzed(c7)[0]).is_moore
         c8 = cc.cycle_graph(8)
-        assert not cc.is_moore(c8, cc.metric_profile(c8)).is_moore
+        assert not cc.is_moore(c8, analyzed(c8)[0]).is_moore
 
-    def test_hoffman_singleton(self, hoffman_singleton, hoffman_singleton_profile):
-        report = cc.is_moore(hoffman_singleton, hoffman_singleton_profile)
+    def test_hoffman_singleton(self, hoffman_singleton, hoffman_singleton_analysis):
+        report = cc.is_moore(hoffman_singleton, hoffman_singleton_analysis[0])
         assert report.is_moore and report.degree == 7
 
     def test_disconnected(self):
         g = cc.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
         with pytest.raises(cc.Disconnected):
-            cc.is_moore(g, cc.metric_profile(g))
+            cc.is_moore(g, analyzed(g)[0])
 
 
 class TestMooreByCount:
-    def test_petersen(self, petersen, petersen_profile):
-        check = cc.check_moore_by_count(petersen, petersen_profile)
+    def test_petersen(self, petersen, petersen_analysis):
+        check = cc.check_moore_by_count(petersen, *petersen_analysis)
         assert check.count == 12
         assert check.target == 12
         assert check.is_moore_by_count
 
     def test_c7(self):
         g = cc.cycle_graph(7)
-        check = cc.check_moore_by_count(g, cc.metric_profile(g))
+        check = cc.check_moore_by_count(g, *analyzed(g))
         assert check.count == 1 and check.target == 1 and check.is_moore_by_count
 
     def test_k4_minus_edge(self):
         g = cc.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        check = cc.check_moore_by_count(g, cc.metric_profile(g))
+        check = cc.check_moore_by_count(g, *analyzed(g))
         assert check.count == 2
         assert check.target == Fraction(8, 3)
         assert not check.is_moore_by_count
 
     def test_even_girth_rejected(self, q3):
         with pytest.raises(cc.NotApplicable):
-            cc.check_moore_by_count(q3, cc.metric_profile(q3))
+            cc.check_moore_by_count(q3, *analyzed(q3))
 
     def test_disconnected_rejected(self):
         g = cc.from_edge_list(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
         with pytest.raises(cc.Disconnected):
-            cc.check_moore_by_count(g, cc.metric_profile(g))
+            cc.check_moore_by_count(g, *analyzed(g))
 
 
 class TestCheckExtremal:
@@ -112,10 +112,9 @@ class TestCheckExtremal:
         assert report.classification is cc.Classification.EVEN_CYCLE
 
     def test_hoffman_singleton_equality(
-        self, hoffman_singleton, hoffman_singleton_profile
+        self, hoffman_singleton, hoffman_singleton_analysis
     ):
-        census = cc.enumerate_convex_cycles(hoffman_singleton)
-        report = cc.check_extremal(hoffman_singleton, hoffman_singleton_profile, census)
+        report = cc.check_extremal(hoffman_singleton, *hoffman_singleton_analysis)
         assert report.equality
         assert report.total == report.bound == 1260
         assert report.classification is cc.Classification.MOORE_GRAPH
@@ -168,18 +167,16 @@ class TestCheckExtremal:
 
 class TestCorpusInvariants:
     def test_bound_holds_everywhere(self, corpus_profiles):
-        for g, profile in corpus_profiles:
+        for g, profile, census in corpus_profiles:
             if profile.girth == math.inf:
                 continue
-            census = cc.enumerate_convex_cycles(g)
             assert census.total * profile.girth <= g.n * (g.m - g.n + 1)
 
     def test_even_census_bound_and_equality(self, corpus_profiles):
         # the even census alone obeys the same bound, sharp only for even cycles
-        for g, profile in corpus_profiles:
+        for g, profile, census in corpus_profiles:
             if profile.girth == math.inf:
                 continue
-            census = cc.enumerate_convex_cycles(g)
             lhs = census.even_count * profile.girth
             rhs = g.n * (g.m - g.n + 1)
             assert lhs <= rhs
@@ -189,8 +186,8 @@ class TestCorpusInvariants:
             assert (lhs == rhs) == is_even_cycle
 
     def test_count_criterion_agrees_with_moore_test(self, corpus_profiles):
-        for g, profile in corpus_profiles:
+        for g, profile, census in corpus_profiles:
             if profile.girth == math.inf or profile.girth % 2 == 0:
                 continue
-            check = cc.check_moore_by_count(g, profile)
+            check = cc.check_moore_by_count(g, profile, census)
             assert check.is_moore_by_count == cc.is_moore(g, profile).is_moore

@@ -23,7 +23,7 @@ class TestParseGraph6:
     def test_petersen_string(self):
         # validated by invariants rather than by trusting the string
         g = cc.parse_graph6("IsP@OkWHG")
-        profile = cc.metric_profile(g)
+        profile, _ = cc.profile_and_census(g)
         assert g.n == 10
         assert g.m == 15
         assert g.regular_degree() == 3
@@ -134,7 +134,11 @@ class TestEdgeList:
         assert cc.parse_edge_list(cc.write_edge_list(g)) == g
 
     @pytest.mark.parametrize(
-        "bad", ["0\n", "0 1 2\n", "a b\n", "-1 2\n", "0 258047\n"]
+        "bad",
+        [
+            "0\n", "0 1 2\n", "a b\n", "-1 2\n", "0 258047\n",
+            "0 1_0\n", "0 +1\n", "0 \u0661\n", "\uff10 \uff12\n",
+        ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(cc.ParseError):

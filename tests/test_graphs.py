@@ -61,12 +61,13 @@ class TestGenerators:
         assert petersen.m == 15
         assert petersen.regular_degree() == 3
 
-    def test_hoffman_singleton(self, hoffman_singleton, hoffman_singleton_profile):
+    def test_hoffman_singleton(self, hoffman_singleton, hoffman_singleton_analysis):
+        profile, _ = hoffman_singleton_analysis
         assert hoffman_singleton.n == 50
         assert hoffman_singleton.m == 175
         assert hoffman_singleton.regular_degree() == 7
-        assert hoffman_singleton_profile.girth == 5
-        assert hoffman_singleton_profile.diameter == 2
+        assert profile.girth == 5
+        assert profile.diameter == 2
 
     def test_cycle(self):
         g = cc.cycle_graph(6)
@@ -147,4 +148,4 @@ class TestDeleteVertex:
         assert h.n == g.n - 1
         h0 = cc.delete_vertex(g, 0)
         assert h0.n == g.n - 1
-        assert h0.m == g.m - g.degree(0)
+        assert h0.m == g.m - g.degrees()[0]

@@ -101,34 +101,38 @@ class TestStoppedRow:
                 assert all(dist[u] <= last for u, _ in level)
 
 
+def profile_of(g: cc.Graph) -> cc.MetricProfile:
+    return cc.profile_and_census(g)[0]
+
+
 class TestGirthDiameter:
-    def test_examples(self, petersen):
-        assert cc.girth(cc.cycle_graph(6)) == 6
-        assert cc.girth(petersen) == 5
+    def test_examples(self, petersen_analysis):
+        assert profile_of(cc.cycle_graph(6)).girth == 6
+        assert petersen_analysis[0].girth == 5
         tree = cc.from_edge_list(7, [(0, i) for i in range(1, 7)])
-        assert cc.girth(tree) == math.inf
+        assert profile_of(tree).girth == math.inf
 
     def test_girth_matches_brute_force_on_corpus(
         self, corpus_profiles, beyond_corpus_profiles
     ):
-        for g, profile in corpus_profiles + beyond_corpus_profiles:
+        for g, profile, _ in corpus_profiles + beyond_corpus_profiles:
             assert profile.girth == oracles.brute_girth(g)
 
-    def test_diameter_examples(self, hoffman_singleton_profile):
-        assert hoffman_singleton_profile.diameter == 2
+    def test_diameter_examples(self, hoffman_singleton_analysis):
+        assert hoffman_singleton_analysis[0].diameter == 2
         path3 = cc.from_edge_list(3, [(0, 1), (1, 2)])
-        assert cc.diameter(path3) == 2
+        assert profile_of(path3).diameter == 2
         two_edges = cc.from_edge_list(4, [(0, 1), (2, 3)])
-        assert cc.diameter(two_edges) == math.inf
+        assert profile_of(two_edges).diameter == math.inf
 
     def test_profile_connected_flag(self):
-        assert cc.metric_profile(cc.cycle_graph(4)).connected
-        assert not cc.metric_profile(cc.from_edge_list(3, [(0, 1)])).connected
+        assert profile_of(cc.cycle_graph(4)).connected
+        assert not profile_of(cc.from_edge_list(3, [(0, 1)])).connected
 
 
 class TestProfileInvariants:
     def test_symmetry_and_triangle_inequality(self, corpus_profiles):
-        for g, profile in corpus_profiles[:250]:
+        for g, profile, _ in corpus_profiles[:250]:
             n = g.n
             rows = [cc.bfs_record(g, r) for r in range(n)]
             dist = [rec.dist for rec in rows]

@@ -242,12 +242,12 @@ class TestSpectralCount:
 
     def test_agrees_with_census_on_odd_girth_corpus(self, corpus_profiles):
         checked = 0
-        for g, profile in corpus_profiles:
+        for g, profile, census in corpus_profiles:
             if not profile.connected:
                 continue
             if profile.girth == math.inf or profile.girth % 2 == 0:
                 continue
-            expected = cc.girth_cycle_count(g, profile)
+            expected = cc.girth_cycle_count(profile, census)
             poly = cc.char_poly(g)
             assert (
                 cc.girth_cycle_count_spectral(poly, g.n, int(profile.girth))
@@ -256,18 +256,17 @@ class TestSpectralCount:
             checked += 1
         assert checked > 300
 
-    def test_agrees_with_census_on_larger_graphs(self, petersen, petersen_profile):
+    def test_agrees_with_census_on_larger_graphs(self, petersen, petersen_analysis):
         cases = [
-            (petersen, petersen_profile),
+            (petersen, petersen_analysis),
             (cc.cycle_graph(9), None),
             (cc.cycle_graph(11), None),
             (cc.complete_graph(9), None),
             (cc.complete_graph(12), None),
         ]
-        for g, profile in cases:
-            if profile is None:
-                profile = cc.metric_profile(g)
-            expected = cc.girth_cycle_count(g, profile)
+        for g, analysis in cases:
+            profile, census = analysis or cc.profile_and_census(g)
+            expected = cc.girth_cycle_count(profile, census)
             poly = cc.char_poly(g)
             assert (
                 cc.girth_cycle_count_spectral(poly, g.n, int(profile.girth))
