@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .convexity import CycleCensus, brute_force_convex_cycles, profile_and_census
@@ -50,10 +49,6 @@ def _read_graph(source: str) -> Graph:
 
 def _girth_json(value: int | float) -> int | None:
     return None if value == math.inf else int(value)
-
-
-def _fraction_json(value: Fraction) -> str:
-    return str(value)
 
 
 class _Phases:
@@ -96,7 +91,7 @@ def _extremal_section(g: Graph, profile: MetricProfile, census: CycleCensus) -> 
     return {
         "applicable": True,
         "classification": report.classification.value,
-        "bound": _fraction_json(report.bound),
+        "bound": str(report.bound),
         "equality": report.equality,
     }
 
@@ -123,7 +118,7 @@ def _count_check_section(g: Graph, profile: MetricProfile, census: CycleCensus) 
     return {
         "applicable": True,
         "count": check.count,
-        "target": _fraction_json(check.target),
+        "target": str(check.target),
         "is_moore_by_count": check.is_moore_by_count,
     }
 
@@ -175,13 +170,6 @@ def _print_table(report: dict, indent: str = "") -> None:
             print(f"{indent}{key:<16} {value}")
 
 
-def _analysis_pipeline(args) -> tuple[Graph, MetricProfile, CycleCensus, _Phases]:
-    g = _read_graph(args.graph)
-    phases = _Phases()
-    profile, census = phases.run("census", profile_and_census, g)
-    return g, profile, census, phases
-
-
 def _finish(args, report: dict, phases: _Phases) -> int:
     if args.timings:
         report["timings"] = {k: round(v, 6) for k, v in phases.seconds.items()}
@@ -190,52 +178,38 @@ def _finish(args, report: dict, phases: _Phases) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    g, profile, census, phases = _analysis_pipeline(args)
+def _cmd_report(args) -> int:
+    """One report: the census pass, then the sections the subcommand names,
+    in the order census, extremal, moore, count_check, spectral."""
+    g = _read_graph(args.graph)
+    phases = _Phases()
+    profile, census = phases.run("census", profile_and_census, g)
     report = _base_report(args.graph, g, profile)
-    report["census"] = _census_section(census)
-    report["extremal"] = _extremal_section(g, profile, census)
-    report["moore"] = _moore_section(g, profile)
-    report["count_check"] = _count_check_section(g, profile, census)
-    if args.spectral:
+    sections = args.sections
+    if "census" in sections:
+        report["census"] = _census_section(census)
+    if "extremal" in sections:
+        report["extremal"] = _extremal_section(g, profile, census)
+    if "moore" in sections:
+        report["moore"] = _moore_section(g, profile)
+    if "count_check" in sections:
+        report["count_check"] = _count_check_section(g, profile, census)
+    if "spectral" in sections:
         report["spectral"] = phases.run(
             "spectral", _spectral_section, g, profile, args.max_n
         )
     return _finish(args, report, phases)
 
 
-def _cmd_bound(args) -> int:
-    g, profile, census, phases = _analysis_pipeline(args)
-    report = _base_report(args.graph, g, profile)
-    report["census"] = _census_section(census)
-    report["extremal"] = _extremal_section(g, profile, census)
-    return _finish(args, report, phases)
-
-
-def _cmd_moore(args) -> int:
-    g, profile, census, phases = _analysis_pipeline(args)
-    report = _base_report(args.graph, g, profile)
-    report["moore"] = _moore_section(g, profile)
-    report["count_check"] = _count_check_section(g, profile, census)
-    return _finish(args, report, phases)
-
-
-def _cmd_spectral(args) -> int:
-    g = _read_graph(args.graph)
-    phases = _Phases()
-    profile, _ = phases.run("census", profile_and_census, g)
-    report = _base_report(args.graph, g, profile)
-    report["spectral"] = phases.run(
-        "spectral", _spectral_section, g, profile, args.max_n
-    )
-    return _finish(args, report, phases)
-
-
 def _cmd_generate(args) -> int:
     params = list(args.params)
     if args.family == "gnp":
-        if len(params) == 2:
-            params.append(args.seed)
+        if len(params) != 2:
+            raise InvalidParameter(
+                f"family 'gnp' takes n and p (the seed is --seed), got {len(params)} "
+                "parameter(s)"
+            )
+        params.append(args.seed)
     graph = generate(args.family, *params)
     print(write_graph6(graph))
     return 0
@@ -249,28 +223,32 @@ def _cmd_oracle(args) -> int:
         )
     max_len = args.max_len if args.max_len is not None else g.n
     phases = _Phases()
-    census = phases.run("oracle", brute_force_convex_cycles, g, max_len)
-    profile, _ = profile_and_census(g)
+    profile, census = phases.run("census", profile_and_census, g)
+    oracle = phases.run("oracle", brute_force_convex_cycles, g, max_len)
+    # both censuses list their cycles sorted by (length, vertices)
+    passed = tuple(c for c in census.cycles if c.length <= max_len)
+    if oracle.cycles != passed:
+        raise ConsistencyError(
+            f"brute-force census up to length {max_len} ({oracle.total} cycles) "
+            f"differs from the census pass ({len(passed)} cycles)"
+        )
     report = _base_report(args.graph, g, profile)
     report["max_len"] = max_len
-    report["census"] = _census_section(census)
+    report["census"] = _census_section(oracle)
     return _finish(args, report, phases)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    reporting = argparse.ArgumentParser(add_help=False)
+    reporting.add_argument(
         "--format", choices=("json", "table"), default="table",
         help="report format (default: table)",
     )
-    common.add_argument(
-        "--seed", type=int, default=0, metavar="U64",
-        help="seed for randomized generators (default: 0)",
-    )
-    common.add_argument(
+    reporting.add_argument(
         "--timings", action="store_true",
         help="embed per-phase timings in the report (non-reproducible output)",
     )
+    reporting.add_argument("graph", help="graph6 or edge-list file, '-' for stdin")
 
     parser = argparse.ArgumentParser(
         prog="convexcycles",
@@ -279,38 +257,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full report for one graph")
-    p.add_argument("graph", help="graph6 or edge-list file, '-' for stdin")
-    p.add_argument("--spectral", action="store_true", help="include the spectral count")
+    p = sub.add_parser("analyze", parents=[reporting], help="full report for one graph")
+    # --spectral appends to a copy of the default section list
+    p.add_argument("--spectral", dest="sections", action="append_const",
+                   const="spectral", help="include the spectral count")
     p.add_argument("--max-n", type=int, default=DEFAULT_SPECTRAL_CAP,
                    help="spectral size cap (default: %(default)s)")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_report,
+                   sections=["census", "extremal", "moore", "count_check"])
 
-    p = sub.add_parser("bound", parents=[common], help="extremal bound report only")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_bound)
+    p = sub.add_parser("bound", parents=[reporting], help="extremal bound report only")
+    p.set_defaults(func=_cmd_report, sections=["census", "extremal"])
 
-    p = sub.add_parser("moore", parents=[common],
+    p = sub.add_parser("moore", parents=[reporting],
                        help="Moore test plus the counting criterion")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_moore)
+    p.set_defaults(func=_cmd_report, sections=["moore", "count_check"])
 
-    p = sub.add_parser("spectral", parents=[common],
+    p = sub.add_parser("spectral", parents=[reporting],
                        help="characteristic-polynomial girth-cycle count")
-    p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=DEFAULT_SPECTRAL_CAP,
                    help="size cap (default: %(default)s)")
-    p.set_defaults(func=_cmd_spectral)
+    p.set_defaults(func=_cmd_report, sections=["spectral"])
 
-    p = sub.add_parser("generate", parents=[common], help="emit a named graph as graph6")
+    p = sub.add_parser("generate", help="emit a named graph as graph6")
     p.add_argument("family", help="cycle | complete | complete_bipartite | "
                                   "petersen | hoffman_singleton | gnp")
     p.add_argument("params", nargs="*", help="family parameters")
+    p.add_argument("--seed", type=int, default=0, metavar="U64",
+                   help="seed for gnp (default: 0)")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[reporting],
                        help="brute-force convex-cycle census (small graphs)")
-    p.add_argument("graph")
     p.add_argument("--max-len", type=int, default=None,
                    help="longest cycle length to search (default: n)")
     p.add_argument("--force", action="store_true",

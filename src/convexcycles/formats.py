@@ -5,7 +5,8 @@ into 6-bit groups offset by 63; the short header covers n <= 62 and the
 '~'-prefixed long headers cover larger orders.  The edge-list format is one
 "u v" pair per line with '#' comments; the vertex count is taken to be
 1 + the largest endpoint mentioned, and may not exceed the largest order a
-4-byte graph6 header holds.
+4-byte graph6 header holds.  Lines end only at '\n' (a '\r' before it is
+dropped), and tokens are separated only by spaces and tabs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ GRAPH6_HEADER = ">>graph6<<"
 FOUR_BYTE_MAX_ORDER = 258047
 
 _OUTSIDE_ALPHABET = re.compile(r"[^?-~]")
+_BLANKS = re.compile("[ \t]+")
 _FROM_GRAPH6 = bytes((c - 63) % 256 for c in range(256))
 _TO_GRAPH6 = bytes((c + 63) % 256 for c in range(256))
 _NONZERO = re.compile(rb"[^\x00]")
@@ -113,15 +115,21 @@ def write_graph6(g: Graph) -> str:
     return _encode_size(g.n) + payload.translate(_TO_GRAPH6).decode("ascii")
 
 
+def _lines(text: str) -> list[str]:
+    """Lines split at '\n' only, each without a trailing '\r'.  Unlike
+    str.splitlines, no other control or Unicode separator ends a line."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines; '#' starts a comment, blank lines are skipped."""
     edges = []
     top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(_lines(text), start=1):
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
-        parts = line.split()
+        parts = _BLANKS.split(line)
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
@@ -160,8 +168,8 @@ def load_graph_text(text: str) -> Graph:
     graph6 input is taken from the first non-blank line; edge-list input
     consumes the whole text.
     """
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in _lines(text):
+        line = raw.strip(" \t")
         if not line:
             continue
         # digits, spaces, and '#' all fall outside the graph6 alphabet, so

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexcycles as cc
+import convexcycles.cli as cli
 
-SCHEMA = json.loads(
-    (Path(__file__).parent.parent / "docs" / "report-schema.json").read_text()
-)
+ROOT = Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
@@ -291,9 +293,10 @@ class TestExitCodes:
         capsys.readouterr()
         assert cc.cli_run(["generate", "nope"]) == 2
 
-    def test_dropped_girth_cycle_maps_to_three(self, petersen_file, monkeypatch, capsys):
-        # the far-edge count reads only BFS rows, so it notices a census
-        # that lost a girth cycle in the walk
+    @staticmethod
+    def drop_first_owned_cycle(monkeypatch) -> list[tuple[int, ...]]:
+        """Make the census walk lose its first owned cycle; returns the
+        list that receives the lost cycle."""
         import convexcycles.convexity as convexity
 
         walk = convexity._owned_cycle
@@ -307,21 +310,100 @@ class TestExitCodes:
             return cycle
 
         monkeypatch.setattr(convexity, "_owned_cycle", drop_first)
+        return dropped
+
+    def test_dropped_girth_cycle_maps_to_three(self, petersen_file, monkeypatch, capsys):
+        # the far-edge count reads only BFS rows, so it notices a census
+        # that lost a girth cycle in the walk
+        dropped = self.drop_first_owned_cycle(monkeypatch)
         assert cc.cli_run(["analyze", petersen_file]) == 3
         assert len(dropped[0]) == 5
         assert "same-level edges" in capsys.readouterr().err
 
+    def test_oracle_disagreement_maps_to_three(self, tmp_path, q3, monkeypatch, capsys):
+        # Q3 has even girth, so the far-edge count is silent on a lost
+        # square; the brute-force census still has it
+        path = tmp_path / "q3.g6"
+        path.write_text(cc.write_graph6(q3) + "\n")
+        dropped = self.drop_first_owned_cycle(monkeypatch)
+        assert cc.cli_run(["oracle", str(path)]) == 3
+        assert len(dropped[0]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "differs from the census pass" in captured.err
+
     def test_consistency_violation_maps_to_three(
         self, petersen_file, monkeypatch, capsys
     ):
-        import convexcycles.cli as cli_module
-
         def explode(*args, **kwargs):
             raise cc.ConsistencyError("forced for the exit-code test")
 
-        monkeypatch.setattr(cli_module, "check_extremal", explode)
+        monkeypatch.setattr(cli, "check_extremal", explode)
         assert cc.cli_run(["analyze", petersen_file]) == 3
         capsys.readouterr()
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads."""
+
+    OPTIONS = {
+        "analyze": {"--format", "--timings", "--spectral", "--max-n"},
+        "bound": {"--format", "--timings"},
+        "moore": {"--format", "--timings"},
+        "spectral": {"--format", "--timings", "--max-n"},
+        "generate": {"--seed"},
+        "oracle": {"--format", "--timings", "--max-len", "--force"},
+    }
+
+    def test_option_strings(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert found == self.OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "GRAPH", "--seed", "5"],
+            ["bound", "GRAPH", "--seed", "5"],
+            ["generate", "petersen", "--format", "json"],
+            ["generate", "petersen", "--timings"],
+            # gnp takes its seed from --seed only
+            ["generate", "gnp", "12", "0.5", "7"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused(self, petersen_file, capsys, argv):
+        argv = [petersen_file if a == "GRAPH" else a for a in argv]
+        assert cc.cli_run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
+def _readme_command_lines() -> list[str]:
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line(petersen_file, line):
+    """Each README example exits 0, a Petersen graph standing in for
+    graph.g6; the stages of a pipe run in turn, each fed the last one's
+    output."""
+    stdin = None
+    for stage in line.split("|"):
+        argv = shlex.split(stage, comments=True)
+        assert argv[0] == "convexcycles", line
+        argv = [petersen_file if a == "graph.g6" else a for a in argv[1:]]
+        result = subprocess.run(
+            [sys.executable, "-m", "convexcycles", *argv],
+            input=stdin, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, (stage, result.stderr)
+        stdin = result.stdout
+    assert stdin
 
 
 # ---------------------------------------------------------------- fuzz

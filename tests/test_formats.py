@@ -138,11 +138,20 @@ class TestEdgeList:
         [
             "0\n", "0 1 2\n", "a b\n", "-1 2\n", "0 258047\n",
             "0 1_0\n", "0 +1\n", "0 \u0661\n", "\uff10 \uff12\n",
+            # only spaces and tabs separate tokens, only '\n' ends a line
+            "0\u30001\n", "0\xa01\n", "0 1\x1c1 2\n", "0 1\u20281 2\n", "0 1\x0b1 2\n",
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(cc.ParseError):
             cc.parse_edge_list(bad)
+        with pytest.raises(cc.ParseError):
+            cc.load_graph_text(bad)
+
+    def test_crlf_tabs_and_comments_of_any_text(self):
+        text = "# \x1c\u2028 any text\r\n0\t1\r\n 1  2 # \u3000\x0b\n"
+        assert cc.parse_edge_list(text) == cc.from_edge_list(3, [(0, 1), (1, 2)])
+        assert cc.load_graph_text(text) == cc.from_edge_list(3, [(0, 1), (1, 2)])
 
     def test_duplicate_edge_propagates(self):
         with pytest.raises(cc.DuplicateEdge):
