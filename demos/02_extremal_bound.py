@@ -41,7 +41,7 @@ print()
 for name, g in [
     ("Petersen", cc.petersen_graph()),
     ("C_7", cc.cycle_graph(7)),
-    ("K_4 minus an edge", cc.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
+    ("K_4 minus an edge", cc.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
 ]:
     profile, census = cc.profile_and_census(g)
     moore = cc.is_moore(g, profile)
@@ -58,7 +58,7 @@ for name, g in [
 # unchanged while n and m both grow: equality (when present) breaks.
 
 petersen = cc.petersen_graph()
-grown = cc.from_edge_list(11, list(petersen.edge_list) + [(0, 10)])
+grown = cc.Graph(11, list(petersen.edge_list) + [(0, 10)])
 print()
 survey("Petersen", petersen)
 survey("Petersen + pendant", grown)

@@ -22,7 +22,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from convexcycles import from_edge_list, profile_and_census, write_graph6
+from convexcycles import Graph, profile_and_census, write_graph6
 
 MAX_N = 7
 ALL_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -83,7 +83,7 @@ def extend_all(n: int, smaller: set[int]) -> set[int]:
 def mask_to_graph(n: int, mask: int):
     pairs = list(combinations(range(n), 2))
     edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-    return from_edge_list(n, edges)
+    return Graph(n, edges)
 
 
 def main() -> None:

@@ -34,21 +34,13 @@ from .extremal import (
     convex_cycle_bound,
     is_moore,
 )
-from .formats import (
-    load_graph_text,
-    parse_edge_list,
-    parse_graph6,
-    write_edge_list,
-    write_graph6,
-)
+from .formats import load_graph_text, parse_edge_list, parse_graph6, write_graph6
 from .graphs import (
     Edge,
     Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    delete_vertex,
-    from_edge_list,
     generate,
     gnp_random_graph,
     hoffman_singleton_graph,
@@ -109,9 +101,7 @@ __all__ = [
     "complete_graph",
     "convex_cycle_bound",
     "cycle_graph",
-    "delete_vertex",
     "expand_factored",
-    "from_edge_list",
     "generate",
     "girth_cycle_count",
     "girth_cycle_count_spectral",
@@ -124,6 +114,5 @@ __all__ = [
     "parse_graph6",
     "petersen_graph",
     "profile_and_census",
-    "write_edge_list",
     "write_graph6",
 ]

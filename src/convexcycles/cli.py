@@ -2,9 +2,9 @@
 
 Subcommands: analyze, bound, moore, spectral, generate, oracle.  Reports go
 to stdout as human tables or JSON; per-phase wall-clock timings go to
-stderr (opt into embedding them in the report with --timings, which breaks
-byte-for-byte reproducibility).  Exit codes: 0 success, 2 input error,
-3 internal consistency violation.
+stderr.  Exit codes: 0 success, 2 input error, 3 internal consistency
+violation.  A write to a stdout pipe whose reader has gone ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from .convexity import CycleCensus, brute_force_convex_cycles, profile_and_census
@@ -123,7 +125,9 @@ def _count_check_section(g: Graph, profile: MetricProfile, census: CycleCensus) 
     }
 
 
-def _spectral_section(g: Graph, profile: MetricProfile, cap: int) -> dict:
+def _spectral_section(
+    g: Graph, profile: MetricProfile, census: CycleCensus, cap: int
+) -> dict:
     if g.n > cap:
         raise InvalidParameter(
             f"spectral analysis refused for n={g.n} > cap {cap} (raise with --max-n)"
@@ -131,8 +135,15 @@ def _spectral_section(g: Graph, profile: MetricProfile, cap: int) -> dict:
     poly = char_poly(g)
     section: dict = {"polynomial": poly.to_text()}
     if profile.girth != math.inf and profile.girth % 2 == 1:
-        section["coefficient"] = poly.coefficient(g.n - int(profile.girth))
-        section["count"] = girth_cycle_count_spectral(poly, g.n, int(profile.girth))
+        girth = int(profile.girth)
+        section["coefficient"] = poly.coefficient(g.n - girth)
+        section["count"] = girth_cycle_count_spectral(poly, g.n, girth)
+        counted = census.by_length.get(girth, 0)
+        if section["count"] != counted:
+            raise ConsistencyError(
+                f"spectral count of {girth}-cycles {section['count']} differs "
+                f"from the census count {counted}"
+            )
     else:
         section["coefficient"] = None
         section["count"] = None
@@ -150,30 +161,35 @@ def _base_report(source: str, g: Graph, profile: MetricProfile) -> dict:
     }
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        _print_table(report)
+def _write(text: str) -> None:
+    """Print text and flush stdout, so that a failed write raises here; then
+    point stdout at os.devnull, where the shutdown flush cannot fail again."""
+    try:
+        print(text, flush=True)
+    except OSError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise
 
 
-def _print_table(report: dict, indent: str = "") -> None:
+def _table_lines(report: dict, indent: str = "") -> Iterator[str]:
     for key, value in report.items():
         if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _print_table(value, indent + "  ")
+            yield f"{indent}{key}:"
+            yield from _table_lines(value, indent + "  ")
         else:
             if isinstance(value, bool):
                 value = "yes" if value else "no"
             elif value is None:
                 value = "-"
-            print(f"{indent}{key:<16} {value}")
+            yield f"{indent}{key:<16} {value}"
 
 
 def _finish(args, report: dict, phases: _Phases) -> int:
-    if args.timings:
-        report["timings"] = {k: round(v, 6) for k, v in phases.seconds.items()}
-    _emit(report, args.format)
+    if args.format == "json":
+        _write(json.dumps(report, indent=2))
+    else:
+        _write("\n".join(_table_lines(report)))
     phases.report_to_stderr()
     return 0
 
@@ -196,7 +212,7 @@ def _cmd_report(args) -> int:
         report["count_check"] = _count_check_section(g, profile, census)
     if "spectral" in sections:
         report["spectral"] = phases.run(
-            "spectral", _spectral_section, g, profile, args.max_n
+            "spectral", _spectral_section, g, profile, census, args.max_n
         )
     return _finish(args, report, phases)
 
@@ -209,9 +225,11 @@ def _cmd_generate(args) -> int:
                 f"family 'gnp' takes n and p (the seed is --seed), got {len(params)} "
                 "parameter(s)"
             )
-        params.append(args.seed)
+        params.append(args.seed or 0)
+    elif args.seed is not None:
+        raise InvalidParameter(f"--seed is for family 'gnp', not {args.family!r}")
     graph = generate(args.family, *params)
-    print(write_graph6(graph))
+    _write(write_graph6(graph))
     return 0
 
 
@@ -243,10 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reporting.add_argument(
         "--format", choices=("json", "table"), default="table",
         help="report format (default: table)",
-    )
-    reporting.add_argument(
-        "--timings", action="store_true",
-        help="embed per-phase timings in the report (non-reproducible output)",
     )
     reporting.add_argument("graph", help="graph6 or edge-list file, '-' for stdin")
 
@@ -283,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="cycle | complete | complete_bipartite | "
                                   "petersen | hoffman_singleton | gnp")
     p.add_argument("params", nargs="*", help="family parameters")
-    p.add_argument("--seed", type=int, default=0, metavar="U64",
+    p.add_argument("--seed", type=int, metavar="U64",
                    help="seed for gnp (default: 0)")
     p.set_defaults(func=_cmd_generate)
 
@@ -306,6 +320,9 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: nothing is left to report to
+        return 0
     except ConsistencyError as exc:
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return 3

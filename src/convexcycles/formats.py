@@ -6,7 +6,8 @@ into 6-bit groups offset by 63; the short header covers n <= 62 and the
 "u v" pair per line with '#' comments; the vertex count is taken to be
 1 + the largest endpoint mentioned, and may not exceed the largest order a
 4-byte graph6 header holds.  Lines end only at '\n' (a '\r' before it is
-dropped), and tokens are separated only by spaces and tabs.
+dropped), and tokens are separated only by spaces and tabs; a graph6 line
+sheds only the same blanks and its line end.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from math import isqrt
 
 from .errors import ParseError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 # Largest order the 4-byte graph6 size header holds: '~' and three 6-bit
@@ -58,9 +59,13 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return n, 4
 
 
+def _graph6_line(text: str) -> str:
+    return text.removesuffix("\n").removesuffix("\r").strip(" \t")
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a labeled graph."""
-    line = text.strip()
+    line = _graph6_line(text)
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]
     if not line:
@@ -88,7 +93,7 @@ def parse_graph6(text: str) -> Graph:
             if b < nbits:
                 v = (1 + isqrt(8 * b + 1)) // 2
                 edges.append((b - v * (v - 1) // 2, v))
-    return from_edge_list(n, edges)
+    return Graph(n, edges)
 
 
 def _encode_size(n: int) -> str:
@@ -148,15 +153,11 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: endpoint not in ASCII digits in {raw!r}")
         edges.append((u, v))
         top = max(top, u, v)
-    return from_edge_list(top + 1, edges)
-
-
-def write_edge_list(g: Graph) -> str:
-    return "".join(f"{e.u} {e.v}\n" for e in g.edge_list)
+    return Graph(top + 1, edges)
 
 
 def looks_like_graph6(line: str) -> bool:
-    s = line.strip()
+    s = _graph6_line(line)
     if s.startswith(GRAPH6_HEADER):
         return True
     return bool(s) and not _OUTSIDE_ALPHABET.search(s)

@@ -78,20 +78,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated graph from unordered endpoint pairs."""
-    return Graph(n, edges)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove v and its incident edges; higher labels shift down by one."""
-    if not 0 <= v < g.n:
-        raise OutOfRange(f"vertex {v} outside 0..{g.n - 1}")
-    remap = lambda w: w if w < v else w - 1
-    edges = [(remap(e.u), remap(e.v)) for e in g.edge_list if v not in (e.u, e.v)]
-    return Graph(g.n - 1, edges)
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidParameter(f"a cycle needs at least 3 vertices, got {n}")

@@ -12,17 +12,10 @@ spectra have few distinct eigenvalues, which keeps the recurrence short.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import (
-    ConsistencyError,
-    InconsistentInput,
-    InvalidParameter,
-    NotApplicable,
-    ParseError,
-)
+from .errors import ConsistencyError, InconsistentInput, InvalidParameter, NotApplicable
 from .graphs import Graph
 
 
@@ -54,18 +47,6 @@ class IntPolynomial:
     def to_text(self) -> str:
         """Space-separated exact decimal coefficients, constant first."""
         return " ".join(map(_digits, self.coeffs))
-
-    @classmethod
-    def from_text(cls, text: str) -> "IntPolynomial":
-        coeffs = []
-        for tok in text.split():
-            digits = tok[1:] if tok[0] in "+-" else tok
-            if not (digits.isascii() and digits.isdigit()):
-                raise ParseError(f"non-integer coefficient {tok[:40]!r}")
-            coeffs.append(-_int(digits) if tok[0] == "-" else _int(digits))
-        if not coeffs:
-            raise ParseError("empty polynomial text")
-        return cls(tuple(coeffs))
 
 
 def char_poly(g: Graph) -> IntPolynomial:
@@ -112,19 +93,6 @@ def _digits(value: int) -> str:
     str(value) refuses ints past the interpreter's str-digits limit; the
     Decimal conversion does not."""
     return str(Decimal(value))
-
-
-def _int(digits: str) -> int:
-    """int(digits) for a digit string of any length.  int() refuses strings
-    longer than sys.get_int_max_str_digits() (4300 by default, 0 meaning no
-    limit, absent before Python 3.10.7), so longer ones are read in chunks
-    of that many digits."""
-    step = getattr(sys, "get_int_max_str_digits", int)() or len(digits) or 1
-    value = 0
-    for i in range(0, len(digits), step):
-        chunk = digits[i:i + step]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
 
 
 def expand_factored(factors: list[tuple[int, int]]) -> IntPolynomial:

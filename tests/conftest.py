@@ -21,7 +21,7 @@ def q3_graph() -> cc.Graph:
     edges = [
         (a, a ^ (1 << b)) for a in range(8) for b in range(3) if a < a ^ (1 << b)
     ]
-    return cc.from_edge_list(8, edges)
+    return cc.Graph(8, edges)
 
 
 def subdivided(g: cc.Graph, pieces: int) -> cc.Graph:
@@ -32,7 +32,7 @@ def subdivided(g: cc.Graph, pieces: int) -> cc.Graph:
         chain = [e.u, *range(n, n + pieces - 1), e.v]
         n += pieces - 1
         edges += zip(chain, chain[1:])
-    return cc.from_edge_list(n, edges)
+    return cc.Graph(n, edges)
 
 
 @pytest.fixture(scope="session")
@@ -91,7 +91,7 @@ def beyond_corpus_profiles(petersen, q3) -> list[Analyzed]:
     no convex cycle longer than 7.  Subdivided Petersen (girth 10) has 12
     convex 10-cycles, K4 with each edge cut in 3 has 4 convex 9-cycles and
     subdivided K3,3 has none."""
-    c5_and_c8 = cc.from_edge_list(
+    c5_and_c8 = cc.Graph(
         13, [(i, (i + 1) % 5) for i in range(5)]
         + [(5 + i, 5 + (i + 1) % 8) for i in range(8)],
     )

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from convexcycles import Graph, from_edge_list
+from convexcycles import Graph
 
 
 @st.composite
@@ -16,7 +16,7 @@ def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     mask = draw(st.integers(0, (1 << nbits) - 1))
     pairs = list(combinations(range(n), 2))
     edges = [pairs[k] for k in range(nbits) if mask >> k & 1]
-    return from_edge_list(n, edges)
+    return Graph(n, edges)
 
 
 @st.composite
@@ -41,4 +41,4 @@ def graphs_with_a_cycle(draw, max_n: int = 9) -> tuple[Graph, tuple[int, ...]]:
     mask = draw(st.integers(0, top)) & draw(st.integers(0, top))
     edges = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
     edges |= {(min(e), max(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
-    return from_edge_list(n, sorted(edges)), cycle
+    return Graph(n, sorted(edges)), cycle

@@ -185,7 +185,7 @@ def test_criterion_09_pendant_invariance():
             n = 5 + seed % 5
             g = cc.gnp_random_graph(n, 0.3 + (seed % 4) * 0.1, 31_000 + seed)
             _, census = analyzed(g)
-            grown = cc.from_edge_list(
+            grown = cc.Graph(
                 g.n + 1, list(g.edge_list) + [(seed % g.n, g.n)]
             )
             _, grown_census = analyzed(grown)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -89,12 +90,14 @@ class TestAnalyze:
 
     def test_schema_valid_with_spectral_and_timings(self, petersen_file):
         result = run_cli(
-            "analyze", petersen_file, "--format", "json", "--spectral", "--timings"
+            "analyze", petersen_file, "--format", "json", "--spectral"
         )
         report = json.loads(result.stdout)
         jsonschema.validate(report, SCHEMA)
         assert report["spectral"]["count"] == 12
-        assert "timings" in report
+        # timings go to stderr only, so that reports stay byte-reproducible
+        assert "timings" not in report
+        assert result.stderr.startswith("timings: census=")
 
     def test_schema_valid_on_forest(self, tmp_path):
         path = tmp_path / "tree.txt"
@@ -261,6 +264,51 @@ class TestExitCodes:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1, result.stderr
 
+    def test_graph6_with_other_blanks_refused(self, tmp_path):
+        # a graph6 line sheds only the blanks an edge-list line may hold
+        path = tmp_path / "k4.g6"
+        path.write_text("C~\x1c")
+        result = run_cli("bound", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+
+    @staticmethod
+    def run_into(fd: int, *args: str, unbuffered: bool) -> subprocess.CompletedProcess:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "convexcycles", *args],
+            stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "args", [("analyze", "GRAPH", "--format", "json"), ("generate", "petersen")]
+    )
+    def test_closed_stdout_ends_quietly(self, petersen_file, args, unbuffered):
+        # the reader is gone before the run writes, as in `... | head -0`
+        args = [petersen_file if a == "GRAPH" else a for a in args]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run_into(write_end, *args, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_failed_stdout_write_is_one_stderr_line(self, petersen_file, unbuffered):
+        with open("/dev/full", "w") as full:
+            result = self.run_into(
+                full.fileno(), "analyze", petersen_file, unbuffered=unbuffered
+            )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: [Errno 28] No space left on device"
+        ]
+
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
 
@@ -284,9 +332,15 @@ class TestExitCodes:
     def test_seed_follows_the_subcommand(self, capsys):
         self.check_flags_follow(["generate", "gnp", "12", "0.5"], ["--seed", "5"], capsys)
 
-    @pytest.mark.parametrize("flags", [["--format", "json"], ["--timings"]])
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--spectral"]])
     def test_report_flags_follow_the_subcommand(self, petersen_file, capsys, flags):
         self.check_flags_follow(["analyze", petersen_file], flags, capsys)
+
+    def test_gnp_seed_defaults_to_zero(self, capsys):
+        assert cc.cli_run(["generate", "gnp", "12", "0.5"]) == 0
+        default = capsys.readouterr().out
+        assert cc.cli_run(["generate", "gnp", "12", "0.5", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_run_function_returns_codes(self, capsys):
         assert cc.cli_run(["generate", "petersen"]) == 0
@@ -332,6 +386,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert "differs from the census pass" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", [["analyze", "GRAPH", "--spectral"], ["spectral", "GRAPH"]]
+    )
+    def test_spectral_count_disagreement_maps_to_three(
+        self, petersen_file, monkeypatch, capsys, command
+    ):
+        # -c/2 counts girth cycles, so lowering c by 2 adds one 5-cycle
+        char_poly = cli.char_poly
+
+        def one_more_five_cycle(g):
+            coeffs = list(char_poly(g).coeffs)
+            coeffs[g.n - 5] -= 2
+            return cc.IntPolynomial(tuple(coeffs))
+
+        monkeypatch.setattr(cli, "char_poly", one_more_five_cycle)
+        argv = [petersen_file if a == "GRAPH" else a for a in command]
+        assert cc.cli_run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spectral count of 5-cycles 13 differs from the census count 12" in (
+            captured.err
+        )
+
     def test_consistency_violation_maps_to_three(
         self, petersen_file, monkeypatch, capsys
     ):
@@ -347,12 +424,12 @@ class TestFlags:
     """Each subcommand takes only the flags it reads."""
 
     OPTIONS = {
-        "analyze": {"--format", "--timings", "--spectral", "--max-n"},
-        "bound": {"--format", "--timings"},
-        "moore": {"--format", "--timings"},
-        "spectral": {"--format", "--timings", "--max-n"},
+        "analyze": {"--format", "--spectral", "--max-n"},
+        "bound": {"--format"},
+        "moore": {"--format"},
+        "spectral": {"--format", "--max-n"},
         "generate": {"--seed"},
-        "oracle": {"--format", "--timings", "--max-len", "--force"},
+        "oracle": {"--format", "--max-len", "--force"},
     }
 
     def test_option_strings(self):
@@ -371,6 +448,9 @@ class TestFlags:
             ["bound", "GRAPH", "--seed", "5"],
             ["generate", "petersen", "--format", "json"],
             ["generate", "petersen", "--timings"],
+            # --seed is read by gnp only
+            ["generate", "petersen", "--seed", "3"],
+            ["generate", "cycle", "6", "--seed", "3"],
             # gnp takes its seed from --seed only
             ["generate", "gnp", "12", "0.5", "7"],
         ],

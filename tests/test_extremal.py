@@ -68,7 +68,7 @@ class TestIsMoore:
         assert report.is_moore and report.degree == 7
 
     def test_disconnected(self):
-        g = cc.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        g = cc.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
         with pytest.raises(cc.Disconnected):
             cc.is_moore(g, analyzed(g)[0])
 
@@ -86,7 +86,7 @@ class TestMooreByCount:
         assert check.count == 1 and check.target == 1 and check.is_moore_by_count
 
     def test_k4_minus_edge(self):
-        g = cc.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        g = cc.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         check = cc.check_moore_by_count(g, *analyzed(g))
         assert check.count == 2
         assert check.target == Fraction(8, 3)
@@ -97,7 +97,7 @@ class TestMooreByCount:
             cc.check_moore_by_count(q3, *analyzed(q3))
 
     def test_disconnected_rejected(self):
-        g = cc.from_edge_list(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        g = cc.Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
         with pytest.raises(cc.Disconnected):
             cc.check_moore_by_count(g, *analyzed(g))
 
@@ -143,20 +143,20 @@ class TestCheckExtremal:
         assert report.classification is cc.Classification.MOORE_GRAPH
 
     def test_forest_not_applicable(self):
-        g = cc.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        g = cc.Graph(4, [(0, 1), (1, 2), (2, 3)])
         profile, census = analyzed(g)
         with pytest.raises(cc.NotApplicable):
             cc.check_extremal(g, profile, census)
 
     def test_disconnected_rejected(self):
-        g = cc.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        g = cc.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         profile, census = analyzed(g)
         with pytest.raises(cc.Disconnected):
             cc.check_extremal(g, profile, census)
 
     def test_moore_plus_pendant_is_strict(self, petersen):
         # a pendant keeps the census but grows n and m, so equality must break
-        g = cc.from_edge_list(11, list(petersen.edge_list) + [(0, 10)])
+        g = cc.Graph(11, list(petersen.edge_list) + [(0, 10)])
         profile, census = analyzed(g)
         report = cc.check_extremal(g, profile, census)
         assert census.total == 12

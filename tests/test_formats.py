@@ -10,11 +10,14 @@ from . import oracles
 from .conftest import CORPUS_FILE
 from .strategies import graphs
 
+# graph6 lines of K4 wrapped in blanks that an edge-list line may not hold
+OTHER_BLANKS = ["\x1cC~\n", "C~\u3000\n", " C~\x0b\n"]
+
 
 class TestParseGraph6:
     def test_k2(self):
         g = cc.parse_graph6("A_")
-        assert g == cc.from_edge_list(2, [(0, 1)])
+        assert g == cc.Graph(2, [(0, 1)])
 
     def test_k4(self):
         g = cc.parse_graph6("C~")
@@ -46,11 +49,22 @@ class TestParseGraph6:
             "A *",        # character below the alphabet
             "~??",        # truncated long header
             "~~????",     # truncated 8-byte header
+            *OTHER_BLANKS,
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(cc.ParseError):
             cc.parse_graph6(bad)
+
+    @pytest.mark.parametrize("bad", OTHER_BLANKS)
+    def test_load_refuses_other_blanks(self, bad):
+        with pytest.raises(cc.ParseError):
+            cc.load_graph_text(bad)
+
+    def test_blanks_and_line_end_stripped(self):
+        k4 = cc.complete_graph(4)
+        assert cc.parse_graph6(" \tC~ \r\n") == k4
+        assert cc.load_graph_text(" \tC~ \r\n") == k4
 
 
 class TestWriteGraph6:
@@ -131,7 +145,8 @@ class TestEdgeList:
 
     def test_roundtrip(self):
         g = cc.gnp_random_graph(9, 0.5, 77)
-        assert cc.parse_edge_list(cc.write_edge_list(g)) == g
+        text = "".join(f"{e.u} {e.v}\n" for e in g.edge_list)
+        assert cc.parse_edge_list(text) == g
 
     @pytest.mark.parametrize(
         "bad",
@@ -150,8 +165,8 @@ class TestEdgeList:
 
     def test_crlf_tabs_and_comments_of_any_text(self):
         text = "# \x1c\u2028 any text\r\n0\t1\r\n 1  2 # \u3000\x0b\n"
-        assert cc.parse_edge_list(text) == cc.from_edge_list(3, [(0, 1), (1, 2)])
-        assert cc.load_graph_text(text) == cc.from_edge_list(3, [(0, 1), (1, 2)])
+        assert cc.parse_edge_list(text) == cc.Graph(3, [(0, 1), (1, 2)])
+        assert cc.load_graph_text(text) == cc.Graph(3, [(0, 1), (1, 2)])
 
     def test_duplicate_edge_propagates(self):
         with pytest.raises(cc.DuplicateEdge):

@@ -31,7 +31,7 @@ class TestBfsRecord:
         assert rec.sigma[0b111] == 6
 
     def test_unreachable_sentinels(self):
-        g = cc.from_edge_list(4, [(0, 1), (2, 3)])
+        g = cc.Graph(4, [(0, 1), (2, 3)])
         rec = cc.bfs_record(g, 0)
         assert rec.dist[2] is None and rec.sigma[2] == 0
 
@@ -109,7 +109,7 @@ class TestGirthDiameter:
     def test_examples(self, petersen_analysis):
         assert profile_of(cc.cycle_graph(6)).girth == 6
         assert petersen_analysis[0].girth == 5
-        tree = cc.from_edge_list(7, [(0, i) for i in range(1, 7)])
+        tree = cc.Graph(7, [(0, i) for i in range(1, 7)])
         assert profile_of(tree).girth == math.inf
 
     def test_girth_matches_brute_force_on_corpus(
@@ -120,14 +120,14 @@ class TestGirthDiameter:
 
     def test_diameter_examples(self, hoffman_singleton_analysis):
         assert hoffman_singleton_analysis[0].diameter == 2
-        path3 = cc.from_edge_list(3, [(0, 1), (1, 2)])
+        path3 = cc.Graph(3, [(0, 1), (1, 2)])
         assert profile_of(path3).diameter == 2
-        two_edges = cc.from_edge_list(4, [(0, 1), (2, 3)])
+        two_edges = cc.Graph(4, [(0, 1), (2, 3)])
         assert profile_of(two_edges).diameter == math.inf
 
     def test_profile_connected_flag(self):
         assert profile_of(cc.cycle_graph(4)).connected
-        assert not profile_of(cc.from_edge_list(3, [(0, 1)])).connected
+        assert not profile_of(cc.Graph(3, [(0, 1)])).connected
 
 
 class TestProfileInvariants:

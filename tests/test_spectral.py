@@ -24,7 +24,7 @@ class TestCharPoly:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(cc.InvalidParameter):
-            cc.char_poly(cc.from_edge_list(0, []))
+            cc.char_poly(cc.Graph(0, []))
 
     def test_monic_of_matching_degree(self, corpus):
         for g in corpus[:200]:
@@ -277,28 +277,18 @@ class TestSpectralCount:
 class TestPolynomialText:
     def test_roundtrip(self):
         poly = cc.char_poly(cc.petersen_graph())
-        assert cc.IntPolynomial.from_text(poly.to_text()) == poly
+        assert cc.IntPolynomial(tuple(map(int, poly.to_text().split()))) == poly
 
     def test_text_is_constant_first(self):
         assert cc.expand_factored([(1, 2)]).to_text() == "1 -2 1"
 
     def test_coefficients_past_the_str_digits_limit(self):
         # (x - 10**5)**1000: the constant 10**5000 has 5001 digits, past
-        # the interpreter's default 4300-digit int/str conversion limit
-        poly = cc.expand_factored([(10**5, 1000)])
-        text = poly.to_text()
-        assert text.startswith("1" + "0" * 5000 + " ")
-        assert text.endswith(" -100000000 1")
-        assert cc.IntPolynomial.from_text(text) == poly
-        assert cc.IntPolynomial.from_text("1" * 5000).coeffs == ((10**5000 - 1) // 9,)
-        assert cc.IntPolynomial.from_text("-" + "1" * 5000).coeffs == (
-            -(10**5000 - 1) // 9,
+        # the interpreter's default 4300-digit int/str conversion limit.
+        # The coefficient of x**(1000 - j) is comb(1000, j) * (-10**5)**j,
+        # written here without converting a long int to text.
+        expected = " ".join(
+            "-" * (j % 2) + str(math.comb(1000, j)) + "0" * (5 * j)
+            for j in range(1000, -1, -1)
         )
-
-    def test_bad_text(self):
-        with pytest.raises(cc.ParseError):
-            cc.IntPolynomial.from_text("1 two 3")
-        with pytest.raises(cc.ParseError):
-            cc.IntPolynomial.from_text("   ")
-        with pytest.raises(cc.ParseError):  # a sign inside a long token
-            cc.IntPolynomial.from_text("1" * 4300 + "-5")
+        assert cc.expand_factored([(10**5, 1000)]).to_text() == expected
