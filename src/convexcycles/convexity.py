@@ -11,7 +11,9 @@ vertex pairs joined by exactly two shortest paths.  The pass visits roots
 in increasing order with one BFS each, walks the candidates the root owns
 (as their minimum vertex) through its row, checks their antipodal pairs
 that start at the root and defers every other pair to the row of its
-smaller vertex, which comes later; then it drops the row.
+smaller vertex, which comes later; then it drops the row.  Three BFS
+before the pass bound every eccentricity, so a row that cannot raise the
+diameter ends as deep as the census reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConsistencyError, InvalidCycle, NotApplicable
 from .graphs import Graph
-from .metric import DistanceRecord, MetricProfile, _bfs, bfs_record
+from .metric import DROP_TAIL, DistanceRecord, MetricProfile, _bfs, bfs_record
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -170,12 +172,46 @@ def is_convex_cycle(g: Graph, c: Cycle) -> bool:
     return _lemma_holds({lo: bfs_record(g, lo) for lo in smaller}, verts)
 
 
+def _distances_only(*_) -> bool:
+    return True
+
+
+def _eccentricity_bounds(
+    adjacency: tuple[tuple[int, ...], ...],
+) -> tuple[bool, int, list[int]]:
+    """(connected, longest, upper) from three BFS rows, distances only.
+
+    The first runs from vertex 0 and settles connectivity, the second from
+    the farthest vertex a of the first, the third from the middle c of a
+    shortest path from a to the farthest vertex b of the second.  longest
+    is the largest eccentricity they saw, a lower bound on the diameter,
+    and upper[w] = ecc(c) + d(c, w) bounds ecc(w) from above by the
+    triangle inequality.  A disconnected graph gets no bounds (upper is
+    empty): its diameter is infinite whatever the rows show.
+    """
+    if not adjacency:
+        return True, 0, []
+    dist, _, order, *_ = _bfs(adjacency, 0, _distances_only)
+    if len(order) < len(adjacency):
+        return False, 0, []
+    dist, _, order, *_ = _bfs(adjacency, order[-1], _distances_only)
+    c = b = order[-1]
+    longest = dist[b]
+    # walk from b halfway back to a, one level per step
+    for d in reversed(range(longest // 2, longest)):
+        c = next(w for w in adjacency[c] if dist[w] == d)
+    dist, _, order, *_ = _bfs(adjacency, c, _distances_only)
+    ecc = dist[order[-1]]
+    return True, max(longest, ecc), [ecc + d for d in dist]
+
+
 def _count_cutoff(
     adjacency: tuple[tuple[int, ...], ...],
     root: int,
     pending: Sequence[int],
     targets: Sequence[tuple[int, int] | None],
-) -> Callable[..., bool]:
+    finish: bool | int,
+) -> Callable[..., bool | int]:
     """The stop test metric._bfs puts to root's census row, as a closure.
 
     Asked while the row scans level d, it ends path counting when the pass
@@ -186,13 +222,15 @@ def _count_cutoff(
     complete; (c) no vertex at level d has one shortest path that runs
     through vertices above root, so no candidate root owns reaches level d.
     The vertices that do, the clean frontier, advance level by level, and
-    the pending depth is read at the first check that passes (b).
+    the pending depth is read at the first check that passes (b).  Its
+    answer then is finish: True finishes the row's distances, DROP_TAIL
+    drops them.
     """
     depth = None
     clean = [root]
     clean_level = 0
 
-    def reached(d, dist, sigma, level, merged) -> bool:
+    def reached(d, dist, sigma, level, merged) -> bool | int:
         nonlocal depth, clean, clean_level
         # merges found so far were found while scanning levels above d
         if not merged and not (level and dist[level[0][0]] < d):
@@ -213,7 +251,7 @@ def _count_cutoff(
                 for w in adjacency[x]
                 if dist[w] == clean_level and sigma[w] == 1 and w > root
             ]
-        return not clean
+        return not clean and finish
 
     return reached
 
@@ -237,16 +275,21 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     A root owns only cycles whose vertices all lie above it, so once no
     vertex at level d has a single shortest path through such vertices, no
     live pair deferred to the root lies deeper than d and the root's girth
-    events are complete, sigma below level d is never read: the row is
-    finished with distances only, which the eccentricity still needs.
+    events are complete, sigma below level d is never read.  The rest of
+    the row, distances only, matters only to the diameter.  Three BFS
+    before the pass (see _eccentricity_bounds) give every vertex w an upper
+    bound upper[w] on its eccentricity, and longest, the largest
+    eccentricity seen so far, is a lower bound on the diameter.  A row
+    whose upper bound is at most longest cannot raise the diameter, so it
+    drops its distance-only tail; any other row finishes it and raises
+    longest to its eccentricity.  A disconnected graph drops every tail.
     """
     adjacency = g.adjacency
     n = g.n
     even_best: int | float = math.inf
     odd_best: int | float = math.inf
     far_edges = 0
-    longest: int | float = 0
-    connected = True
+    connected, longest, upper = _eccentricity_bounds(adjacency)
     candidates: list[tuple[int, ...]] = []
     # (distance, path count) still required of each candidate's pairs;
     # None once one pair failed
@@ -255,11 +298,10 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     deferred: dict[int, list[int]] = {}
     for v in range(n):
         pending = deferred.pop(v, ())
+        finish = True if connected and upper[v] > longest else DROP_TAIL
         dist, sigma, order, level, merged = _bfs(
-            adjacency, v, _count_cutoff(adjacency, v, pending, targets)
+            adjacency, v, _count_cutoff(adjacency, v, pending, targets, finish)
         )
-        if len(order) < n:
-            connected = False
         if dist[order[-1]] > longest:
             longest = dist[order[-1]]
         pairs = iter(pending)

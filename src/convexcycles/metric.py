@@ -3,8 +3,11 @@
 Distances of unreachable vertices are None (never a large finite number);
 girth and diameter use math.inf for "no cycle" / "disconnected".  Path
 counts are plain Python integers, so they stay exact no matter how fast
-they grow.  The one BFS loop lives here; the census pass in convexity
-runs it once per root and keeps no row past its own root.
+they grow.  The one BFS loop lives here.  The census pass in convexity
+runs it three times for eccentricity bounds, then once per root, and keeps
+no row past its own root.  A stop test can end a row's path counting
+early and either finish its distances, which an eccentricity needs, or
+drop them when the bounds show the row cannot raise the diameter.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from typing import Callable
 
 from .errors import OutOfRange
 from .graphs import Graph
+
+# the stop answer that returns a row as it stands, without its
+# distance-only tail (True finishes the tail)
+DROP_TAIL = 2
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class MetricProfile:
 def _bfs(
     adjacency: tuple[tuple[int, ...], ...],
     root: int,
-    stop: Callable[..., bool] | None = None,
+    stop: Callable[..., bool | int] | None = None,
 ):
     """One BFS row with the events the census pass reads off it.
 
@@ -57,7 +64,11 @@ def _bfs(
     the first merge into each level d + 1, before that merge is recorded;
     sigma is final through level d then.  Once it returns True the row is
     finished with distances only: dist and order stay exact, sigma is exact
-    only through level d, and level and merged gain nothing more.
+    only through level d, and level and merged gain nothing more.  Once it
+    returns DROP_TAIL the row is returned as it stands: dist and sigma are
+    exact through level d, some vertices of level d + 1 have their distance
+    and none deeper, order holds just the vertices with a distance, and
+    level and merged gain nothing more.
     """
     dist: list[int | None] = [None] * len(adjacency)
     sigma = [0] * len(adjacency)
@@ -83,7 +94,7 @@ def _bfs(
             elif dw == du1:
                 if du > checked:
                     checked = du
-                    if stop(du, dist, sigma, level, merged):
+                    if stopped := stop(du, dist, sigma, level, merged):
                         break
                 sigma[w] += su
                 merged.append(w)
@@ -91,14 +102,15 @@ def _bfs(
                 level.append((u, w))
         else:
             continue
-        # counting stopped while scanning u: rescan it and finish the queue
-        # with distances only
-        for u in chain((u,), queue):
-            du1 = dist[u] + 1
-            for w in adjacency[u]:
-                if dist[w] is None:
-                    dist[w] = du1
-                    order.append(w)
+        # counting stopped while scanning u: unless the tail is dropped,
+        # rescan u and finish the queue with distances only
+        if stopped != DROP_TAIL:
+            for u in chain((u,), queue):
+                du1 = dist[u] + 1
+                for w in adjacency[u]:
+                    if dist[w] is None:
+                        dist[w] = du1
+                        order.append(w)
         break
     return dist, sigma, order, level, merged
 

@@ -223,20 +223,53 @@ class TestReferencePipeline:
             p = (0.05, 0.1, 0.2, 0.35)[i % 4]
             self.check(cc.gnp_random_graph(n, p, 12_000 + i))
 
+    def test_sparse_gnp_near_connectivity(self):
+        # a row drops its distance-only tail when its eccentricity bound
+        # ecc(c) + d(c, v) is at most the largest eccentricity seen; near
+        # the connectivity threshold the three sweeps sometimes miss the
+        # diameter by one, so a rule that drops one row too many gives a
+        # diameter one short on a few of these graphs
+        for i in range(2000):
+            n = 12 + i % 7
+            p = (1.5, 1.75, 2.0)[i % 3] * math.log(n) / n
+            self.check(cc.gnp_random_graph(n, p, 20_000 + i))
+
+    @pytest.mark.parametrize(
+        "g, diameter",
+        [
+            (cc.Graph(0, []), 0),
+            (cc.Graph(1, []), 0),
+            (cc.Graph(5, [(1, 2), (2, 3), (3, 4), (4, 1)]), math.inf),
+            (cc.Graph(9, [(0, 1), (1, 2), (2, 0), (2, 3)]
+                      + [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4), (5, 8)]), math.inf),
+        ],
+        ids=["empty", "K1", "vertex-0-isolated", "two-components-with-cycles"],
+    )
+    def test_sweep_edge_cases(self, g, diameter):
+        # the first sweep, from vertex 0, settles connectivity; a
+        # disconnected graph drops every tail and has infinite diameter
+        self.check(g)
+        assert cc.profile_and_census(g)[0].diameter == diameter
+
     def test_beyond_corpus(self, beyond_corpus_profiles):
         for g, _, _ in beyond_corpus_profiles:
             self.check(g)
 
     def test_relabelled_grids(self):
         # grids stop counting shortest paths earliest: no odd cycle, and
-        # few vertices with one shortest path through vertices above the root
+        # few vertices with one shortest path through vertices above the root;
+        # most of their rows drop the distance-only tail, fewer once a few
+        # missing edges loosen the eccentricity bounds
         rng = random.Random(8)
+        holes = random.Random(12)
         for r in range(2, 10):
             for c in range(2, 10):
                 label = rng.sample(range(r * c), r * c)
                 edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
                 edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
                 self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in edges]))
+                holed = holes.sample(edges, len(edges) - 1 - (r + c) % 4)
+                self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in holed]))
 
 
 class TestFarEdgeCheck:

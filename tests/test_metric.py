@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import convexcycles as cc
-from convexcycles.metric import _bfs
+from convexcycles.metric import DROP_TAIL, _bfs
 
 from . import oracles
 from .strategies import graphs
@@ -99,6 +99,41 @@ class TestStoppedRow:
                         assert sigma[v] == exact.sigma[v]
                 assert all(dist[w] <= last for w in merged)
                 assert all(dist[u] <= last for u, _ in level)
+
+    def test_dropped_tail_keeps_the_row_through_its_level(self, corpus):
+        # a row stopped with DROP_TAIL at level d is the row stopped with
+        # True at that level less the distances it never reached: exact
+        # through level d, part of level d + 1 and nothing deeper
+        dropped = 0
+        for g in corpus:
+            for root in range(g.n):
+                for at in (0, 1, 2):
+                    fired = []
+
+                    def stop(d, *_):
+                        if d >= at:
+                            fired.append(d)
+                            return DROP_TAIL
+                        return False
+
+                    dist, sigma, order, level, merged = _bfs(g.adjacency, root, stop)
+                    full = _bfs(g.adjacency, root, lambda d, *_: d >= at)
+                    exact = oracles.bfs_counts(g, root)
+                    if not fired:
+                        assert (dist, sigma, order, level, merged) == full
+                        continue
+                    dropped += 1
+                    (d,) = fired
+                    assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
+                    assert order == full[2][: len(order)]
+                    assert (level, merged) == (full[3], full[4])
+                    assert any(dist[v] == d + 1 for v in order)
+                    for v in range(g.n):
+                        if exact.dist[v] is not None and exact.dist[v] <= d:
+                            assert (dist[v], sigma[v]) == (exact.dist[v], exact.sigma[v])
+                        elif dist[v] is not None:
+                            assert dist[v] == exact.dist[v] == d + 1
+        assert dropped
 
 
 def profile_of(g: cc.Graph) -> cc.MetricProfile:
