@@ -12,8 +12,9 @@ in increasing order with one BFS each, walks the candidates the root owns
 (as their minimum vertex) through its row, checks their antipodal pairs
 that start at the root and defers every other pair to the row of its
 smaller vertex, which comes later; then it drops the row.  Three BFS
-before the pass bound every eccentricity, so a row that cannot raise the
-diameter ends as deep as the census reads it.
+before the pass bound every eccentricity, and every row the pass finishes
+tightens the bounds of the vertices near its root, so a row that cannot
+raise the diameter ends as deep as the census reads it.
 """
 
 from __future__ import annotations
@@ -179,14 +180,15 @@ def _distances_only(*_) -> bool:
 def _eccentricity_bounds(
     adjacency: tuple[tuple[int, ...], ...],
 ) -> tuple[bool, int, list[int]]:
-    """(connected, longest, upper) from three BFS rows, distances only.
+    """(connected, longest, upper): bounds from three BFS, distances only.
 
     The first runs from vertex 0 and settles connectivity, the second from
     the farthest vertex a of the first, the third from the middle c of a
     shortest path from a to the farthest vertex b of the second.  longest
     is the largest eccentricity they saw, a lower bound on the diameter,
     and upper[w] = ecc(c) + d(c, w) bounds ecc(w) from above by the
-    triangle inequality.  A disconnected graph gets no bounds (upper is
+    triangle inequality.  The census pass lowers upper further from each
+    row it finishes.  A disconnected graph gets no bounds (upper is
     empty): its diameter is infinite whatever the rows show.
     """
     if not adjacency:
@@ -219,19 +221,26 @@ def _count_cutoff(
     root (pending is flat [larger vertex, candidate index, ...]) lies at
     distance d or less; (b) root's first cycle event was found while
     scanning a level above d, so its girth event and far-edge count are
-    complete; (c) no vertex at level d has one shortest path that runs
-    through vertices above root, so no candidate root owns reaches level d.
-    The vertices that do, the clean frontier, advance level by level, and
-    the pending depth is read at the first check that passes (b).  Its
-    answer then is finish: True finishes the row's distances, DROP_TAIL
-    drops them.
+    complete; (c) the clean vertices at level d, those with one shortest
+    path that runs through vertices above root, descend from fewer than
+    two of root's neighbors, its branches.  Both arms of a candidate root
+    owns run through clean vertices and meet only at root, so its two ends
+    at level d' are clean vertices of distinct branches; a clean vertex
+    below level d descends from one at level d of its branch, so with
+    fewer than two branches left root owns nothing at level d or deeper.
+    The clean frontier advances level by level, branch by branch, and the
+    pending depth is read at the first check that passes (b).  Its answer
+    then is finish: True finishes the row's distances, DROP_TAIL drops
+    them.
     """
     depth = None
-    clean = [root]
-    clean_level = 0
+    # the clean frontier at clean_level, one list per branch: the clean
+    # vertices that descend from one neighbor of root above it
+    branches = [[w] for w in adjacency[root] if w > root]
+    clean_level = 1
 
     def reached(d, dist, sigma, level, merged) -> bool | int:
-        nonlocal depth, clean, clean_level
+        nonlocal depth, branches, clean_level
         # merges found so far were found while scanning levels above d
         if not merged and not (level and dist[level[0][0]] < d):
             return False
@@ -243,15 +252,19 @@ def _count_cutoff(
             )
         if d < depth:
             return False
-        while clean and clean_level < d:
+        while len(branches) > 1 and clean_level < d:
             clean_level += 1
-            clean = [
-                w
-                for x in clean
-                for w in adjacency[x]
-                if dist[w] == clean_level and sigma[w] == 1 and w > root
+            branches = [
+                frontier
+                for branch in branches
+                if (frontier := [
+                    w
+                    for x in branch
+                    for w in adjacency[x]
+                    if dist[w] == clean_level and sigma[w] == 1 and w > root
+                ])
             ]
-        return not clean and finish
+        return len(branches) < 2 and finish
 
     return reached
 
@@ -272,17 +285,22 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     never straddle components, so the census covers every component.
 
     A root's row counts shortest paths only as deep as the pass reads them.
-    A root owns only cycles whose vertices all lie above it, so once no
-    vertex at level d has a single shortest path through such vertices, no
-    live pair deferred to the root lies deeper than d and the root's girth
-    events are complete, sigma below level d is never read.  The rest of
-    the row, distances only, matters only to the diameter.  Three BFS
-    before the pass (see _eccentricity_bounds) give every vertex w an upper
-    bound upper[w] on its eccentricity, and longest, the largest
-    eccentricity seen so far, is a lower bound on the diameter.  A row
-    whose upper bound is at most longest cannot raise the diameter, so it
-    drops its distance-only tail; any other row finishes it and raises
-    longest to its eccentricity.  A disconnected graph drops every tail.
+    A root owns only cycles whose two arms run through vertices above it
+    with one shortest path each and meet only at the root, so once the
+    vertices at level d with a single shortest path through such vertices
+    descend from fewer than two of the root's neighbors, no live pair
+    deferred to the root lies deeper than d and the root's girth events
+    are complete, sigma below level d is never read.  The rest of the row,
+    distances only, matters only to the diameter.  Three BFS before the
+    pass (see _eccentricity_bounds) give every vertex w an upper bound
+    upper[w] on its eccentricity, and longest, the largest eccentricity
+    seen so far, is a lower bound on the diameter.  A row whose upper bound
+    is at most longest cannot raise the diameter, so it drops its
+    distance-only tail; any other row finishes it, raises longest to its
+    eccentricity e and lowers upper[w] to e + d(v, w) for the vertices w
+    of its BFS-order prefix where that is at most longest.  A row that
+    dropped its tail bounds nothing: its last distance may fall short of
+    its eccentricity.  A disconnected graph drops every tail.
     """
     adjacency = g.adjacency
     n = g.n
@@ -302,8 +320,18 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
         dist, sigma, order, level, merged = _bfs(
             adjacency, v, _count_cutoff(adjacency, v, pending, targets, finish)
         )
-        if dist[order[-1]] > longest:
-            longest = dist[order[-1]]
+        ecc = dist[order[-1]]
+        if ecc > longest:
+            longest = ecc
+        if finish is True:
+            # a finished row is exact, so ecc(w) <= ecc + d(v, w); a bound
+            # above longest settles no row unless longest grows later
+            for w in order:
+                bound = ecc + dist[w]
+                if bound > longest:
+                    break
+                if bound < upper[w]:
+                    upper[w] = bound
         pairs = iter(pending)
         for w, cid in zip(pairs, pairs):
             target = targets[cid]

@@ -7,7 +7,9 @@ they grow.  The one BFS loop lives here.  The census pass in convexity
 runs it three times for eccentricity bounds, then once per root, and keeps
 no row past its own root.  A stop test can end a row's path counting
 early and either finish its distances, which an eccentricity needs, or
-drop them when the bounds show the row cannot raise the diameter.
+drop them when the bounds show the row cannot raise the diameter.  Each
+finished row tightens the bounds of the vertices near its root by the
+triangle inequality; a row whose distances were dropped bounds nothing.
 """
 
 from __future__ import annotations

@@ -218,7 +218,10 @@ class TestReferencePipeline:
             self.check(g)
 
     def test_seeded_gnp(self):
-        for i in range(400):
+        # 753 and 1346 get a diameter short by two and by one when a row
+        # that dropped its tail, whose last distance falls short of its
+        # eccentricity, tightens the eccentricity bounds
+        for i in [*range(400), 753, 1346]:
             n = 3 + i % 38
             p = (0.05, 0.1, 0.2, 0.35)[i % 4]
             self.check(cc.gnp_random_graph(n, p, 12_000 + i))
@@ -280,6 +283,39 @@ class TestFarEdgeCheck:
             profile, _ = cc.profile_and_census(g)
             odd += profile.girth != math.inf and profile.girth % 2 == 1
         assert odd > 400
+
+
+class TestCountCutoff:
+    # root 0 -- 1, the triangle 1 2 3, the hexagon 2 4 5 6 7 3, the
+    # pentagon 5 8 10 9 6 and the square 10 11 13 12: every vertex above 0
+    # descends from 1, so the whole graph is one branch of 0
+    ONE_BRANCH = [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5), (3, 7), (7, 6),
+                  (5, 6), (5, 8), (6, 9), (8, 10), (9, 10), (10, 11), (10, 12),
+                  (11, 13), (12, 13)]
+
+    @pytest.mark.parametrize(
+        "tail, expected",
+        [([], [(5, True)]), ([(0, 14), (14, 15), (15, 16), (16, 17), (17, 18)],
+                             [(5, False), (7, True)])],
+        ids=["one-branch", "second-branch-ends-at-level-5"],
+    )
+    def test_counting_stops_below_two_branches(self, tail, expected):
+        # the first merge, into 10 at level 6, is put to the test at level
+        # 5 after the girth event at level 2; 8 and 9 still have one
+        # shortest path each, but with one branch 0 owns no cycle through
+        # them, while a second clean branch keeps the row counting until
+        # it ends
+        g = cc.Graph(19 if tail else 14, self.ONE_BRANCH + tail)
+        cutoff = convexity._count_cutoff(g.adjacency, 0, (), [], True)
+        asked = []
+
+        def stop(d, *rest):
+            asked.append((d, cutoff(d, *rest)))
+            return asked[-1][1]
+
+        convexity._bfs(g.adjacency, 0, stop)
+        assert asked == expected
+        TestReferencePipeline.check(g)
 
 
 class TestRelabelling:
