@@ -21,12 +21,14 @@ print("path counts:", record.sigma)
 # endpoints sit at equal distance with unique shortest paths.  From root 0
 # that is the edge 2-3, at distance 2 with one path to each end.
 odd_pairs = [
-    (e, 0) for e in c5.edge_list
-    if record.dist[e.u] == record.dist[e.v] >= 1
-    and record.sigma[e.u] == record.sigma[e.v] == 1
+    ((u, v), 0) for u, v in c5.edge_list
+    if record.dist[u] == record.dist[v] >= 1
+    and record.sigma[u] == record.sigma[v] == 1
 ]
 print("odd antipodal pairs of root 0:", odd_pairs)
-print("census:", census.total, "cycle(s):", [c.vertices for c in census.cycles])
+# A census lists each convex cycle as a vertex tuple in canonical order:
+# from its smallest vertex towards the smaller of that vertex's neighbors.
+print("census:", census.total, "cycle(s):", census.cycles)
 
 # ## An even cycle uses the other pair type: two shortest paths
 
@@ -44,9 +46,10 @@ print("\nK_{2,3} path counts from vertex 2:", row.sigma)
 
 # A cycle is convex exactly when each of its antipodal pairs (here the two
 # diagonals of the square) is joined by the on-cycle paths only.  The
-# pair (0, 1) has *three* shortest paths, so no square is convex:
-square = cc.Cycle((0, 2, 1, 3))
-print("square", square.vertices, "convex?", cc.is_convex_cycle(k23, square))
+# pair (0, 1) has *three* shortest paths, so no square is convex.  The
+# test takes the cycle's vertices in cyclic order, from any start:
+square = (0, 2, 1, 3)
+print("square", square, "convex?", cc.is_convex_cycle(k23, square))
 print("K_{2,3} census:", cc.profile_and_census(k23)[1].total)
 
 # ## The Petersen graph, and the brute-force cross-check

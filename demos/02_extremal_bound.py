@@ -56,9 +56,11 @@ for name, g in [
 #
 # Attaching a degree-1 vertex adds no convex cycle, so the census is
 # unchanged while n and m both grow: equality (when present) breaks.
+# A graph is its adjacency; edge_list reads its edges back from it as
+# (u, v) pairs with u < v, ready to extend.
 
 petersen = cc.petersen_graph()
-grown = cc.Graph(11, list(petersen.edge_list) + [(0, 10)])
+grown = cc.Graph(11, [*petersen.edge_list, (0, 10)])
 print()
 survey("Petersen", petersen)
 survey("Petersen + pendant", grown)

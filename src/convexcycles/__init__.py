@@ -3,7 +3,6 @@ even-cycle / Moore-graph equality classification, and exact spectral
 girth-cycle counting for simple graphs."""
 
 from .convexity import (
-    Cycle,
     CycleCensus,
     brute_force_convex_cycles,
     canonical_cycle,
@@ -36,7 +35,6 @@ from .extremal import (
 )
 from .formats import load_graph_text, parse_edge_list, parse_graph6, write_graph6
 from .graphs import (
-    Edge,
     Graph,
     complete_bipartite_graph,
     complete_graph,
@@ -71,12 +69,10 @@ __all__ = [
     "Classification",
     "ConsistencyError",
     "ConvexCyclesError",
-    "Cycle",
     "CycleCensus",
     "Disconnected",
     "DistanceRecord",
     "DuplicateEdge",
-    "Edge",
     "ExtremalReport",
     "Graph",
     "InconsistentInput",

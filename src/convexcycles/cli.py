@@ -27,7 +27,7 @@ from .errors import (
     NotApplicable,
     ParseError,
 )
-from .extremal import check_extremal, check_moore_by_count, is_moore
+from .extremal import Classification, check_extremal, check_moore_by_count, is_moore
 from .formats import load_graph_text, write_graph6
 from .graphs import Graph, generate
 from .metric import MetricProfile
@@ -86,7 +86,7 @@ def _extremal_section(g: Graph, profile: MetricProfile, census: CycleCensus) -> 
         return {
             "applicable": False,
             "reason": str(exc),
-            "classification": "NotApplicable",
+            "classification": Classification.NOT_APPLICABLE.value,
             "bound": None,
             "equality": False,
         }
@@ -244,7 +244,7 @@ def _cmd_oracle(args) -> int:
     profile, census = phases.run("census", profile_and_census, g)
     oracle = phases.run("oracle", brute_force_convex_cycles, g, max_len)
     # both censuses list their cycles sorted by (length, vertices)
-    passed = tuple(c for c in census.cycles if c.length <= max_len)
+    passed = tuple(c for c in census.cycles if len(c) <= max_len)
     if oracle.cycles != passed:
         raise ConsistencyError(
             f"brute-force census up to length {max_len} ({oracle.total} cycles) "

@@ -49,38 +49,29 @@ def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Cycle:
-    """A cycle stored in canonical vertex order."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", canonical_cycle(self.vertices))
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class CycleCensus:
-    """Convex cycles with their odd/even split and length histogram."""
+    """Convex cycles with their odd/even split and length histogram.
 
-    cycles: tuple[Cycle, ...]
+    Each cycle is a vertex tuple in canonical order (see canonical_cycle),
+    and cycles are sorted by (length, vertices).
+    """
+
+    cycles: tuple[tuple[int, ...], ...]
     total: int
     odd_count: int
     even_count: int
     by_length: dict[int, int] = field(compare=False)
 
     @classmethod
-    def from_cycles(cls, cycles: Iterable[Cycle]) -> "CycleCensus":
-        """Census of distinct cycles; a repeated cycle is counted twice."""
-        ordered = sorted(cycles, key=lambda c: (c.length, c.vertices))
+    def from_cycles(cls, cycles: Iterable[tuple[int, ...]]) -> "CycleCensus":
+        """Census of distinct cycles, each in canonical order; a repeated
+        cycle is counted twice."""
+        ordered = sorted(cycles, key=lambda c: (len(c), c))
         histogram: dict[int, int] = {}
         odd = 0
         for c in ordered:
-            histogram[c.length] = histogram.get(c.length, 0) + 1
-            odd += c.length % 2
+            histogram[len(c)] = histogram.get(len(c), 0) + 1
+            odd += len(c) % 2
         return cls(
             cycles=tuple(ordered),
             total=len(ordered),
@@ -123,6 +114,7 @@ def _owned_cycle(
         for b in adjacency[b]:
             if dist[b] == d:
                 break
+    # canonical order: owner, the minimum, then its smaller neighbor
     if left[-1] > right[-1]:
         left, right = right, left
     left.reverse()
@@ -159,10 +151,11 @@ def _lemma_holds(
     return True
 
 
-def is_convex_cycle(g: Graph, c: Cycle) -> bool:
-    """Check convexity through the antipodal-pair test, with one BFS per
-    distinct smaller vertex of a pair."""
-    verts = c.vertices
+def is_convex_cycle(g: Graph, vertices: Sequence[int]) -> bool:
+    """Check convexity of the cycle through vertices, in cyclic order and
+    from any start, by the antipodal-pair test with one BFS per distinct
+    smaller vertex of a pair."""
+    verts = canonical_cycle(vertices)
     for v in verts:
         if not 0 <= v < g.n:
             raise InvalidCycle(f"vertex {v} outside 0..{g.n - 1}")
@@ -374,7 +367,7 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
             candidates.append(cycle)
             targets.append(target)
     census = CycleCensus.from_cycles(
-        Cycle(c) for c, t in zip(candidates, targets) if t is not None
+        c for c, t in zip(candidates, targets) if t is not None
     )
     shortest = min(odd_best, even_best)
     if shortest == odd_best != math.inf:
@@ -395,18 +388,19 @@ def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:
     Exponential; meant for small graphs."""
     rows = [bfs_record(g, r) for r in range(g.n)]
     adjacency = g.adjacency
-    found: list[Cycle] = []
+    found: list[tuple[int, ...]] = []
     on_path = [False] * g.n
     for start in range(g.n):
         # depth-first over simple paths from their minimum vertex, one
-        # neighbor iterator per vertex of the current path
+        # neighbor iterator per vertex of the current path; a closed path
+        # with path[1] < path[-1] is its cycle in canonical order
         path = [start]
         on_path[start] = True
         stack = [iter(adjacency[start])]
         while stack:
             for w in stack[-1]:
                 if w == start and len(path) >= 3 and path[1] < path[-1]:
-                    found.append(Cycle(tuple(path)))
+                    found.append(tuple(path))
                 elif w > start and not on_path[w] and len(path) < max_len:
                     on_path[w] = True
                     path.append(w)
@@ -415,7 +409,7 @@ def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:
             else:
                 stack.pop()
                 on_path[path.pop()] = False
-    return CycleCensus.from_cycles(c for c in found if _lemma_holds(rows, c.vertices))
+    return CycleCensus.from_cycles(c for c in found if _lemma_holds(rows, c))
 
 
 def girth_cycle_count(profile: MetricProfile, census: CycleCensus) -> int:

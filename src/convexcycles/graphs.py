@@ -3,65 +3,51 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import DuplicateEdge, InvalidEdge, InvalidParameter, OutOfRange
-
-
-class _EdgeBase(NamedTuple):
-    u: int
-    v: int
-
-
-class Edge(_EdgeBase):
-    """Unordered vertex pair, normalized so that u < v."""
-
-    __slots__ = ()
-
-    def __new__(cls, u: int, v: int) -> "Edge":
-        if u == v:
-            raise InvalidEdge(f"loop edge ({u}, {u}) is not allowed in a simple graph")
-        if u > v:
-            u, v = v, u
-        return super().__new__(cls, u, v)
 
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency lists are sorted tuples; instances are immutable after
-    construction and safe to share between threads.
+    The graph is its adjacency: one sorted tuple of neighbors per vertex.
+    Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "m", "adjacency", "edge_list")
+    __slots__ = ("n", "m", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidParameter(f"vertex count must be non-negative, got {n}")
-        seen: set[Edge] = set()
-        adjacency: list[list[int]] = [[] for _ in range(n)]
+        neighbors: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise OutOfRange(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            e = Edge(u, v)
-            if e in seen:
-                raise DuplicateEdge(f"edge ({e.u}, {e.v}) supplied more than once")
-            seen.add(e)
-            adjacency[e.u].append(e.v)
-            adjacency[e.v].append(e.u)
+            if u == v:
+                raise InvalidEdge(f"loop edge ({u}, {u}) is not allowed in a simple graph")
+            if v in neighbors[u]:
+                raise DuplicateEdge(
+                    f"edge ({min(u, v)}, {max(u, v)}) supplied more than once"
+                )
+            neighbors[u].add(v)
+            neighbors[v].add(u)
         self.n = n
-        self.m = len(seen)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adjacency
+            tuple(sorted(nbrs)) for nbrs in neighbors
         )
-        self.edge_list: tuple[Edge, ...] = tuple(sorted(seen))
+        self.m = sum(map(len, self.adjacency)) // 2
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+    @property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as (u, v) with u < v, in increasing order."""
+        return tuple(
+            (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v
+        )
 
     def regular_degree(self) -> int | None:
         """Common vertex degree, or None when the graph is not regular."""
-        degs = set(self.degrees())
+        degs = set(map(len, self.adjacency))
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -69,10 +55,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edge_list == other.edge_list
+        return self.adjacency == other.adjacency
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_list))
+        return hash(self.adjacency)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -28,8 +28,8 @@ def subdivided(g: cc.Graph, pieces: int) -> cc.Graph:
     """g with every edge cut into `pieces` edges by new inner vertices."""
     n = g.n
     edges = []
-    for e in g.edge_list:
-        chain = [e.u, *range(n, n + pieces - 1), e.v]
+    for u, v in g.edge_list:
+        chain = [u, *range(n, n + pieces - 1), v]
         n += pieces - 1
         edges += zip(chain, chain[1:])
     return cc.Graph(n, edges)

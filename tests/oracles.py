@@ -280,16 +280,16 @@ def is_convex_cycle_by_definition(g: Graph, verts: tuple[int, ...]) -> bool:
 
 def triangle_count(g: Graph) -> int:
     total = 0
-    for e in g.edge_list:
-        total += len(set(g.adjacency[e.u]) & set(g.adjacency[e.v]))
+    for u, v in g.edge_list:
+        total += len(set(g.adjacency[u]) & set(g.adjacency[v]))
     return total // 3
 
 
 def adjacency_matrix(g: Graph) -> list[list[int]]:
     mat = [[0] * g.n for _ in range(g.n)]
-    for e in g.edge_list:
-        mat[e.u][e.v] = 1
-        mat[e.v][e.u] = 1
+    for u, v in g.edge_list:
+        mat[u][v] = 1
+        mat[v][u] = 1
     return mat
 
 

@@ -251,6 +251,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("0 1\n1 2\n2 1\n3 3\n", "edge (1, 2) supplied more than once"),
+            ("0 1\n3 3\n1 0\n", "loop edge (3, 3) is not allowed in a simple graph"),
+            ("0 1\n0 1\n", "edge (0, 1) supplied more than once"),
+        ],
+    )
+    def test_first_bad_edge_is_the_one_reported(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert cc.cli_run(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("module", ["convexcycles.cli", "convexcycles"])
     def test_refusal_is_one_stderr_line(self, tmp_path, module):
         path = tmp_path / "huge.txt"

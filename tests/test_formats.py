@@ -145,7 +145,7 @@ class TestEdgeList:
 
     def test_roundtrip(self):
         g = cc.gnp_random_graph(9, 0.5, 77)
-        text = "".join(f"{e.u} {e.v}\n" for e in g.edge_list)
+        text = "".join(f"{u} {v}\n" for u, v in g.edge_list)
         assert cc.parse_edge_list(text) == g
 
     @pytest.mark.parametrize(

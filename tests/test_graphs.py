@@ -40,10 +40,9 @@ class TestConstruction:
             cc.Graph(3, [(-1, 0)])
 
     def test_edge_normalized(self):
-        e = cc.Edge(5, 2)
-        assert (e.u, e.v) == (2, 5)
+        assert cc.Graph(6, [(5, 2)]).edge_list == ((2, 5),)
         with pytest.raises(cc.InvalidEdge):
-            cc.Edge(3, 3)
+            cc.Graph(4, [(3, 3)])
 
     @given(graphs())
     def test_invariants(self, g: cc.Graph):
@@ -85,7 +84,7 @@ class TestGenerators:
     def test_complete_bipartite(self):
         g = cc.complete_bipartite_graph(2, 3)
         assert g.n == 5 and g.m == 6
-        assert g.degrees() == (3, 3, 2, 2, 2)
+        assert tuple(map(len, g.adjacency)) == (3, 3, 2, 2, 2)
         with pytest.raises(cc.InvalidParameter):
             cc.complete_bipartite_graph(0, 3)
 

@@ -52,8 +52,8 @@ class TestBfsRecord:
     @given(graphs(min_n=1, max_n=7))
     def test_edge_distance_gap_at_most_one(self, g: cc.Graph):
         rec = cc.bfs_record(g, 0)
-        for e in g.edge_list:
-            du, dv = rec.dist[e.u], rec.dist[e.v]
+        for u, v in g.edge_list:
+            du, dv = rec.dist[u], rec.dist[v]
             if du is not None or dv is not None:
                 assert du is not None and dv is not None
                 assert abs(du - dv) <= 1
