@@ -8,10 +8,10 @@ floor(L/2) and is joined by one shortest path (odd L) or two (even L).
 Odd candidates come from (edge, vertex) pairs whose endpoints sit at equal
 distance from the vertex with unique shortest paths, even candidates from
 vertex pairs joined by exactly two shortest paths.  The pass visits roots
-in increasing order with one BFS each, walks the candidates the root owns
-(as their minimum vertex) through its row, checks their antipodal pairs
-that start at the root and defers every other pair to the row of its
-smaller vertex, which comes later; then it drops the row.  Three BFS
+in increasing order with one BFS each, takes the candidates the root owns
+(as their minimum vertex) from its clean frontier, defers each of their
+antipodal pairs that does not start at the root to the row of its smaller
+vertex, which comes later, and then drops the row.  Three BFS
 before the pass bound every eccentricity, and every row the pass finishes
 tightens the bounds of the vertices near its root, so a row that cannot
 raise the diameter ends as deep as the census reads it.
@@ -79,46 +79,6 @@ class CycleCensus:
             even_count=len(ordered) - odd,
             by_length=histogram,
         )
-
-
-def _owned_cycle(
-    adjacency: tuple[tuple[int, ...], ...],
-    dist: Sequence[int | None],
-    owner: int,
-    a: int,
-    b: int,
-    far: tuple[int, ...],
-) -> tuple[int, ...] | None:
-    """The cycle owner ~ a, *far, b ~ owner in canonical order, or None.
-
-    a and b are distinct, at equal distance from owner and with one shortest
-    path each; dist is owner's BFS row, so every step back to owner has one
-    neighbor at distance d - 1.  Both walks stay at equal distance, so they
-    share a vertex only if they meet on the same level.  None when a walk
-    passes a vertex below owner (owner is not the candidate's minimum) or
-    the walks meet before owner (the paths are not internally disjoint).
-    """
-    left = []
-    right = []
-    d = dist[a]
-    while d:
-        if a < owner or b < owner or a == b:
-            return None
-        left.append(a)
-        right.append(b)
-        d -= 1
-        # step each walk to its one neighbor a level closer to owner
-        for a in adjacency[a]:
-            if dist[a] == d:
-                break
-        for b in adjacency[b]:
-            if dist[b] == d:
-                break
-    # canonical order: owner, the minimum, then its smaller neighbor
-    if left[-1] > right[-1]:
-        left, right = right, left
-    left.reverse()
-    return (owner, *left, *far, *right)
 
 
 def _antipodal_pairs(verts: Sequence[int]) -> list[tuple[int, int]]:
@@ -206,37 +166,91 @@ def _count_cutoff(
     pending: Sequence[int],
     targets: Sequence[tuple[int, int] | None],
     finish: bool | int,
-) -> Callable[..., bool | int]:
-    """The stop test metric._bfs puts to root's census row, as a closure.
+    branch: list[int],
+    pred: list[int],
+) -> tuple[Callable[..., bool | int], Callable[..., tuple[list, int | None]]]:
+    """Root's census sweep, as two closures (reached, rest).
 
-    Asked while the row scans level d, it ends path counting when the pass
-    reads no sigma at level d + 1 or below: (a) every live pair deferred to
-    root (pending is flat [larger vertex, candidate index, ...]) lies at
-    distance d or less; (b) root's first cycle event was found while
-    scanning a level above d, so its girth event and far-edge count are
-    complete; (c) the clean vertices at level d, those with one shortest
-    path that runs through vertices above root, descend from fewer than
-    two of root's neighbors, its branches.  Both arms of a candidate root
-    owns run through clean vertices and meet only at root, so its two ends
-    at level d' are clean vertices of distinct branches; a clean vertex
-    below level d descends from one at level d of its branch, so with
-    fewer than two branches left root owns nothing at level d or deeper.
-    The clean frontier advances level by level, branch by branch, and the
-    pending depth is read at the first check that passes (b).  Its answer
-    then is finish: True finishes the row's distances, DROP_TAIL drops
-    them.
+    A clean vertex has one shortest path from root, through vertices above
+    root, and its branch is the neighbor of root it descends from.  Both
+    arms of a candidate root owns (as its minimum) run through clean
+    vertices of two branches, so stepping the clean frontier from level d
+    to d + 1 finds every one: a same-level edge at level d with clean ends
+    in two branches closes an odd candidate, a vertex above root at level
+    d + 1 with sigma 2 and clean predecessors in two branches an even one.
+    Arms read back through pred, each clean vertex's one predecessor; the
+    pairs at root hold by construction (arm ends sit at distance d with
+    sigma 1, far vertices at d + 1 with sigma 2).  With fewer than two
+    branches at level d, root owns nothing at level d or deeper.
+
+    reached, the stop test of root's row, asked while the row scans level
+    d, records d + 1 as the first merge level at its first call, and ends
+    path counting when the pass reads no sigma at level d + 1 or below:
+    (a) every live pair deferred to root (pending is flat [larger vertex,
+    candidate index, ...]) lies at distance d or less, (b) root's first
+    cycle event was found while scanning a level above d, so its girth
+    event and far-edge count are complete, and (c) the frontier, stepped
+    to level d, spans fewer than two branches.  The pending depth is read
+    at the first check that passes (b).  Its answer then is finish: True
+    finishes the row's distances, DROP_TAIL drops them.  rest(dist, sigma)
+    runs the sweep on after the row until fewer than two branches are left
+    and returns (owned, merge): root's candidates in canonical order and
+    the first merge level, or None.
     """
-    depth = None
-    # the clean frontier at clean_level, one list per branch: the clean
-    # vertices that descend from one neighbor of root above it
+    depth = merge = None
+    owned: list[tuple[int, ...]] = []
+    # a vertex of sigma 2 -> the first clean predecessor that reached it
+    half: dict[int, int] = {}
+    # the clean frontier at clean_level, one list per branch, in order;
+    # clean x is labelled root * n + its branch, above earlier roots' labels
     branches = [[w] for w in adjacency[root] if w > root]
+    for (w,) in branches:
+        branch[w] = root * len(adjacency) + w
+        pred[w] = root
     clean_level = 1
 
-    def reached(d, dist, sigma, level, merged) -> bool | int:
-        nonlocal depth, branches, clean_level
-        # merges found so far were found while scanning levels above d
-        if not merged and not (level and dist[level[0][0]] < d):
-            return False
+    def arm(x: int) -> list[int]:
+        """x and its clean predecessors down to level 1."""
+        path = [x]
+        while (x := pred[x]) != root:
+            path.append(x)
+        return path
+
+    def sweep(dist, sigma, last: int) -> None:
+        nonlocal branches, clean_level
+        while len(branches) > 1 and clean_level < last:
+            d = clean_level
+            clean_level += 1
+            stepped = []
+            for frontier in branches:
+                ahead = []
+                for x in frontier:
+                    bx = branch[x]
+                    for w in adjacency[x]:
+                        dw = dist[w]
+                        # each same-level edge once, from its smaller branch
+                        if dw == d and branch[w] > bx:
+                            owned.append((root, *arm(x)[::-1], *arm(w)))
+                        elif dw == clean_level and w > root:
+                            s = sigma[w]
+                            if s == 1:
+                                branch[w] = bx
+                                pred[w] = x
+                                ahead.append(w)
+                            elif s == 2 and (a := half.setdefault(w, x)) != x:
+                                # a came first, so from the smaller branch
+                                if branch[a] != bx:
+                                    owned.append((root, *arm(a)[::-1], w, *arm(x)))
+                if ahead:
+                    stepped.append(ahead)
+            branches = stepped
+
+    def reached(d, dist, sigma, odd) -> bool | int:
+        nonlocal depth, merge
+        if merge is None:
+            merge = d + 1
+            if odd >= d:
+                return False
         if depth is None:
             it = iter(pending)
             depth = max(
@@ -245,21 +259,14 @@ def _count_cutoff(
             )
         if d < depth:
             return False
-        while len(branches) > 1 and clean_level < d:
-            clean_level += 1
-            branches = [
-                frontier
-                for branch in branches
-                if (frontier := [
-                    w
-                    for x in branch
-                    for w in adjacency[x]
-                    if dist[w] == clean_level and sigma[w] == 1 and w > root
-                ])
-            ]
+        sweep(dist, sigma, d)
         return len(branches) < 2 and finish
 
-    return reached
+    def rest(dist, sigma) -> tuple[list[tuple[int, ...]], int | None]:
+        sweep(dist, sigma, len(adjacency))
+        return owned, merge
+
+    return reached, rest
 
 
 def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
@@ -267,33 +274,29 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
 
     Every convex cycle reconstructs from each of its antipodal pairs, so
     exactly one pair of each has the cycle's minimum vertex as its apex
-    (odd) or as its smaller end (even); each root walks only the candidates
-    it owns that way, and each candidate is walked once.  Girth is the
-    least 2d+1 over same-level edges and 2d over vertices with two or more
-    shortest paths.  For odd girth g = 2k+1 each girth cycle shows one
-    same-level edge at level k to each of its g vertices and no other such
-    edge exists, so g times the census's girth-cycle count must equal that
-    edge count; a mismatch raises ConsistencyError.  Memory is O(n + m)
-    for the current row plus O(L) per candidate L-cycle.  Antipodal pairs
-    never straddle components, so the census covers every component.
+    (odd) or as its smaller end (even); each root builds only the
+    candidates it owns that way, so each candidate is built once.  Girth
+    is the least 2d+1 over same-level edges and 2d over vertices with two
+    or more shortest paths.  For odd girth g = 2k+1 each girth cycle shows
+    one same-level edge at level k to each of its g vertices and no other
+    such edge exists, so g times the census's girth-cycle count must equal
+    that edge count; a mismatch raises ConsistencyError.  Memory is
+    O(n + m) for the current row plus O(L) per candidate L-cycle.
+    Antipodal pairs never straddle components, so the census covers every
+    component.
 
-    A root's row counts shortest paths only as deep as the pass reads them.
-    A root owns only cycles whose two arms run through vertices above it
-    with one shortest path each and meet only at the root, so once the
-    vertices at level d with a single shortest path through such vertices
-    descend from fewer than two of the root's neighbors, no live pair
-    deferred to the root lies deeper than d and the root's girth events
-    are complete, sigma below level d is never read.  The rest of the row,
-    distances only, matters only to the diameter.  Three BFS before the
-    pass (see _eccentricity_bounds) give every vertex w an upper bound
-    upper[w] on its eccentricity, and longest, the largest eccentricity
-    seen so far, is a lower bound on the diameter.  A row whose upper bound
-    is at most longest cannot raise the diameter, so it drops its
-    distance-only tail; any other row finishes it, raises longest to its
-    eccentricity e and lowers upper[w] to e + d(v, w) for the vertices w
-    of its BFS-order prefix where that is at most longest.  A row that
-    dropped its tail bounds nothing: its last distance may fall short of
-    its eccentricity.  A disconnected graph drops every tail.
+    A row counts shortest paths only as deep as the pass reads them (see
+    _count_cutoff); the rest, distances only, matters only to the
+    diameter.  Three BFS before the pass (see _eccentricity_bounds) give
+    every vertex w an upper bound upper[w] on its eccentricity, and
+    longest, the largest eccentricity seen so far, bounds the diameter
+    from below.  A row whose upper bound is at most longest cannot raise
+    the diameter, so it drops its distance-only tail; any other row
+    finishes it, raises longest to its eccentricity e and lowers upper[w]
+    to e + d(v, w) for the vertices w of its BFS-order prefix where that
+    is at most longest.  A row that dropped its tail bounds nothing: its
+    last distance may fall short of its eccentricity.  A disconnected
+    graph drops every tail.
     """
     adjacency = g.adjacency
     n = g.n
@@ -307,12 +310,14 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     targets: list[tuple[int, int] | None] = []
     # smaller vertex of a pair -> flat [larger vertex, candidate index, ...]
     deferred: dict[int, list[int]] = {}
+    # each clean vertex's branch label and predecessor, kept across roots
+    branch = [0] * n
+    pred = [0] * n
     for v in range(n):
         pending = deferred.pop(v, ())
         finish = True if connected and upper[v] > longest else DROP_TAIL
-        dist, sigma, order, level, merged = _bfs(
-            adjacency, v, _count_cutoff(adjacency, v, pending, targets, finish)
-        )
+        stop, rest = _count_cutoff(adjacency, v, pending, targets, finish, branch, pred)
+        dist, sigma, order, odd, edges = _bfs(adjacency, v, stop)
         ecc = dist[order[-1]]
         if ecc > longest:
             longest = ecc
@@ -330,42 +335,21 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
             target = targets[cid]
             if target is not None and (dist[w], sigma[w]) != target:
                 targets[cid] = None
-        if level:
-            d = dist[level[0][0]]
-            if 2 * d + 1 <= odd_best:
-                if 2 * d + 1 < odd_best:
-                    odd_best = 2 * d + 1
-                    far_edges = 0
-                for x, _ in level:
-                    if dist[x] != d:
-                        break
-                    far_edges += 1
-        if merged and 2 * dist[merged[0]] < even_best:
-            even_best = 2 * dist[merged[0]]
-        # level holds each edge once as (x, y) with x < y
-        owned = [
-            _owned_cycle(adjacency, dist, v, x, y, ())
-            for x, y in level
-            if x > v and sigma[x] == 1 and sigma[y] == 1
-        ]
-        for w in merged:
-            # a merged vertex has two or more predecessors, so sigma 2
-            # means exactly two, each with one shortest path
-            if w > v and sigma[w] == 2:
-                d = dist[w] - 1
-                a, b = [u for u in adjacency[w] if dist[u] == d]
-                owned.append(_owned_cycle(adjacency, dist, v, a, b, (w,)))
-        for cycle in filter(None, owned):
+        if edges and 2 * odd + 1 <= odd_best:
+            if 2 * odd + 1 < odd_best:
+                odd_best = 2 * odd + 1
+                far_edges = 0
+            far_edges += edges
+        owned, merge = rest(dist, sigma)
+        if merge is not None and 2 * merge < even_best:
+            even_best = 2 * merge
+        for cycle in owned:
             cid = len(candidates)
-            target = _lemma_target(len(cycle))
             for lo, hi in _antipodal_pairs(cycle):
                 if lo != v:
                     deferred.setdefault(lo, []).extend((hi, cid))
-                elif (dist[hi], sigma[hi]) != target:
-                    target = None
-                    break
             candidates.append(cycle)
-            targets.append(target)
+            targets.append(_lemma_target(len(cycle)))
     census = CycleCensus.from_cycles(
         c for c, t in zip(candidates, targets) if t is not None
     )

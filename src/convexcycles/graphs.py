@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from operator import eq
+from typing import Iterable, Sequence
 
 from .errors import DuplicateEdge, InvalidEdge, InvalidParameter, OutOfRange
 
@@ -20,22 +21,21 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidParameter(f"vertex count must be non-negative, got {n}")
-        neighbors: list[set[int]] = [set() for _ in range(n)]
+        edges = edges if isinstance(edges, Sequence) else list(edges)
+        neighbors: list = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise OutOfRange(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise InvalidEdge(f"loop edge ({u}, {u}) is not allowed in a simple graph")
-            if v in neighbors[u]:
-                raise DuplicateEdge(
-                    f"edge ({min(u, v)}, {max(u, v)}) supplied more than once"
-                )
-            neighbors[u].add(v)
-            neighbors[v].add(u)
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise _first_fault(n, edges)
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        # a duplicate edge leaves two equal neighbors side by side
+        for u, nbrs in enumerate(neighbors):
+            nbrs.sort()
+            if any(map(eq, nbrs, nbrs[1:])):
+                raise _first_fault(n, edges)
+            neighbors[u] = tuple(nbrs)
         self.n = n
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in neighbors
-        )
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(neighbors)
         self.m = sum(map(len, self.adjacency)) // 2
 
     @property
@@ -62,6 +62,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _first_fault(n: int, edges: Sequence[tuple[int, int]]) -> Exception:
+    """The error for the first faulty edge in input order: out of range,
+    then loop, then duplicate.  Called only when edges holds one."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return OutOfRange(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            return InvalidEdge(f"loop edge ({u}, {u}) is not allowed in a simple graph")
+        edge = (min(u, v), max(u, v))
+        if edge in seen:
+            return DuplicateEdge(f"edge ({edge[0]}, {edge[1]}) supplied more than once")
+        seen.add(edge)
+    raise AssertionError("no faulty edge in the input")
 
 
 def cycle_graph(n: int) -> Graph:

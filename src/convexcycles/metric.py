@@ -5,11 +5,11 @@ girth and diameter use math.inf for "no cycle" / "disconnected".  Path
 counts are plain Python integers, so they stay exact no matter how fast
 they grow.  The one BFS loop lives here.  The census pass in convexity
 runs it three times for eccentricity bounds, then once per root, and keeps
-no row past its own root.  A stop test can end a row's path counting
-early and either finish its distances, which an eccentricity needs, or
-drop them when the bounds show the row cannot raise the diameter.  Each
-finished row tightens the bounds of the vertices near its root by the
-triangle inequality; a row whose distances were dropped bounds nothing.
+no row past its own root.  A row keeps no event lists: it counts the
+same-level edges of its first such level, and its stop test sees each
+level it merges into.  The stop test can end path counting early and
+either finish the distances, which an eccentricity needs, or drop them
+when the bounds show the row cannot raise the diameter.
 """
 
 from __future__ import annotations
@@ -54,31 +54,30 @@ def _bfs(
     root: int,
     stop: Callable[..., bool | int] | None = None,
 ):
-    """One BFS row with the events the census pass reads off it.
+    """One BFS row with the girth events the census pass reads off it.
 
-    Returns (dist, sigma, order, level, merged): the distance and path-count
-    lists, the reached vertices in BFS order, the edges (u, w), u < w, whose
-    ends sit at equal distance, and the vertices that gained a second
-    shortest path, once per extra predecessor.  level and merged come in
-    BFS order, hence by nondecreasing distance.
+    Returns (dist, sigma, order, odd, edges): the distance and path-count
+    lists, the reached vertices in BFS order, the level odd of the row's
+    first same-level edge (len(adjacency) when it has none) and the number
+    of same-level edges at that level.
 
-    stop, when given, is called as stop(d, dist, sigma, level, merged) at
-    the first merge into each level d + 1, before that merge is recorded;
-    sigma is final through level d then.  Once it returns True the row is
-    finished with distances only: dist and order stay exact, sigma is exact
-    only through level d, and level and merged gain nothing more.  Once it
-    returns DROP_TAIL the row is returned as it stands: dist and sigma are
-    exact through level d, some vertices of level d + 1 have their distance
-    and none deeper, order holds just the vertices with a distance, and
-    level and merged gain nothing more.
+    stop, when given, is called as stop(d, dist, sigma, odd) at the first
+    merge into each level d + 1, before that merge is counted; sigma is
+    final through level d then, and odd is the first same-level edge's
+    level so far.  Once it returns True the row is finished with distances
+    only: dist and order stay exact, sigma is exact only through level d,
+    and edges counts nothing more.  Once it returns DROP_TAIL the row is
+    returned as it stands: dist and sigma are exact through level d, some
+    vertices of level d + 1 have their distance and none deeper, order
+    holds just the vertices with a distance, and edges counts nothing more.
     """
     dist: list[int | None] = [None] * len(adjacency)
     sigma = [0] * len(adjacency)
     dist[root] = 0
     sigma[root] = 1
     order = [root]
-    level = []
-    merged = []
+    odd = len(adjacency)
+    edges = 0
     # the last level whose first merge has been put to stop
     checked = -1 if stop else len(adjacency)
     # the loop also visits the vertices it appends, which makes order a queue
@@ -96,12 +95,13 @@ def _bfs(
             elif dw == du1:
                 if du > checked:
                     checked = du
-                    if stopped := stop(du, dist, sigma, level, merged):
+                    if stopped := stop(du, dist, sigma, odd):
                         break
                 sigma[w] += su
-                merged.append(w)
-            elif dw == du and u < w:
-                level.append((u, w))
+            elif dw == du and u < w and du <= odd:
+                # levels never fall along order: the first level counts
+                odd = du
+                edges += 1
         else:
             continue
         # counting stopped while scanning u: unless the tail is dropped,
@@ -114,7 +114,7 @@ def _bfs(
                         dist[w] = du1
                         order.append(w)
         break
-    return dist, sigma, order, level, merged
+    return dist, sigma, order, odd, edges
 
 
 def bfs_record(g: Graph, root: int) -> DistanceRecord:

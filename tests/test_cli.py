@@ -365,26 +365,30 @@ class TestExitCodes:
 
     @staticmethod
     def drop_first_owned_cycle(monkeypatch) -> list[tuple[int, ...]]:
-        """Make the census walk lose its first owned cycle; returns the
+        """Make the census sweep lose its first owned cycle; returns the
         list that receives the lost cycle."""
         import convexcycles.convexity as convexity
 
-        walk = convexity._owned_cycle
+        cutoff = convexity._count_cutoff
         dropped = []
 
         def drop_first(*args):
-            cycle = walk(*args)
-            if cycle is not None and not dropped:
-                dropped.append(cycle)
-                return None
-            return cycle
+            reached, rest = cutoff(*args)
 
-        monkeypatch.setattr(convexity, "_owned_cycle", drop_first)
+            def rest_less_one(*row):
+                owned, merge = rest(*row)
+                if owned and not dropped:
+                    dropped.append(owned.pop(0))
+                return owned, merge
+
+            return reached, rest_less_one
+
+        monkeypatch.setattr(convexity, "_count_cutoff", drop_first)
         return dropped
 
     def test_dropped_girth_cycle_maps_to_three(self, petersen_file, monkeypatch, capsys):
         # the far-edge count reads only BFS rows, so it notices a census
-        # that lost a girth cycle in the walk
+        # that lost a girth cycle in the sweep
         dropped = self.drop_first_owned_cycle(monkeypatch)
         assert cc.cli_run(["analyze", petersen_file]) == 3
         assert len(dropped[0]) == 5

@@ -321,16 +321,59 @@ class TestCountCutoff:
         # them, while a second clean branch keeps the row counting until
         # it ends
         g = cc.Graph(19 if tail else 14, self.ONE_BRANCH + tail)
-        cutoff = convexity._count_cutoff(g.adjacency, 0, (), [], True)
+        cutoff, rest = convexity._count_cutoff(
+            g.adjacency, 0, (), [], True, [0] * g.n, [0] * g.n
+        )
         asked = []
 
-        def stop(d, *rest):
-            asked.append((d, cutoff(d, *rest)))
+        def stop(d, *args):
+            asked.append((d, cutoff(d, *args)))
             return asked[-1][1]
 
-        convexity._bfs(g.adjacency, 0, stop)
+        dist, sigma, *_ = convexity._bfs(g.adjacency, 0, stop)
         assert asked == expected
+        # 0 owns no cycle, and the row's first merge is into 10 at level 6
+        assert rest(dist, sigma) == ([], 6)
         TestReferencePipeline.check(g)
+
+
+class TestCandidateSweep:
+    """Each root's clean-frontier sweep against the walk-and-refuse
+    extraction from full rows in oracles.owned_candidates."""
+
+    @staticmethod
+    def check(g: cc.Graph) -> None:
+        # roots in increasing order share the label and predecessor lists,
+        # as in the census; nothing is pending, so each row stops counting
+        # as soon as its frontier spans fewer than two branches
+        branch, pred = [0] * g.n, [0] * g.n
+        for v in range(g.n):
+            reached, rest = convexity._count_cutoff(
+                g.adjacency, v, (), [], True, branch, pred
+            )
+            dist, sigma, *_ = convexity._bfs(g.adjacency, v, reached)
+            owned, merge = rest(dist, sigma)
+            assert sorted(owned) == oracles.owned_candidates(g, v)
+            merges = oracles.merge_levels(g, oracles.bfs_distances(g, v))
+            assert merge == (merges[0] if merges else None)
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            self.check(g)
+
+    def test_seeded_gnp(self):
+        for i in range(300):
+            n = 8 + i % 33
+            self.check(cc.gnp_random_graph(n, (0.08, 0.15, 0.3)[i % 3], 30_000 + i))
+
+    def test_relabelled_grids(self):
+        rng = random.Random(15)
+        for r in range(2, 8):
+            for c in range(r, 9):
+                label = rng.sample(range(r * c), r * c)
+                edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
+                edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
+                self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in edges]))
 
 
 class TestRelabelling:
