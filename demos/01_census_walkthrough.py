@@ -11,8 +11,10 @@ print("C5:", c5)
 print("girth", profile.girth, "diameter", profile.diameter)
 
 # One BFS row holds distances and exact shortest-path counts.  The census
-# pass runs one such row per root, in increasing root order, and drops
-# each row once its root is done.
+# pass reads the same levels from every root: on a small-world graph (its
+# largest eccentricity at most log2 n, like C5) it runs all roots at once
+# as bit planes with counts capped at 3, and otherwise one such row per
+# root, in increasing root order, dropping each row once its root is done.
 record = cc.bfs_record(c5, 0)
 print("dist from 0:", record.dist)
 print("path counts:", record.sigma)

@@ -1,4 +1,4 @@
-"""Convex-cycle census, girth and diameter in one streaming BFS pass.
+"""Convex-cycle census, girth and diameter in one BFS pass over all roots.
 
 A cycle subgraph is convex when every shortest path of the host graph
 between two of its vertices stays on the cycle.  An L-cycle is convex
@@ -7,14 +7,20 @@ apart along it (L of them for odd L, L/2 for even L), lies at distance
 floor(L/2) and is joined by one shortest path (odd L) or two (even L).
 Odd candidates come from (edge, vertex) pairs whose endpoints sit at equal
 distance from the vertex with unique shortest paths, even candidates from
-vertex pairs joined by exactly two shortest paths.  The pass visits roots
-in increasing order with one BFS each, takes the candidates the root owns
-(as their minimum vertex) from its clean frontier, defers each of their
-antipodal pairs that does not start at the root to the row of its smaller
-vertex, which comes later, and then drops the row.  Three BFS
-before the pass bound every eccentricity, and every row the pass finishes
-tightens the bounds of the vertices near its root, so a row that cannot
-raise the diameter ends as deep as the census reads it.
+vertex pairs joined by exactly two shortest paths.  Each root takes the
+candidates it owns (as their minimum vertex) from the vertices it reaches
+by one shortest path through vertices above it.
+
+Three BFS first bound every eccentricity, and the largest eccentricity
+they see picks one of two kernels.  A connected graph where it is at most
+log2(n), a small-world graph, takes the planes kernel: every root's BFS at
+once, root r as bit r of Python ints, with shortest-path counts capped at
+3, testing each candidate's pairs in the round that builds it.  Any other
+graph takes the rows kernel: one BFS per root in increasing order, which
+defers each candidate's pairs to the later row of their smaller vertex,
+drops each row once its root is done, and ends a row that cannot raise
+the diameter as deep as the census reads it.  Both hand their findings to
+the same census and far-edge check.
 """
 
 from __future__ import annotations
@@ -269,41 +275,39 @@ def _count_cutoff(
     return reached, rest
 
 
-def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
-    """Girth, diameter, connectivity and the exact convex-cycle census.
+def _census_rows(
+    adjacency: tuple[tuple[int, ...], ...],
+    connected: bool,
+    longest: int,
+    upper: list[int],
+) -> tuple[list[tuple[int, ...]], int | float, int, int]:
+    """The rows kernel: one BFS per root, roots in increasing order.
 
-    Every convex cycle reconstructs from each of its antipodal pairs, so
-    exactly one pair of each has the cycle's minimum vertex as its apex
-    (odd) or as its smaller end (even); each root builds only the
-    candidates it owns that way, so each candidate is built once.  Girth
-    is the least 2d+1 over same-level edges and 2d over vertices with two
-    or more shortest paths.  For odd girth g = 2k+1 each girth cycle shows
-    one same-level edge at level k to each of its g vertices and no other
-    such edge exists, so g times the census's girth-cycle count must equal
-    that edge count; a mismatch raises ConsistencyError.  Memory is
-    O(n + m) for the current row plus O(L) per candidate L-cycle.
-    Antipodal pairs never straddle components, so the census covers every
-    component.
+    Returns (cycles, girth, far_edges, longest): the convex cycles in
+    canonical order, the girth, for odd girth g = 2k+1 the number of
+    (root, edge) pairs with the edge at level k, and the largest
+    eccentricity seen.  Each root takes the candidates it owns from its
+    clean frontier (see _count_cutoff), defers each of their antipodal
+    pairs that does not start at the root to the row of its smaller
+    vertex, which comes later, and then drops its row.  Memory is O(n + m)
+    for the current row plus O(L) per candidate L-cycle.
 
-    A row counts shortest paths only as deep as the pass reads them (see
-    _count_cutoff); the rest, distances only, matters only to the
-    diameter.  Three BFS before the pass (see _eccentricity_bounds) give
-    every vertex w an upper bound upper[w] on its eccentricity, and
-    longest, the largest eccentricity seen so far, bounds the diameter
-    from below.  A row whose upper bound is at most longest cannot raise
-    the diameter, so it drops its distance-only tail; any other row
-    finishes it, raises longest to its eccentricity e and lowers upper[w]
-    to e + d(v, w) for the vertices w of its BFS-order prefix where that
-    is at most longest.  A row that dropped its tail bounds nothing: its
-    last distance may fall short of its eccentricity.  A disconnected
-    graph drops every tail.
+    A row counts shortest paths only as deep as the pass reads them; the
+    rest, distances only, matters only to the diameter.  The bounds from
+    _eccentricity_bounds give every vertex w an upper bound upper[w] on
+    its eccentricity, and longest, the largest eccentricity seen so far,
+    bounds the diameter from below.  A row whose upper bound is at most
+    longest cannot raise the diameter, so it drops its distance-only tail;
+    any other row finishes it, raises longest to its eccentricity e and
+    lowers upper[w] to e + d(v, w) for the vertices w of its BFS-order
+    prefix where that is at most longest.  A row that dropped its tail
+    bounds nothing: its last distance may fall short of its eccentricity.
+    A disconnected graph drops every tail.
     """
-    adjacency = g.adjacency
-    n = g.n
+    n = len(adjacency)
     even_best: int | float = math.inf
     odd_best: int | float = math.inf
     far_edges = 0
-    connected, longest, upper = _eccentricity_bounds(adjacency)
     candidates: list[tuple[int, ...]] = []
     # (distance, path count) still required of each candidate's pairs;
     # None once one pair failed
@@ -350,20 +354,221 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
                     deferred.setdefault(lo, []).extend((hi, cid))
             candidates.append(cycle)
             targets.append(_lemma_target(len(cycle)))
-    census = CycleCensus.from_cycles(
-        c for c, t in zip(candidates, targets) if t is not None
-    )
-    shortest = min(odd_best, even_best)
-    if shortest == odd_best != math.inf:
-        counted = census.by_length.get(shortest, 0)
-        if far_edges != shortest * counted:
+    cycles = [c for c, t in zip(candidates, targets) if t is not None]
+    return cycles, min(odd_best, even_best), far_edges, longest
+
+
+def _census_planes(
+    adjacency: tuple[tuple[int, ...], ...],
+) -> tuple[list[tuple[int, ...]], int | float, int, int]:
+    """The planes kernel: every root's BFS at once, root r as bit r.
+
+    Returns what _census_rows does, with longest the largest eccentricity
+    of any component.  Round d steps four planes per vertex w from level
+    d - 1 to level d: ones, twos and threes hold the roots at distance d
+    from w with at least one, two and three shortest paths (a saturating
+    add over w's neighbours, masked by the roots seen at w before), and
+    clean holds the roots for which w is clean: one shortest path, w above
+    the root, and w's one predecessor clean, or the root itself.  A root's
+    owned candidates come straight from the planes: a same-level edge with
+    the root in both ends' clean planes closes an odd candidate, a vertex
+    above the root with exactly two shortest paths, both from clean
+    predecessors, an even one, when the two arms start at different
+    neighbours of the root.  Arms read back through the clean planes of
+    the levels below, once per (root, vertex).  Every antipodal pair of a
+    candidate built in round d lies at distance d, so each pair is tested
+    against round d's "exactly one" (odd) or "exactly two" (even) paths
+    plane when the candidate is built.  The girth is set by the first
+    round that shows a same-level edge or a second shortest path, and the
+    far-edge count sums popcount(ones[x] & ones[w]) over the edges of that
+    round.
+
+    Memory: the clean planes of every round are kept for the read-back,
+    (D + 1) lists of n ints of n bits for diameter D, about
+    (D + 1) * n * n / 8 bytes, beside ten live planes per vertex (about
+    10 * n * n / 8 bytes), one arm per (root, vertex) read back and O(L)
+    per candidate L-cycle.  profile_and_census runs this kernel only when
+    D <= 2 * log2(n) (see _small_world), so the clean planes take at most
+    about (2 * log2(n) + 1) * n * n / 8 bytes there.
+    """
+    n = len(adjacency)
+    bits = [1 << v for v in range(n)]
+    # level 0: each vertex is its own root, and the root is clean
+    ones = bits[:]
+    twos = [0] * n
+    threes = [0] * n
+    seen = bits[:]
+    clean = bits[:]
+    cleans = [clean]
+    edges = [(x, w) for x in range(n) for w in adjacency[x] if x < w]
+    cycles: list[tuple[int, ...]] = []
+    girth: int | float = math.inf
+    far_edges = 0
+    # root * n + vertex -> the clean path up from level 1 to the vertex,
+    # for vertices at level 2 or deeper
+    arms: dict[int, tuple[int, ...]] = {}
+
+    def arm(r: int, bit: int, x: int, d: int) -> tuple[int, ...]:
+        if d == 1:
+            return (x,)
+        path = arms.get(r * n + x)
+        if path is None:
+            plane = cleans[d - 1]
+            for u in adjacency[x]:
+                if plane[u] & bit:
+                    break
+            path = arms[r * n + x] = arm(r, bit, u, d - 1) + (x,)
+        return path
+
+    def close(r: int, bit: int, x: int, y: int, level: int, apex: tuple, exact):
+        """Record the candidate r, arm(x), apex, arm(y) reversed, with x and
+        y at the given level, if the arms start at different neighbours of r
+        and every antipodal pair is in the exact plane."""
+        a = arm(r, bit, x, level)
+        b = arm(r, bit, y, level)
+        if a[0] == b[0]:
+            return
+        if a[0] > b[0]:
+            a, b = b, a
+        cycle = (r, *a, *apex, *b[::-1])
+        half = len(cycle) // 2
+        ends = cycle[half:] if apex else cycle[half:] + cycle[:half]
+        # the pair at r holds by construction
+        for u, v in zip(cycle[1:], ends[1:]):
+            if not exact[u] & bits[v]:
+                return
+        cycles.append(cycle)
+
+    d = 0
+    while True:
+        d += 1
+        new_ones = [0] * n
+        new_twos = [0] * n
+        new_threes = [0] * n
+        new_clean = [0] * n
+        # (vertex, roots it closes an even candidate for)
+        evens = []
+        for w in range(n):
+            a1 = a2 = a3 = c = c2 = 0
+            # add u's path counts to w's, saturating at 3, and count w's
+            # clean neighbours, saturating at 2
+            for u in adjacency[w]:
+                b1 = ones[u]
+                if b1:
+                    b2 = twos[u]
+                    a3 |= threes[u] | a2 & b1 | a1 & b2
+                    a2 |= b2 | a1 & b1
+                    a1 |= b1
+                    cu = clean[u]
+                    c2 |= c & cu
+                    c |= cu
+            fresh = ~seen[w]
+            a1 &= fresh
+            if not a1:
+                continue
+            seen[w] |= a1
+            a2 &= fresh
+            a3 &= fresh
+            new_ones[w] = a1
+            new_twos[w] = a2
+            new_threes[w] = a3
+            lower = bits[w] - 1  # the roots below w
+            new_clean[w] = c & a1 & ~a2 & lower
+            if roots := c2 & a2 & ~a3 & lower:
+                evens.append((w, roots))
+        if not any(new_ones):
+            return cycles, girth, far_edges, d - 1
+        ones, twos, threes = new_ones, new_twos, new_threes
+        if girth == math.inf:
+            if any(twos):
+                girth = 2 * d
+            else:
+                far_edges = sum((ones[x] & ones[w]).bit_count() for x, w in edges)
+                if far_edges:
+                    girth = 2 * d + 1
+        exact = [a & ~b for a, b in zip(twos, threes)]
+        for w, roots in evens:
+            while roots:
+                bit = roots & -roots
+                roots ^= bit
+                r = bit.bit_length() - 1
+                x, y = (u for u in adjacency[w] if clean[u] & bit)
+                close(r, bit, x, y, d - 1, (w,), exact)
+        clean = new_clean
+        cleans.append(clean)
+        exact = [a & ~b for a, b in zip(ones, twos)]
+        for x, w in edges:
+            both = clean[x] & clean[w]
+            while both:
+                bit = both & -both
+                both ^= bit
+                r = bit.bit_length() - 1
+                close(r, bit, x, w, d, (), exact)
+
+
+def _profile_and_census_of(
+    connected: bool,
+    cycles: list[tuple[int, ...]],
+    girth: int | float,
+    far_edges: int,
+    longest: int,
+) -> tuple[MetricProfile, CycleCensus]:
+    """The census and profile a kernel's findings give, after the far-edge
+    check of odd girth."""
+    census = CycleCensus.from_cycles(cycles)
+    if girth != math.inf and girth % 2:
+        counted = census.by_length.get(girth, 0)
+        if far_edges != girth * counted:
             raise ConsistencyError(
-                f"{far_edges} same-level edges at distance {shortest // 2} imply "
-                f"{far_edges / shortest:g} cycles of odd girth {shortest}, "
+                f"{far_edges} same-level edges at distance {girth // 2} imply "
+                f"{far_edges / girth:g} cycles of odd girth {girth}, "
                 f"but the census has {counted}"
             )
-    profile = MetricProfile(shortest, longest if connected else math.inf, connected)
-    return profile, census
+    diameter = longest if connected else math.inf
+    return MetricProfile(girth, diameter, connected), census
+
+
+def _small_world(n: int, connected: bool, longest: int) -> bool:
+    """Whether the census runs the planes kernel: a connected graph whose
+    largest eccentricity seen by the sweeps is at most log2(n).  Its
+    diameter is then at most 2 * log2(n), since every eccentricity is at
+    most twice that of the sweeps' middle vertex."""
+    return connected and 2**longest <= n
+
+
+def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
+    """Girth, diameter, connectivity and the exact convex-cycle census.
+
+    Every convex cycle reconstructs from each of its antipodal pairs, so
+    exactly one pair of each has the cycle's minimum vertex as its apex
+    (odd) or as its smaller end (even); each root builds only the
+    candidates it owns that way, from the vertices with one shortest path
+    from the root through vertices above it, so each candidate is built
+    once.  Girth is the least 2d+1 over same-level edges and 2d over
+    vertices with two or more shortest paths.  For odd girth g = 2k+1 each
+    girth cycle shows one same-level edge at level k to each of its g
+    vertices and no other such edge exists, so g times the census's
+    girth-cycle count must equal that edge count; a mismatch raises
+    ConsistencyError.  Antipodal pairs never straddle components, so the
+    census covers every component.
+
+    Three BFS first (see _eccentricity_bounds) settle connectivity and
+    bound every eccentricity.  A connected graph whose largest
+    eccentricity they see is at most log2(n) takes the planes kernel,
+    which runs every root at once as bits of Python ints (see
+    _census_planes); any other graph, such as a grid or a long cycle,
+    takes the rows kernel, one BFS per root that stops as early as the
+    census and the diameter allow (see _census_rows).  Both hand their
+    cycles, girth, far-edge count and largest eccentricity to the same
+    checks.
+    """
+    adjacency = g.adjacency
+    connected, longest, upper = _eccentricity_bounds(adjacency)
+    if _small_world(g.n, connected, longest):
+        found = _census_planes(adjacency)
+    else:
+        found = _census_rows(adjacency, connected, longest, upper)
+    return _profile_and_census_of(connected, *found)
 
 
 def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:

@@ -3,13 +3,15 @@
 Distances of unreachable vertices are None (never a large finite number);
 girth and diameter use math.inf for "no cycle" / "disconnected".  Path
 counts are plain Python integers, so they stay exact no matter how fast
-they grow.  The one BFS loop lives here.  The census pass in convexity
-runs it three times for eccentricity bounds, then once per root, and keeps
-no row past its own root.  A row keeps no event lists: it counts the
-same-level edges of its first such level, and its stop test sees each
-level it merges into.  The stop test can end path counting early and
-either finish the distances, which an eccentricity needs, or drop them
-when the bounds show the row cannot raise the diameter.
+they grow.  The per-root BFS loop lives here.  The census pass in
+convexity runs it three times for eccentricity bounds; its rows kernel
+then runs it once per root and keeps no row past its own root, while its
+planes kernel, for small-world graphs, steps every root at once with path
+counts capped at 3 and does not use it.  A row keeps no event lists: it
+counts the same-level edges of its first such level, and its stop test
+sees each level it merges into.  The stop test can end path counting
+early and either finish the distances, which an eccentricity needs, or
+drop them when the bounds show the row cannot raise the diameter.
 """
 
 from __future__ import annotations

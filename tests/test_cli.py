@@ -364,47 +364,58 @@ class TestExitCodes:
         assert cc.cli_run(["generate", "nope"]) == 2
 
     @staticmethod
-    def drop_first_owned_cycle(monkeypatch) -> list[tuple[int, ...]]:
-        """Make the census sweep lose its first owned cycle; returns the
-        list that receives the lost cycle."""
+    def drop_first_cycle(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+        """Make each census kernel lose the first cycle it hands to the
+        shared checks; returns the list that receives (kernel, lost cycle)."""
         import convexcycles.convexity as convexity
 
-        cutoff = convexity._count_cutoff
         dropped = []
+        for name in ("_census_planes", "_census_rows"):
 
-        def drop_first(*args):
-            reached, rest = cutoff(*args)
+            def drop_first(*args, name=name, kernel=getattr(convexity, name)):
+                cycles, *found = kernel(*args)
+                dropped.append((name, cycles.pop(0)))
+                return cycles, *found
 
-            def rest_less_one(*row):
-                owned, merge = rest(*row)
-                if owned and not dropped:
-                    dropped.append(owned.pop(0))
-                return owned, merge
-
-            return reached, rest_less_one
-
-        monkeypatch.setattr(convexity, "_count_cutoff", drop_first)
+            monkeypatch.setattr(convexity, name, drop_first)
         return dropped
 
-    def test_dropped_girth_cycle_maps_to_three(self, petersen_file, monkeypatch, capsys):
-        # the far-edge count reads only BFS rows, so it notices a census
-        # that lost a girth cycle in the sweep
-        dropped = self.drop_first_owned_cycle(monkeypatch)
-        assert cc.cli_run(["analyze", petersen_file]) == 3
-        assert len(dropped[0]) == 5
-        assert "same-level edges" in capsys.readouterr().err
+    @staticmethod
+    def write(tmp_path, g: cc.Graph, name: str) -> str:
+        path = tmp_path / name
+        path.write_text(cc.write_graph6(g) + "\n")
+        return str(path)
+
+    def test_dropped_girth_cycle_maps_to_three(
+        self, petersen_file, tmp_path, monkeypatch, capsys
+    ):
+        # the far-edge count reads only BFS levels, so it notices a census
+        # that lost a girth cycle in either kernel: Petersen (diameter 2)
+        # takes the planes kernel, C9 (diameter 4 > log2 9) the rows kernel
+        c9_file = self.write(tmp_path, cc.cycle_graph(9), "c9.g6")
+        dropped = self.drop_first_cycle(monkeypatch)
+        for path, kernel, length in [
+            (petersen_file, "_census_planes", 5), (c9_file, "_census_rows", 9),
+        ]:
+            assert cc.cli_run(["analyze", path]) == 3
+            assert dropped[-1][0] == kernel and len(dropped[-1][1]) == length
+            assert "same-level edges" in capsys.readouterr().err
 
     def test_oracle_disagreement_maps_to_three(self, tmp_path, q3, monkeypatch, capsys):
-        # Q3 has even girth, so the far-edge count is silent on a lost
-        # square; the brute-force census still has it
-        path = tmp_path / "q3.g6"
-        path.write_text(cc.write_graph6(q3) + "\n")
-        dropped = self.drop_first_owned_cycle(monkeypatch)
-        assert cc.cli_run(["oracle", str(path)]) == 3
-        assert len(dropped[0]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "differs from the census pass" in captured.err
+        # Q3 and C8 have even girth, so the far-edge count is silent on a
+        # lost cycle; the brute-force census still has it.  Q3 (diameter 3)
+        # takes the planes kernel, C8 (diameter 4 > log2 8) the rows kernel
+        q3_file = self.write(tmp_path, q3, "q3.g6")
+        c8_file = self.write(tmp_path, cc.cycle_graph(8), "c8.g6")
+        dropped = self.drop_first_cycle(monkeypatch)
+        for path, kernel, length in [
+            (q3_file, "_census_planes", 4), (c8_file, "_census_rows", 8),
+        ]:
+            assert cc.cli_run(["oracle", path]) == 3
+            assert dropped[-1][0] == kernel and len(dropped[-1][1]) == length
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "differs from the census pass" in captured.err
 
     @pytest.mark.parametrize(
         "command", [["analyze", "GRAPH", "--spectral"], ["spectral", "GRAPH"]]

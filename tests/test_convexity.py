@@ -217,7 +217,8 @@ class TestEnumeration:
 
 
 class TestReferencePipeline:
-    """The one-pass census against the all-roots reference pipeline."""
+    """The one-pass census, and each of its kernels whatever the choice
+    of kernel picks, against the all-roots reference pipeline."""
 
     @staticmethod
     def check(g: cc.Graph) -> None:
@@ -227,6 +228,13 @@ class TestReferencePipeline:
             girth, diameter, connected,
         )
         assert list(census.cycles) == cycles
+        adjacency = g.adjacency
+        connected, longest, upper = convexity._eccentricity_bounds(adjacency)
+        for found in (
+            convexity._census_planes(adjacency),
+            convexity._census_rows(adjacency, connected, longest, upper),
+        ):
+            assert convexity._profile_and_census_of(connected, *found) == (profile, census)
 
     def test_corpus(self, corpus):
         for g in corpus:
@@ -288,6 +296,47 @@ class TestReferencePipeline:
                 self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in edges]))
                 holed = holes.sample(edges, len(edges) - 1 - (r + c) % 4)
                 self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in holed]))
+
+    def test_cycles(self):
+        # the choice of kernel picks planes for C3-C5 and rows for longer
+        # cycles
+        for length in range(3, 31):
+            self.check(cc.cycle_graph(length))
+
+    def test_subdivided(self, petersen, q3):
+        for base, pieces in [
+            (petersen, 3), (cc.complete_graph(5), 2), (q3, 2), (q3, 3),
+        ]:
+            self.check(subdivided(base, pieces))
+
+    def test_hoffman_singleton(self, hoffman_singleton):
+        self.check(hoffman_singleton)
+
+
+class TestKernelChoice:
+    """The census takes the planes kernel exactly on connected graphs whose
+    largest eccentricity seen by the sweeps is at most log2(n)."""
+
+    @staticmethod
+    def small_world(g: cc.Graph) -> bool:
+        connected, longest, _ = convexity._eccentricity_bounds(g.adjacency)
+        return convexity._small_world(g.n, connected, longest)
+
+    def test_sparse_random_graph_takes_planes(self):
+        assert self.small_world(cc.gnp_random_graph(270, 9 / 269, 16))
+
+    def test_grids_and_long_cycles_take_rows(self, petersen):
+        rng = random.Random(22)
+        label = rng.sample(range(484), 484)
+        edges = [(x * 22 + y, x * 22 + y + 1) for x in range(22) for y in range(21)]
+        edges += [(x * 22 + y, (x + 1) * 22 + y) for x in range(21) for y in range(22)]
+        grid = cc.Graph(484, [(label[u], label[v]) for u, v in edges])
+        for g in [grid, cc.cycle_graph(301), subdivided(petersen, 23)]:
+            assert not self.small_world(g)
+
+    def test_disconnected_takes_rows(self):
+        g = cc.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        assert not self.small_world(g)
 
 
 class TestFarEdgeCheck:
