@@ -234,6 +234,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_len is not None and args.max_len < 3:
+        raise InvalidParameter(f"--max-len must be at least 3, got {args.max_len}")
     g = _read_graph(args.graph)
     if g.n > DEFAULT_ORACLE_CAP and not args.force:
         raise InvalidParameter(
@@ -304,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[reporting],
                        help="brute-force convex-cycle census (small graphs)")
     p.add_argument("--max-len", type=int, default=None,
-                   help="longest cycle length to search (default: n)")
+                   help="longest cycle length to search, at least 3 (default: n)")
     p.add_argument("--force", action="store_true",
                    help=f"allow n > {DEFAULT_ORACLE_CAP}")
     p.set_defaults(func=_cmd_oracle)

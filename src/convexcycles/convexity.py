@@ -11,27 +11,24 @@ vertex pairs joined by exactly two shortest paths.  Each root takes the
 candidates it owns (as their minimum vertex) from the vertices it reaches
 by one shortest path through vertices above it.
 
-Three BFS first bound every eccentricity, and the largest eccentricity
-they see picks one of two kernels.  A connected graph where it is at most
-log2(n), a small-world graph, takes the planes kernel: every root's BFS at
-once, root r as bit r of Python ints, with shortest-path counts capped at
-3, testing each candidate's pairs in the round that builds it.  Any other
-graph takes the rows kernel: one BFS per root in increasing order, which
-defers each candidate's pairs to the later row of their smaller vertex,
-drops each row once its root is done, and ends a row that cannot raise
-the diameter as deep as the census reads it.  Both hand their findings to
-the same census and far-edge check.
+Three BFS first bound every eccentricity, and the largest one they see
+picks a kernel, each with a BFS loop of its own: on small-world graphs
+the planes kernel runs every root at once as bits of Python ints, with
+path counts capped at 3; on any other graph the rows kernel runs one row
+per root, which stops counting as early as the census allows and drops
+its distance-only tail when it cannot raise the diameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, InvalidCycle, NotApplicable
 from .graphs import Graph
-from .metric import DROP_TAIL, DistanceRecord, MetricProfile, _bfs, bfs_record
+from .metric import DistanceRecord, MetricProfile, bfs_record
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -132,8 +129,18 @@ def is_convex_cycle(g: Graph, vertices: Sequence[int]) -> bool:
     return _lemma_holds({lo: bfs_record(g, lo) for lo in smaller}, verts)
 
 
-def _distances_only(*_) -> bool:
-    return True
+def _distances(adjacency: tuple[tuple[int, ...], ...], root: int) -> tuple[list, list[int]]:
+    """(dist, order) of a BFS from root, without shortest-path counts."""
+    dist: list[int | None] = [None] * len(adjacency)
+    dist[root] = 0
+    order = [root]
+    for u in order:
+        du1 = dist[u] + 1
+        for w in adjacency[u]:
+            if dist[w] is None:
+                dist[w] = du1
+                order.append(w)
+    return dist, order
 
 
 def _eccentricity_bounds(
@@ -152,127 +159,138 @@ def _eccentricity_bounds(
     """
     if not adjacency:
         return True, 0, []
-    dist, _, order, *_ = _bfs(adjacency, 0, _distances_only)
+    dist, order = _distances(adjacency, 0)
     if len(order) < len(adjacency):
         return False, 0, []
-    dist, _, order, *_ = _bfs(adjacency, order[-1], _distances_only)
+    dist, order = _distances(adjacency, order[-1])
     c = b = order[-1]
     longest = dist[b]
     # walk from b halfway back to a, one level per step
     for d in reversed(range(longest // 2, longest)):
         c = next(w for w in adjacency[c] if dist[w] == d)
-    dist, _, order, *_ = _bfs(adjacency, c, _distances_only)
+    dist, order = _distances(adjacency, c)
     ecc = dist[order[-1]]
     return True, max(longest, ecc), [ecc + d for d in dist]
 
 
-def _count_cutoff(
-    adjacency: tuple[tuple[int, ...], ...],
-    root: int,
-    pending: Sequence[int],
-    targets: Sequence[tuple[int, int] | None],
-    finish: bool | int,
-    branch: list[int],
-    pred: list[int],
-) -> tuple[Callable[..., bool | int], Callable[..., tuple[list, int | None]]]:
-    """Root's census sweep, as two closures (reached, rest).
+def _arm(pred: list[int], root: int, x: int) -> list[int]:
+    """x and its clean predecessors down to level 1."""
+    path = [x]
+    while (x := pred[x]) != root:
+        path.append(x)
+    return path
 
-    A clean vertex has one shortest path from root, through vertices above
-    root, and its branch is the neighbor of root it descends from.  Both
-    arms of a candidate root owns (as its minimum) run through clean
-    vertices of two branches, so stepping the clean frontier from level d
-    to d + 1 finds every one: a same-level edge at level d with clean ends
-    in two branches closes an odd candidate, a vertex above root at level
-    d + 1 with sigma 2 and clean predecessors in two branches an even one.
-    Arms read back through pred, each clean vertex's one predecessor; the
-    pairs at root hold by construction (arm ends sit at distance d with
-    sigma 1, far vertices at d + 1 with sigma 2).  With fewer than two
-    branches at level d, root owns nothing at level d or deeper.
 
-    reached, the stop test of root's row, asked while the row scans level
-    d, records d + 1 as the first merge level at its first call, and ends
-    path counting when the pass reads no sigma at level d + 1 or below:
-    (a) every live pair deferred to root (pending is flat [larger vertex,
-    candidate index, ...]) lies at distance d or less, (b) root's first
-    cycle event was found while scanning a level above d, so its girth
-    event and far-edge count are complete, and (c) the frontier, stepped
-    to level d, spans fewer than two branches.  The pending depth is read
-    at the first check that passes (b).  Its answer then is finish: True
-    finishes the row's distances, DROP_TAIL drops them.  rest(dist, sigma)
-    runs the sweep on after the row until fewer than two branches are left
-    and returns (owned, merge): root's candidates in canonical order and
-    the first merge level, or None.
-    """
-    depth = merge = None
+def _sweep(
+    adjacency: tuple[tuple[int, ...], ...], root: int, dist: list, sigma: list[int],
+    branches: list[list[int]], last: int, branch: list[int], pred: list[int], owned: list,
+) -> list[list[int]]:
+    """Step root's clean frontier, one list per branch, up to level last
+    while it spans two branches or more, and return it; dist and sigma must
+    be final through last.  Stepping from level d appends to owned an odd
+    candidate per same-level edge at level d with clean ends in two
+    branches, an even one per vertex above root at level d + 1 with sigma 2
+    and clean predecessors in two."""
+    while len(branches) > 1 and (d := dist[branches[0][0]]) < last:
+        stepped = []
+        # a vertex of sigma 2 -> the first clean predecessor that reached it
+        half: dict[int, int] = {}
+        for frontier in branches:
+            ahead = []
+            for x in frontier:
+                bx = branch[x]
+                for w in adjacency[x]:
+                    dw = dist[w]
+                    # each same-level edge once, from its smaller branch
+                    if dw == d and branch[w] > bx:
+                        owned.append((root, *_arm(pred, root, x)[::-1], *_arm(pred, root, w)))
+                    elif dw == d + 1 and w > root:
+                        s = sigma[w]
+                        if s == 1:
+                            branch[w] = bx
+                            pred[w] = x
+                            ahead.append(w)
+                        elif s == 2 and (a := half.setdefault(w, x)) != x:
+                            # a came first, so from the smaller branch
+                            if branch[a] != bx:
+                                left, right = _arm(pred, root, a), _arm(pred, root, x)
+                                owned.append((root, *left[::-1], w, *right))
+            if ahead:
+                stepped.append(ahead)
+        branches = stepped
+    return branches
+
+
+def _census_row(
+    adjacency: tuple[tuple[int, ...], ...], root: int, depth: int, finish: bool,
+    branch: list[int], pred: list[int],
+) -> tuple[list, list[int], list[int], int, int, int | None, list[tuple[int, ...]]]:
+    """Root's BFS row and the candidates root owns: (dist, sigma, order,
+    odd, edges, merge, owned), with the level of the first same-level edge
+    (n if none) and the count of such edges there, the level of the first
+    vertex with two predecessors (None if none), and owned in canonical
+    order.  Counting stops at the first level d where the rules of
+    _census_rows hold with depth, the distance of the deepest pair deferred
+    to root; sigma is exact only through d.  With finish, dist and order
+    are then completed without counting, else the row ends with part of
+    level d + 1.  branch and pred are _census_rows' clean-vertex lists."""
+    n = len(adjacency)
+    dist: list[int | None] = [None] * n
+    sigma = [0] * n
+    dist[root] = 0
+    sigma[root] = 1
+    order = [root]
+    odd, edges, merge = n, 0, None
     owned: list[tuple[int, ...]] = []
-    # a vertex of sigma 2 -> the first clean predecessor that reached it
-    half: dict[int, int] = {}
-    # the clean frontier at clean_level, one list per branch, in order;
-    # clean x is labelled root * n + its branch, above earlier roots' labels
+    # the clean frontier, one list per branch, in order
     branches = [[w] for w in adjacency[root] if w > root]
     for (w,) in branches:
-        branch[w] = root * len(adjacency) + w
+        branch[w] = root * n + w
         pred[w] = root
-    clean_level = 1
-
-    def arm(x: int) -> list[int]:
-        """x and its clean predecessors down to level 1."""
-        path = [x]
-        while (x := pred[x]) != root:
-            path.append(x)
-        return path
-
-    def sweep(dist, sigma, last: int) -> None:
-        nonlocal branches, clean_level
-        while len(branches) > 1 and clean_level < last:
-            d = clean_level
-            clean_level += 1
-            stepped = []
-            for frontier in branches:
-                ahead = []
-                for x in frontier:
-                    bx = branch[x]
-                    for w in adjacency[x]:
-                        dw = dist[w]
-                        # each same-level edge once, from its smaller branch
-                        if dw == d and branch[w] > bx:
-                            owned.append((root, *arm(x)[::-1], *arm(w)))
-                        elif dw == clean_level and w > root:
-                            s = sigma[w]
-                            if s == 1:
-                                branch[w] = bx
-                                pred[w] = x
-                                ahead.append(w)
-                            elif s == 2 and (a := half.setdefault(w, x)) != x:
-                                # a came first, so from the smaller branch
-                                if branch[a] != bx:
-                                    owned.append((root, *arm(a)[::-1], w, *arm(x)))
-                if ahead:
-                    stepped.append(ahead)
-            branches = stepped
-
-    def reached(d, dist, sigma, odd) -> bool | int:
-        nonlocal depth, merge
-        if merge is None:
-            merge = d + 1
-            if odd >= d:
-                return False
-        if depth is None:
-            it = iter(pending)
-            depth = max(
-                (t[0] for _, cid in zip(it, it) if (t := targets[cid]) is not None),
-                default=0,
-            )
-        if d < depth:
-            return False
-        sweep(dist, sigma, d)
-        return len(branches) < 2 and finish
-
-    def rest(dist, sigma) -> tuple[list[tuple[int, ...]], int | None]:
-        sweep(dist, sigma, len(adjacency))
-        return owned, merge
-
-    return reached, rest
+    # the last level whose first merge has been checked
+    checked = -1
+    # the loop also visits the vertices it appends, which makes order a queue
+    queue = iter(order)
+    for u in queue:
+        du = dist[u]
+        du1 = du + 1
+        su = sigma[u]
+        for w in adjacency[u]:
+            dw = dist[w]
+            if dw is None:
+                dist[w] = du1
+                sigma[w] = su
+                order.append(w)
+            elif dw == du1:
+                if du > checked:
+                    checked = du
+                    if merge is None:
+                        merge = du1
+                    if (odd < du or merge <= du) and du >= depth:
+                        branches = _sweep(
+                            adjacency, root, dist, sigma, branches, du, branch, pred, owned
+                        )
+                        if len(branches) < 2:
+                            break
+                sigma[w] += su
+            elif dw == du and u < w and du <= odd:
+                # levels never fall along order: the first level counts
+                odd = du
+                edges += 1
+        else:
+            continue
+        # counting stopped while scanning u
+        if finish:
+            for u in chain((u,), queue):
+                du1 = dist[u] + 1
+                for w in adjacency[u]:
+                    if dist[w] is None:
+                        dist[w] = du1
+                        order.append(w)
+        break
+    # a row that never stopped counting steps its frontier on to its end
+    _sweep(adjacency, root, dist, sigma, branches, n, branch, pred, owned)
+    return dist, sigma, order, odd, edges, merge, owned
 
 
 def _census_rows(
@@ -281,51 +299,53 @@ def _census_rows(
     longest: int,
     upper: list[int],
 ) -> tuple[list[tuple[int, ...]], int | float, int, int]:
-    """The rows kernel: one BFS per root, roots in increasing order.
+    """The rows kernel: one BFS row per root, roots in increasing order.
 
     Returns (cycles, girth, far_edges, longest): the convex cycles in
     canonical order, the girth, for odd girth g = 2k+1 the number of
     (root, edge) pairs with the edge at level k, and the largest
-    eccentricity seen.  Each root takes the candidates it owns from its
-    clean frontier (see _count_cutoff), defers each of their antipodal
-    pairs that does not start at the root to the row of its smaller
-    vertex, which comes later, and then drops its row.  Memory is O(n + m)
-    for the current row plus O(L) per candidate L-cycle.
+    eccentricity seen.  A root defers each antipodal pair of its
+    candidates not at itself to the later row of the pair's smaller
+    vertex, then drops its row: O(n + m) memory plus O(L) per L-cycle.
 
-    A row counts shortest paths only as deep as the pass reads them; the
-    rest, distances only, matters only to the diameter.  The bounds from
-    _eccentricity_bounds give every vertex w an upper bound upper[w] on
-    its eccentricity, and longest, the largest eccentricity seen so far,
-    bounds the diameter from below.  A row whose upper bound is at most
-    longest cannot raise the diameter, so it drops its distance-only tail;
-    any other row finishes it, raises longest to its eccentricity e and
-    lowers upper[w] to e + d(v, w) for the vertices w of its BFS-order
-    prefix where that is at most longest.  A row that dropped its tail
-    bounds nothing: its last distance may fall short of its eccentricity.
-    A disconnected graph drops every tail.
+    A clean vertex has one shortest path from the root, through vertices
+    above the root; its branch is the root's neighbor it descends from.
+    The arms of each candidate the root owns (as its minimum) run through
+    clean vertices of two branches (see _sweep).  At the first merge into
+    level d + 1, a row stops counting shortest paths once (a) no live pair
+    deferred to the root lies deeper than d, (b) its first same-level edge
+    or merge was found scanning a level less than d, so its girth events
+    are complete, and (c) the clean frontier, stepped to level d, spans
+    fewer than two branches.  The rest, distances only, can only raise the
+    diameter: a row whose bound upper[v] (see _eccentricity_bounds) is at
+    most longest, the largest eccentricity seen so far, drops it, as does
+    every row of a disconnected graph.  Any other row finishes it, raises
+    longest to its eccentricity e and lowers upper[w] to e + d(v, w) for
+    the vertices w of its BFS-order prefix where that is at most longest.
     """
     n = len(adjacency)
-    even_best: int | float = math.inf
-    odd_best: int | float = math.inf
-    far_edges = 0
+    # (cycle length, same-level edges) of each row's first cycle events
+    events: list[tuple[int, int]] = []
     candidates: list[tuple[int, ...]] = []
     # (distance, path count) still required of each candidate's pairs;
     # None once one pair failed
     targets: list[tuple[int, int] | None] = []
     # smaller vertex of a pair -> flat [larger vertex, candidate index, ...]
     deferred: dict[int, list[int]] = {}
-    # each clean vertex's branch label and predecessor, kept across roots
+    # each clean vertex's branch label, root * n + its branch, and its
+    # predecessor, kept across roots
     branch = [0] * n
     pred = [0] * n
     for v in range(n):
         pending = deferred.pop(v, ())
-        finish = True if connected and upper[v] > longest else DROP_TAIL
-        stop, rest = _count_cutoff(adjacency, v, pending, targets, finish, branch, pred)
-        dist, sigma, order, odd, edges = _bfs(adjacency, v, stop)
+        depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
+        finish = connected and upper[v] > longest
+        dist, sigma, order, odd, edges, merge, owned = _census_row(
+            adjacency, v, depth, finish, branch, pred
+        )
         ecc = dist[order[-1]]
-        if ecc > longest:
-            longest = ecc
-        if finish is True:
+        longest = max(longest, ecc)
+        if finish:
             # a finished row is exact, so ecc(w) <= ecc + d(v, w); a bound
             # above longest settles no row unless longest grows later
             for w in order:
@@ -334,19 +354,13 @@ def _census_rows(
                     break
                 if bound < upper[w]:
                     upper[w] = bound
-        pairs = iter(pending)
-        for w, cid in zip(pairs, pairs):
-            target = targets[cid]
-            if target is not None and (dist[w], sigma[w]) != target:
+        for w, cid in zip(pending[::2], pending[1::2]):
+            if (dist[w], sigma[w]) != targets[cid]:
                 targets[cid] = None
-        if edges and 2 * odd + 1 <= odd_best:
-            if 2 * odd + 1 < odd_best:
-                odd_best = 2 * odd + 1
-                far_edges = 0
-            far_edges += edges
-        owned, merge = rest(dist, sigma)
-        if merge is not None and 2 * merge < even_best:
-            even_best = 2 * merge
+        if edges:
+            events.append((2 * odd + 1, edges))
+        if merge is not None:
+            events.append((2 * merge, 0))
         for cycle in owned:
             cid = len(candidates)
             for lo, hi in _antipodal_pairs(cycle):
@@ -355,7 +369,9 @@ def _census_rows(
             candidates.append(cycle)
             targets.append(_lemma_target(len(cycle)))
     cycles = [c for c, t in zip(candidates, targets) if t is not None]
-    return cycles, min(odd_best, even_best), far_edges, longest
+    girth = min((length for length, _ in events), default=math.inf)
+    far_edges = sum(count for length, count in events if length == girth)
+    return cycles, girth, far_edges, longest
 
 
 def _census_planes(
@@ -553,14 +569,11 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     census covers every component.
 
     Three BFS first (see _eccentricity_bounds) settle connectivity and
-    bound every eccentricity.  A connected graph whose largest
-    eccentricity they see is at most log2(n) takes the planes kernel,
-    which runs every root at once as bits of Python ints (see
-    _census_planes); any other graph, such as a grid or a long cycle,
-    takes the rows kernel, one BFS per root that stops as early as the
-    census and the diameter allow (see _census_rows).  Both hand their
-    cycles, girth, far-edge count and largest eccentricity to the same
-    checks.
+    bound every eccentricity.  A connected graph whose largest eccentricity
+    they see is at most log2(n) takes the planes kernel (see
+    _census_planes); any other graph, such as a grid or a long cycle, the
+    rows kernel (see _census_rows).  Both hand their cycles, girth,
+    far-edge count and largest eccentricity to the same checks.
     """
     adjacency = g.adjacency
     connected, longest, upper = _eccentricity_bounds(adjacency)

@@ -242,6 +242,14 @@ class TestExitCodes:
         assert len(result.stderr.splitlines()) == 1
         assert b"UTF-8" in result.stderr and b"udcff" not in result.stderr
 
+    @pytest.mark.parametrize("max_len", ["-5", "0", "2"])
+    def test_oracle_max_len_below_three_refused(self, petersen_file, capsys, max_len):
+        # no cycle is shorter than 3, so a shorter bound is a mistake
+        assert cc.cli_run(["oracle", petersen_file, "--max-len", max_len]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-len must be at least 3, got {max_len}\n"
+
     def test_edge_list_order_refused(self, tmp_path, capsys):
         # refused before 10**8 adjacency lists are allocated
         path = tmp_path / "huge.txt"

@@ -349,6 +349,100 @@ class TestFarEdgeCheck:
         assert odd > 400
 
 
+def first_level_edges(g: cc.Graph, dist) -> tuple[int, int]:
+    """(level, count) of the same-level edges at the least level that has
+    any, by a scan of the edge list; (g.n, 0) when there are none."""
+    levels = [dist[u] for u, v in g.edge_list if dist[u] is not None and dist[u] == dist[v]]
+    if not levels:
+        return g.n, 0
+    return min(levels), levels.count(min(levels))
+
+
+def census_rows(g: cc.Graph, depth: int, finish: bool) -> list[tuple]:
+    """Every root's census row with the given pending depth, roots in
+    increasing order sharing the label and predecessor lists, as in the
+    census."""
+    branch, pred = [0] * g.n, [0] * g.n
+    return [
+        convexity._census_row(g.adjacency, v, depth, finish, branch, pred) for v in range(g.n)
+    ]
+
+
+def wrong_sigma_levels(g: cc.Graph, root: int, dist, sigma) -> set[int]:
+    """The levels where a row's path counts differ from the oracle's."""
+    exact = oracles.bfs_counts(g, root)
+    return {exact.dist[v] for v in range(g.n) if sigma[v] != exact.sigma[v]}
+
+
+class TestStoppedRow:
+    """One root's census row, convexity._census_row, where it stops
+    counting shortest paths."""
+
+    def test_distances_stay_exact_after_counting_stops(self, corpus):
+        # with nothing pending a row stops counting as early as the girth
+        # event and the clean frontier allow; a finished row keeps dist and
+        # order exact, and the first merge and the first same-level edges
+        # it reports are the full row's
+        stopped = 0
+        for g in corpus:
+            for root, row in enumerate(census_rows(g, 0, True)):
+                dist, sigma, order, odd, edges, merge, _ = row
+                exact = oracles.bfs_counts(g, root)
+                assert dist == list(exact.dist)
+                assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
+                assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+                stopped += bool(wrong_sigma_levels(g, root, dist, sigma))
+                merges = oracles.merge_levels(g, dist)
+                assert merge == (merges[0] if merges else None)
+                level, count = first_level_edges(g, dist)
+                if merge is None or level < merge:
+                    assert (odd, edges) == (level, count)
+        assert stopped
+
+    def test_sigma_stays_exact_through_the_pending_depth(self, corpus):
+        # a row may stop counting only at a level d at or past the deepest
+        # pair deferred to its root, and sigma is then exact through d
+        for g in corpus:
+            for depth in (1, 2, 3):
+                for root, (dist, sigma, *_) in enumerate(census_rows(g, depth, True)):
+                    assert min(wrong_sigma_levels(g, root, dist, sigma), default=math.inf) > depth
+
+    def test_dropped_tail_keeps_the_row_through_its_level(self, corpus):
+        # a row that drops its distance-only tail when counting stops at
+        # level d is the finished row cut after part of level d + 1: the
+        # same path counts, girth events and candidates, and a prefix of
+        # its order holding every vertex through level d
+        dropped = 0
+        for g in corpus:
+            for depth in (0, 2):
+                full = census_rows(g, depth, True)
+                for root, row in enumerate(census_rows(g, depth, False)):
+                    if row == full[root]:
+                        continue
+                    dropped += 1
+                    dist, sigma, order, *found = row
+                    full_dist, full_sigma, full_order, *full_found = full[root]
+                    assert (sigma, found) == (full_sigma, full_found)
+                    assert order == full_order[: len(order)] != full_order
+                    assert all(dist[v] == full_dist[v] for v in order)
+                    assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
+                    # the row stopped counting while scanning level d
+                    d = dist[order[-1]] - 1
+                    assert all(v in order for v in range(g.n) if full_dist[v] <= d)
+        assert dropped
+
+    def test_first_level_edges_match_a_brute_count(self, corpus):
+        # a pending pair deeper than any level keeps a row counting to its
+        # end; it counts the same-level edges of its first such level and
+        # no others: the girth and the far-edge check read just these
+        for g in corpus:
+            for root, row in enumerate(census_rows(g, g.n, True)):
+                dist, sigma, _, odd, edges, _, _ = row
+                exact = oracles.bfs_counts(g, root)
+                assert (dist, sigma) == (list(exact.dist), list(exact.sigma))
+                assert (odd, edges) == first_level_edges(g, exact.dist)
+
+
 class TestCountCutoff:
     # root 0 -- 1, the triangle 1 2 3, the hexagon 2 4 5 6 7 3, the
     # pentagon 5 8 10 9 6 and the square 10 11 13 12: every vertex above 0
@@ -358,31 +452,24 @@ class TestCountCutoff:
                   (11, 13), (12, 13)]
 
     @pytest.mark.parametrize(
-        "tail, expected",
-        [([], [(5, True)]), ([(0, 14), (14, 15), (15, 16), (16, 17), (17, 18)],
-                             [(5, False), (7, True)])],
+        "tail, stopped_at",
+        [([], 5), ([(0, 14), (14, 15), (15, 16), (16, 17), (17, 18)], 7)],
         ids=["one-branch", "second-branch-ends-at-level-5"],
     )
-    def test_counting_stops_below_two_branches(self, tail, expected):
-        # the first merge, into 10 at level 6, is put to the test at level
+    def test_counting_stops_below_two_branches(self, tail, stopped_at):
+        # the first merge, into 10 at level 6, is met while scanning level
         # 5 after the girth event at level 2; 8 and 9 still have one
         # shortest path each, but with one branch 0 owns no cycle through
-        # them, while a second clean branch keeps the row counting until
-        # it ends
+        # them and stops counting there, while a second clean branch keeps
+        # the row counting until that branch ends, at the merge into 13
         g = cc.Graph(19 if tail else 14, self.ONE_BRANCH + tail)
-        cutoff, rest = convexity._count_cutoff(
-            g.adjacency, 0, (), [], True, [0] * g.n, [0] * g.n
+        dist, sigma, _, _, _, merge, owned = convexity._census_row(
+            g.adjacency, 0, 0, True, [0] * g.n, [0] * g.n
         )
-        asked = []
-
-        def stop(d, *args):
-            asked.append((d, cutoff(d, *args)))
-            return asked[-1][1]
-
-        dist, sigma, *_ = convexity._bfs(g.adjacency, 0, stop)
-        assert asked == expected
+        assert dist == list(oracles.bfs_distances(g, 0))
+        assert min(wrong_sigma_levels(g, 0, dist, sigma)) == stopped_at + 1
         # 0 owns no cycle, and the row's first merge is into 10 at level 6
-        assert rest(dist, sigma) == ([], 6)
+        assert (owned, merge) == ([], 6)
         TestReferencePipeline.check(g)
 
 
@@ -392,16 +479,10 @@ class TestCandidateSweep:
 
     @staticmethod
     def check(g: cc.Graph) -> None:
-        # roots in increasing order share the label and predecessor lists,
-        # as in the census; nothing is pending, so each row stops counting
-        # as soon as its frontier spans fewer than two branches
-        branch, pred = [0] * g.n, [0] * g.n
-        for v in range(g.n):
-            reached, rest = convexity._count_cutoff(
-                g.adjacency, v, (), [], True, branch, pred
-            )
-            dist, sigma, *_ = convexity._bfs(g.adjacency, v, reached)
-            owned, merge = rest(dist, sigma)
+        # nothing is pending, so each row stops counting as soon as its
+        # frontier spans fewer than two branches
+        for v, row in enumerate(census_rows(g, 0, True)):
+            *_, merge, owned = row
             assert sorted(owned) == oracles.owned_candidates(g, v)
             merges = oracles.merge_levels(g, oracles.bfs_distances(g, v))
             assert merge == (merges[0] if merges else None)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 
 import convexcycles as cc
-from convexcycles.metric import DROP_TAIL, _bfs
 
 from . import oracles
 from .strategies import graphs
@@ -71,93 +70,6 @@ class TestBfsRecord:
             rec = cc.bfs_record(g, 0)
             for v in range(g.n):
                 assert rec.sigma[v] == oracles.count_shortest_paths(g, 0, v)
-
-
-def first_level_edges(g: cc.Graph, dist) -> tuple[int, int]:
-    """(level, count) of the same-level edges at the least level that has
-    any, by a scan of the edge list; (g.n, 0) when there are none."""
-    levels = [dist[u] for u, v in g.edge_list if dist[u] is not None and dist[u] == dist[v]]
-    if not levels:
-        return g.n, 0
-    return min(levels), levels.count(min(levels))
-
-
-class TestStoppedRow:
-    def test_distances_stay_exact_after_counting_stops(self, corpus):
-        # stop is asked at the first merge into each level d + 1 and here
-        # ends counting from level 1 on; dist and order must stay exact,
-        # sigma exact through the level it stopped at, and the merges and
-        # same-level edges it saw must hold nothing found after it
-        for g in corpus:
-            for root in range(g.n):
-                asked = []
-
-                def stop(d, *_):
-                    asked.append(d)
-                    return d >= 1
-
-                dist, sigma, order, odd, edges = _bfs(g.adjacency, root, stop)
-                exact = oracles.bfs_counts(g, root)
-                assert dist == list(exact.dist)
-                assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
-                assert [dist[v] for v in order] == sorted(dist[v] for v in order)
-                assert asked == sorted(set(asked))
-                last = asked[-1] if asked and asked[-1] >= 1 else math.inf
-                for v in order:
-                    if dist[v] <= last:
-                        assert sigma[v] == exact.sigma[v]
-                merges = oracles.merge_levels(g, dist)
-                assert [d + 1 for d in asked] == sorted(set(merges))[: len(asked)]
-                assert all(d <= last for d in asked)
-                assert edges == 0 or odd <= last
-                level, count = first_level_edges(g, dist)
-                if level < last:
-                    assert (odd, edges) == (level, count)
-                elif edges:
-                    assert odd == level and edges <= count
-
-    def test_dropped_tail_keeps_the_row_through_its_level(self, corpus):
-        # a row stopped with DROP_TAIL at level d is the row stopped with
-        # True at that level less the distances it never reached: exact
-        # through level d, part of level d + 1 and nothing deeper
-        dropped = 0
-        for g in corpus:
-            for root in range(g.n):
-                for at in (0, 1, 2):
-                    fired = []
-
-                    def stop(d, *_):
-                        if d >= at:
-                            fired.append(d)
-                            return DROP_TAIL
-                        return False
-
-                    dist, sigma, order, odd, edges = _bfs(g.adjacency, root, stop)
-                    full = _bfs(g.adjacency, root, lambda d, *_: d >= at)
-                    exact = oracles.bfs_counts(g, root)
-                    if not fired:
-                        assert (dist, sigma, order, odd, edges) == full
-                        continue
-                    dropped += 1
-                    (d,) = fired
-                    assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
-                    assert order == full[2][: len(order)]
-                    assert (odd, edges) == (full[3], full[4])
-                    assert any(dist[v] == d + 1 for v in order)
-                    for v in range(g.n):
-                        if exact.dist[v] is not None and exact.dist[v] <= d:
-                            assert (dist[v], sigma[v]) == (exact.dist[v], exact.sigma[v])
-                        elif dist[v] is not None:
-                            assert dist[v] == exact.dist[v] == d + 1
-        assert dropped
-
-    def test_first_level_edges_match_a_brute_count(self, corpus):
-        # a full row counts the same-level edges of its first such level
-        # and no others: the girth and the far-edge check read just these
-        for g in corpus:
-            for root in range(g.n):
-                dist, _, _, odd, edges = _bfs(g.adjacency, root)
-                assert (odd, edges) == first_level_edges(g, oracles.bfs_distances(g, root))
 
 
 def profile_of(g: cc.Graph) -> cc.MetricProfile:
