@@ -374,6 +374,108 @@ def _census_rows(
     return cycles, girth, far_edges, longest
 
 
+def _in_plane(plane: list[int], bits: list[int], us: list[int], vs: list[int]) -> bool:
+    """Whether plane[u] holds v for every pair (u, v) of zip(us, vs)."""
+    for u, v in zip(us, vs):
+        if not plane[u] & bits[v]:
+            return False
+    return True
+
+
+def _predecessor_pairs(
+    near: list[int], ring: list[int], evens: list[tuple[int, int]],
+) -> Iterable[tuple[int, int, tuple[int], int]]:
+    """(x, y, (w,), bit) per root of each (w, roots) of evens, with x < y
+    the two predecessors of w: its neighbours in the root's ring below w."""
+    for w, roots in evens:
+        apex = (w,)
+        nw = near[w]
+        while roots:
+            bit = roots & -roots
+            roots ^= bit
+            both = nw & ring[bit.bit_length() - 1]
+            yield (both & -both).bit_length() - 1, both.bit_length() - 1, apex, bit
+
+
+def _read_back(
+    rings: list[list[int]], bits: list[int], exact: list[int], k: int, odd: bool,
+    found: Iterable[tuple[int, int, tuple[int, ...], int]], cycles: list[tuple[int, ...]],
+) -> None:
+    """Append to cycles, in canonical order, each convex candidate of found.
+
+    found yields (x, y, apex, roots): for each root r in the mask roots,
+    the candidate runs from r up r's clean arm to x at level k, through
+    apex (empty when odd, else the vertex above x and y) and down y's
+    clean arm.  It is convex when the arms start at different neighbours
+    of r and exact holds every antipodal pair: with a the arm of x upwards
+    and b that of y downwards, a[i] and b[i] are paired, and when odd also
+    a[i] and b[i + 1]; the pair at r holds by construction.  The pairs are
+    tested before the cycle's tuple is built.
+
+    rings[j][u] holds the roots at distance j from u, which by symmetry are
+    the vertices at distance j from root u.  A clean vertex has one
+    shortest path from the root, so its predecessor is the one vertex in
+    both its neighbour mask rings[1][u] and the root's ring a level below,
+    and no arm is stored.  Arms longer than two are read only when exact[x]
+    and exact[y] each hold a neighbour of r, as the pairs of x and of y
+    with the other arm's level-1 vertex require.
+    """
+    if k == 1:
+        for x, y, apex, roots in found:
+            # a triangle is always convex, a square when its pair (x, y) is
+            if odd or exact[x] & bits[y]:
+                while roots:
+                    bit = roots & -roots
+                    roots ^= bit
+                    cycles.append((bit.bit_length() - 1, x, *apex, y))
+        return
+    near = rings[1]
+    if k == 2:
+        for x, y, apex, roots in found:
+            nx, ny, ex, ey = near[x], near[y], exact[x], exact[y]
+            while roots:
+                bit = roots & -roots
+                roots ^= bit
+                r = bit.bit_length() - 1
+                nr = near[r]
+                # each arm's level-1 vertex a or b, as a mask; exact is
+                # symmetric, so ey & ma tests the pair (a, y)
+                ma = nr & nx
+                mb = nr & ny
+                # pairs (a, y) and (x, b), and (a, b) when odd
+                if ma != mb and ey & ma and ex & mb:
+                    a = ma.bit_length() - 1
+                    if not odd or exact[a] & mb:
+                        b = mb.bit_length() - 1
+                        cycles.append((r, a, x, *apex, y, b) if a < b else (r, b, y, *apex, x, a))
+        return
+    below = rings[k - 1:0:-1]
+    for x, y, apex, roots in found:
+        ex, ey = exact[x], exact[y]
+        while roots:
+            bit = roots & -roots
+            roots ^= bit
+            r = bit.bit_length() - 1
+            nr = near[r]
+            if not (ex & nr and ey & nr):
+                continue
+            # both arms downwards, a level per ring, to u and v at level 1
+            a = [u := x]
+            b = [v := y]
+            for ring in below:
+                rr = ring[r]
+                a.append(u := (near[u] & rr).bit_length() - 1)
+                b.append(v := (near[v] & rr).bit_length() - 1)
+            a.reverse()
+            if (
+                u != v and _in_plane(exact, bits, a, b)
+                and (not odd or _in_plane(exact, bits, a, b[1:]))
+            ):
+                if u > v:
+                    a, b = b[::-1], a[::-1]
+                cycles.append((r, *a, *apex, *b))
+
+
 def _census_planes(
     adjacency: tuple[tuple[int, ...], ...],
 ) -> tuple[list[tuple[int, ...]], int | float, int, int]:
@@ -389,23 +491,24 @@ def _census_planes(
     owned candidates come straight from the planes: a same-level edge with
     the root in both ends' clean planes closes an odd candidate, a vertex
     above the root with exactly two shortest paths, both from clean
-    predecessors, an even one, when the two arms start at different
-    neighbours of the root.  Arms read back through the clean planes of
-    the levels below, once per (root, vertex).  Every antipodal pair of a
+    predecessors, an even one.  Distance is symmetric, so round j's ones
+    plane, kept as rings[j], is also each root's ring of vertices at
+    distance j; the arms read back through the rings, a neighbour mask and
+    a bit test per vertex (see _read_back).  Every antipodal pair of a
     candidate built in round d lies at distance d, so each pair is tested
     against round d's "exactly one" (odd) or "exactly two" (even) paths
-    plane when the candidate is built.  The girth is set by the first
-    round that shows a same-level edge or a second shortest path, and the
-    far-edge count sums popcount(ones[x] & ones[w]) over the edges of that
-    round.
+    plane, before the candidate's tuple is built.  The girth is set by the
+    first round that shows a same-level edge or a second shortest path,
+    and the far-edge count sums popcount(ones[x] & ones[w]) over the edges
+    of that round.
 
-    Memory: the clean planes of every round are kept for the read-back,
-    (D + 1) lists of n ints of n bits for diameter D, about
-    (D + 1) * n * n / 8 bytes, beside ten live planes per vertex (about
-    10 * n * n / 8 bytes), one arm per (root, vertex) read back and O(L)
-    per candidate L-cycle.  profile_and_census runs this kernel only when
-    D <= 2 * log2(n) (see _small_world), so the clean planes take at most
-    about (2 * log2(n) + 1) * n * n / 8 bytes there.
+    Memory: the rings of every round are kept for the read-back, (D + 1)
+    lists of n ints of n bits for diameter D, about (D + 1) * n * n / 8
+    bytes, beside ten live planes per vertex (about 10 * n * n / 8 bytes)
+    and O(L) per convex L-cycle; candidates are read back one at a time.
+    profile_and_census runs this kernel only when D <= 2 * log2(n) (see
+    _small_world), so the rings take at most about
+    (2 * log2(n) + 1) * n * n / 8 bytes there.
     """
     n = len(adjacency)
     bits = [1 << v for v in range(n)]
@@ -415,46 +518,11 @@ def _census_planes(
     threes = [0] * n
     seen = bits[:]
     clean = bits[:]
-    cleans = [clean]
+    rings = [ones]
     edges = [(x, w) for x in range(n) for w in adjacency[x] if x < w]
     cycles: list[tuple[int, ...]] = []
     girth: int | float = math.inf
     far_edges = 0
-    # root * n + vertex -> the clean path up from level 1 to the vertex,
-    # for vertices at level 2 or deeper
-    arms: dict[int, tuple[int, ...]] = {}
-
-    def arm(r: int, bit: int, x: int, d: int) -> tuple[int, ...]:
-        if d == 1:
-            return (x,)
-        path = arms.get(r * n + x)
-        if path is None:
-            plane = cleans[d - 1]
-            for u in adjacency[x]:
-                if plane[u] & bit:
-                    break
-            path = arms[r * n + x] = arm(r, bit, u, d - 1) + (x,)
-        return path
-
-    def close(r: int, bit: int, x: int, y: int, level: int, apex: tuple, exact):
-        """Record the candidate r, arm(x), apex, arm(y) reversed, with x and
-        y at the given level, if the arms start at different neighbours of r
-        and every antipodal pair is in the exact plane."""
-        a = arm(r, bit, x, level)
-        b = arm(r, bit, y, level)
-        if a[0] == b[0]:
-            return
-        if a[0] > b[0]:
-            a, b = b, a
-        cycle = (r, *a, *apex, *b[::-1])
-        half = len(cycle) // 2
-        ends = cycle[half:] if apex else cycle[half:] + cycle[:half]
-        # the pair at r holds by construction
-        for u, v in zip(cycle[1:], ends[1:]):
-            if not exact[u] & bits[v]:
-                return
-        cycles.append(cycle)
-
     d = 0
     while True:
         d += 1
@@ -495,6 +563,7 @@ def _census_planes(
         if not any(new_ones):
             return cycles, girth, far_edges, d - 1
         ones, twos, threes = new_ones, new_twos, new_threes
+        rings.append(ones)
         if girth == math.inf:
             if any(twos):
                 girth = 2 * d
@@ -502,24 +571,16 @@ def _census_planes(
                 far_edges = sum((ones[x] & ones[w]).bit_count() for x, w in edges)
                 if far_edges:
                     girth = 2 * d + 1
+        # even candidates, arms at level d - 1, then odd ones, arms at level d
         exact = [a & ~b for a, b in zip(twos, threes)]
-        for w, roots in evens:
-            while roots:
-                bit = roots & -roots
-                roots ^= bit
-                r = bit.bit_length() - 1
-                x, y = (u for u in adjacency[w] if clean[u] & bit)
-                close(r, bit, x, y, d - 1, (w,), exact)
+        found = _predecessor_pairs(rings[1], rings[d - 1], evens)
+        _read_back(rings, bits, exact, d - 1, False, found, cycles)
         clean = new_clean
-        cleans.append(clean)
         exact = [a & ~b for a, b in zip(ones, twos)]
-        for x, w in edges:
-            both = clean[x] & clean[w]
-            while both:
-                bit = both & -both
-                both ^= bit
-                r = bit.bit_length() - 1
-                close(r, bit, x, w, d, (), exact)
+        found = (
+            (x, w, (), both) for x, w in edges for both in [clean[x] & clean[w]] if both
+        )
+        _read_back(rings, bits, exact, d, True, found, cycles)
 
 
 def _profile_and_census_of(

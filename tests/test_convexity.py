@@ -339,6 +339,22 @@ class TestKernelChoice:
         assert not self.small_world(g)
 
 
+class TestKernelsAgree:
+    """Both kernels on sparse G(n, p) at the benchmark's scale, where the
+    planes kernel reads arms three levels deep and more."""
+
+    @pytest.mark.parametrize("n, degree", [(150, 6), (200, 7), (240, 8), (270, 9)])
+    def test_seeded_gnp(self, n, degree):
+        adjacency = cc.gnp_random_graph(n, degree / (n - 1), 30).adjacency
+        connected, longest, upper = convexity._eccentricity_bounds(adjacency)
+        assert convexity._small_world(n, connected, longest)
+        cycles, *found = convexity._census_planes(adjacency)
+        rows_cycles, *rows_found = convexity._census_rows(adjacency, connected, longest, upper)
+        # (girth, far-edge count, longest)
+        assert found == rows_found
+        assert sorted(cycles) == sorted(rows_cycles)
+
+
 class TestFarEdgeCheck:
     def test_silent_on_corpus(self, corpus):
         # the pass raises ConsistencyError when the check fails
