@@ -10,6 +10,7 @@ quietly with exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -258,7 +259,10 @@ def _cmd_oracle(args) -> int:
     return _finish(args, report, phases)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, since --spectral appends to a copy of its default list."""
     reporting = argparse.ArgumentParser(add_help=False)
     reporting.add_argument(
         "--format", choices=("json", "table"), default="table",
@@ -274,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[reporting], help="full report for one graph")
-    # --spectral appends to a copy of the default section list
     p.add_argument("--spectral", dest="sections", action="append_const",
                    const="spectral", help="include the spectral count")
     p.add_argument("--max-n", type=int, default=DEFAULT_SPECTRAL_CAP,
@@ -315,9 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

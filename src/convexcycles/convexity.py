@@ -15,14 +15,18 @@ Three BFS first bound every eccentricity, and the largest one they see
 picks a kernel, each with a BFS loop of its own: on small-world graphs
 the planes kernel runs every root at once as bits of Python ints, with
 path counts capped at 3; on any other graph the rows kernel runs one row
-per root, which stops counting as early as the census allows and drops
-its distance-only tail when it cannot raise the diameter.
+per root.  A root that can own a candidate gets a BFS row, which stops
+counting as early as the census allows and drops its distance-only tail
+when it cannot raise the diameter.  Every other root lies inside a path
+of degree-2 vertices, and its row runs on the graph contracted to the
+vertices of other degrees, one shortest-path search over those.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -293,13 +297,129 @@ def _census_row(
     return dist, sigma, order, odd, edges, merge, owned
 
 
+_Chains = list[tuple[int, int, int]]
+_Places = list[tuple[int, int] | None]
+_Ends = dict[int, list[tuple[int, int]]]
+
+
+def _contract(
+    adjacency: tuple[tuple[int, ...], ...],
+) -> tuple[_Chains, _Places, _Ends]:
+    """(chains, place, ends): the graph contracted to its junctions.
+
+    A junction is a vertex whose degree is not 2, or the minimum vertex of
+    a component that is a cycle.  A chain (a, b, length) is a maximal path
+    from junction a to junction b (a == b for a cycle through a) whose
+    interior vertices have degree 2.  place[v] is (chain index, position
+    from a) for an interior vertex v, None for a junction, and ends[x]
+    holds (y, length) per chain from junction x to y.
+    """
+    place: _Places = [None] * len(adjacency)
+    junction = [len(nbrs) != 2 for nbrs in adjacency]
+    chains: _Chains = []
+    ends: _Ends = {}
+    # the cycle components' junctions come after every other junction
+    for a in chain(
+        [a for a, j in enumerate(junction) if j],
+        (a for a in range(len(adjacency)) if not junction[a] and place[a] is None),
+    ):
+        junction[a] = True
+        for x in adjacency[a]:
+            if place[x] is not None or junction[x] and x < a:
+                continue  # walked from its other end
+            c, prev, length = len(chains), a, 1
+            while not junction[x]:
+                place[x] = (c, length)
+                u, w = adjacency[x]
+                prev, x = x, w if u == prev else u
+                length += 1
+            chains.append((a, x, length))
+            ends.setdefault(a, []).append((x, length))
+            ends.setdefault(x, []).append((a, length))
+    return chains, place, ends
+
+
+def _chain_row(
+    chains: _Chains, ends: _Ends, place: _Places, root: int, n: int,
+) -> tuple[dict[int, int], dict[int, int], int, int, int | None, int]:
+    """The row of a chain-interior root, on the contracted graph: (dist,
+    sigma, odd, edges, merge, ecc) with odd, edges and merge as in a full
+    _census_row and ecc the root's eccentricity; dist and sigma hold the
+    root and the junctions it reaches (see _chain_point for the rest).
+
+    Root's chain splits at root into two chains from root.  A search over
+    the junctions, in order of distance, gives each its distance and path
+    count, and a junction reached tight along two chains or more is a
+    merge.  The fronts from both ends of a chain (u, v, l) meet inside it
+    when |dist[u] - dist[v]| < l: for odd t = dist[u] + dist[v] + l at a
+    same-level edge at level t // 2, for even t at a merge at level t / 2.
+    The farthest vertex of each chain lies t // 2 from root.
+    """
+    c0, i = place[root]
+    a, b, length = chains[c0]
+    dist, sigma, tight = {root: 0}, {root: 1}, {}
+    heap = [(0, root)]
+    while heap:
+        d, u = heappop(heap)
+        if d != dist[u]:
+            continue  # superseded by a shorter arrival
+        s = sigma[u]
+        # root's own chain is never tight at a junction: root is nearer
+        for y, l in ends[u] if u != root else ((a, i), (b, length - i)):
+            e = d + l
+            was = dist.get(y)
+            if was is None or e < was:
+                dist[y], sigma[y], tight[y] = e, s, 1
+                heappush(heap, (e, y))
+            elif e == was:
+                sigma[y] += s
+                tight[y] += 1
+    merges = [dist[x] for x, k in tight.items() if k > 1]
+    odd, edges, far = n, 0, 0
+    for u, v, l in chain(chains[:c0], chains[c0 + 1:], ((a, root, i), (root, b, length - i))):
+        du = dist.get(u)
+        if du is None:
+            continue  # another component
+        dv = dist[v]
+        t = du + dv + l
+        if t > far:
+            far = t
+        if -l < du - dv < l:
+            if t % 2 == 0:
+                merges.append(t // 2)
+            elif t // 2 < odd:
+                odd, edges = t // 2, 1
+            elif t // 2 == odd:
+                edges += 1
+    return dist, sigma, odd, edges, min(merges, default=None), far // 2
+
+
+def _chain_point(
+    chains: _Chains, place: _Places, dist: dict[int, int], sigma: dict[int, int],
+    root: int, w: int,
+) -> tuple[int | None, int]:
+    """(distance, path count) of w in chain-interior root's _chain_row."""
+    if place[w] is None:
+        return dist.get(w), sigma.get(w, 0)
+    c, j = place[w]
+    a, b, length = chains[c]
+    c0, i = place[root]
+    if c == c0:
+        # w lies on one of the two chains root's own splits into
+        a, b, length, j = (a, root, i, j) if j <= i else (root, b, length - i, j - i)
+    if a not in dist:
+        return None, 0
+    x, y = dist[a] + j, dist[b] + length - j
+    return min(x, y), (sigma[a] if x <= y else 0) + (sigma[b] if y <= x else 0)
+
+
 def _census_rows(
     adjacency: tuple[tuple[int, ...], ...],
     connected: bool,
     longest: int,
     upper: list[int],
 ) -> tuple[list[tuple[int, ...]], int | float, int, int]:
-    """The rows kernel: one BFS row per root, roots in increasing order.
+    """The rows kernel: one row per root, roots in increasing order.
 
     Returns (cycles, girth, far_edges, longest): the convex cycles in
     canonical order, the girth, for odd girth g = 2k+1 the number of
@@ -308,20 +428,30 @@ def _census_rows(
     candidates not at itself to the later row of the pair's smaller
     vertex, then drops its row: O(n + m) memory plus O(L) per L-cycle.
 
+    A cycle through a chain-interior vertex holds its whole chain (see
+    _contract), so only a junction or a chain's minimum interior vertex
+    can own a candidate.  Those roots get a full BFS row (_census_row).
+    Every other root gets a chain row (_chain_row) on the contracted
+    graph, in O(junctions + chains) memory and, with its heap,
+    O((junctions + chains) log(junctions)) time: it reads its deferred
+    pairs, girth events and exact eccentricity off the junctions'
+    distances, owns nothing and tightens no bound.
+
     A clean vertex has one shortest path from the root, through vertices
     above the root; its branch is the root's neighbor it descends from.
     The arms of each candidate the root owns (as its minimum) run through
     clean vertices of two branches (see _sweep).  At the first merge into
-    level d + 1, a row stops counting shortest paths once (a) no live pair
-    deferred to the root lies deeper than d, (b) its first same-level edge
-    or merge was found scanning a level less than d, so its girth events
-    are complete, and (c) the clean frontier, stepped to level d, spans
-    fewer than two branches.  The rest, distances only, can only raise the
-    diameter: a row whose bound upper[v] (see _eccentricity_bounds) is at
-    most longest, the largest eccentricity seen so far, drops it, as does
-    every row of a disconnected graph.  Any other row finishes it, raises
-    longest to its eccentricity e and lowers upper[w] to e + d(v, w) for
-    the vertices w of its BFS-order prefix where that is at most longest.
+    level d + 1, a full row stops counting shortest paths once (a) no live
+    pair deferred to the root lies deeper than d, (b) its first same-level
+    edge or merge was found scanning a level less than d, so its girth
+    events are complete, and (c) the clean frontier, stepped to level d,
+    spans fewer than two branches.  The rest, distances only, can only
+    raise the diameter: a row whose bound upper[v] (see
+    _eccentricity_bounds) is at most longest, the largest eccentricity seen
+    so far, drops it, as does every row of a disconnected graph.  Any
+    other full row finishes it, raises longest to its eccentricity e and
+    lowers upper[w] to e + d(v, w) for the vertices w of its BFS-order
+    prefix where that is at most longest.
     """
     n = len(adjacency)
     # (cycle length, same-level edges) of each row's first cycle events
@@ -336,27 +466,40 @@ def _census_rows(
     # predecessor, kept across roots
     branch = [0] * n
     pred = [0] * n
+    chains, place, ends = _contract(adjacency)
+    # the chains whose minimum interior vertex has had its full row
+    started = [False] * len(chains)
     for v in range(n):
         pending = deferred.pop(v, ())
-        depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
-        finish = connected and upper[v] > longest
-        dist, sigma, order, odd, edges, merge, owned = _census_row(
-            adjacency, v, depth, finish, branch, pred
-        )
-        ecc = dist[order[-1]]
-        longest = max(longest, ecc)
-        if finish:
-            # a finished row is exact, so ecc(w) <= ecc + d(v, w); a bound
-            # above longest settles no row unless longest grows later
-            for w in order:
-                bound = ecc + dist[w]
-                if bound > longest:
-                    break
-                if bound < upper[w]:
-                    upper[w] = bound
-        for w, cid in zip(pending[::2], pending[1::2]):
-            if (dist[w], sigma[w]) != targets[cid]:
-                targets[cid] = None
+        if place[v] is not None and started[place[v][0]]:
+            dist, sigma, odd, edges, merge, ecc = _chain_row(chains, ends, place, v, n)
+            longest = max(longest, ecc)
+            for w, cid in zip(pending[::2], pending[1::2]):
+                if _chain_point(chains, place, dist, sigma, v, w) != targets[cid]:
+                    targets[cid] = None
+            owned = ()
+        else:
+            if place[v] is not None:
+                started[place[v][0]] = True
+            depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
+            finish = connected and upper[v] > longest
+            dist, sigma, order, odd, edges, merge, owned = _census_row(
+                adjacency, v, depth, finish, branch, pred
+            )
+            ecc = dist[order[-1]]
+            longest = max(longest, ecc)
+            if finish:
+                # a finished row is exact, so ecc(w) <= ecc + d(v, w); a
+                # bound above longest settles no row unless longest grows
+                for w in order:
+                    bound = ecc + dist[w]
+                    if bound > longest:
+                        break
+                    if bound < upper[w]:
+                        upper[w] = bound
+            for w, cid in zip(pending[::2], pending[1::2]):
+                if (dist[w], sigma[w]) != targets[cid]:
+                    targets[cid] = None
         if edges:
             events.append((2 * odd + 1, edges))
         if merge is not None:

@@ -195,16 +195,14 @@ def reference_census(g: Graph) -> tuple[int | float, int | float, bool, list[tup
             candidates.append(
                 _path_to_root(g, rec, a)[::-1] + [v] + _path_to_root(g, rec, b)[:-1]
             )
-    cycles = {
-        canonical_cycle(tuple(c))
-        for c in candidates
-        if len(set(c)) == len(c) and is_convex_cycle_pairwise(records, c)
-    }
+    # a cycle is rebuilt from each of its pairs, so verify each one once
+    cycles = {canonical_cycle(tuple(c)) for c in candidates if len(set(c)) == len(c)}
     return (
         girth_from_records(g, records),
         diameter if connected else math.inf,
         connected,
-        sorted(cycles, key=lambda c: (len(c), c)),
+        sorted((c for c in cycles if is_convex_cycle_pairwise(records, c)),
+               key=lambda c: (len(c), c)),
     )
 
 

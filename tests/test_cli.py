@@ -480,6 +480,23 @@ class TestFlags:
         }
         assert found == self.OPTIONS
 
+    def test_parser_kept_across_runs(self, petersen_file):
+        # the parser is built once per process, and a run leaves nothing in
+        # it: --spectral adds its section to one report only
+        assert cli._build_parser() is cli._build_parser()
+        sections = []
+        for argv in (["analyze", "--spectral"], ["analyze"], ["bound"]):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                assert cc.cli_run([*argv, petersen_file, "--format", "json"]) == 0
+            report = json.loads(out.getvalue())
+            sections.append([k for k, v in report.items() if isinstance(v, dict)])
+        assert sections == [
+            ["census", "extremal", "moore", "count_check", "spectral"],
+            ["census", "extremal", "moore", "count_check"],
+            ["census", "extremal"],
+        ]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -19,6 +19,81 @@ def census_of(g: cc.Graph) -> cc.CycleCensus:
     return cc.profile_and_census(g)[1]
 
 
+def relabelled(g: cc.Graph, rng: random.Random) -> cc.Graph:
+    label = rng.sample(range(g.n), g.n)
+    return cc.Graph(g.n, [(label[u], label[v]) for u, v in g.edge_list])
+
+
+def path_graph(length: int) -> cc.Graph:
+    return cc.Graph(length + 1, [(i, i + 1) for i in range(length)])
+
+
+def union(*parts: cc.Graph) -> cc.Graph:
+    """The disjoint union, each part's labels shifted past the last's."""
+    n, edges = 0, []
+    for g in parts:
+        edges += [(u + n, v + n) for u, v in g.edge_list]
+        n += g.n
+    return cc.Graph(n, edges)
+
+
+def wedge(g: cc.Graph, h: cc.Graph) -> cc.Graph:
+    """g and h glued at their vertex 0."""
+    shift = [0, *range(g.n, g.n + h.n - 1)]
+    return cc.Graph(g.n + h.n - 1, [*g.edge_list, *((shift[u], shift[v]) for u, v in h.edge_list)])
+
+
+def theta_graph(*lengths: int) -> cc.Graph:
+    """Chains of the given lengths between vertices 0 and 1."""
+    n, edges = 2, []
+    for length in lengths:
+        path = [0, *range(n, n + length - 1), 1]
+        n += length - 1
+        edges += zip(path, path[1:])
+    return cc.Graph(n, edges)
+
+
+def subdivided_unevenly(g: cc.Graph, rng: random.Random) -> cc.Graph:
+    """g with each edge cut into 1 to 5 edges, drawn from rng."""
+    n, edges = g.n, []
+    for u, v in g.edge_list:
+        pieces = rng.randint(1, 5)
+        path = [u, *range(n, n + pieces - 1), v]
+        n += pieces - 1
+        edges += zip(path, path[1:])
+    return cc.Graph(n, edges)
+
+
+def chain_families() -> list[cc.Graph]:
+    """Graphs made mostly of degree-2 chains, relabelled at random: uneven
+    subdivisions, theta graphs, cycles hanging off one vertex, pendant
+    paths, C3-C30 and a disconnected union with cycle components."""
+    rng = random.Random(19)
+    graphs = [cc.cycle_graph(length) for length in range(3, 31)]
+    graphs += [
+        theta_graph(*lengths)
+        for lengths in [(1, 2, 2), (2, 2, 2), (2, 3, 4), (1, 3, 5), (3, 3, 3, 3),
+                        (1, 4, 4, 6), (2, 2, 5), (4, 5, 6)]
+    ]
+    graphs += [
+        wedge(cc.cycle_graph(length), h)
+        for length in (3, 6, 9)
+        for h in (path_graph(3), cc.cycle_graph(5), cc.complete_graph(4), theta_graph(2, 3, 3))
+    ]
+    graphs += [
+        path_graph(7),
+        wedge(wedge(path_graph(2), path_graph(3)), path_graph(5)),
+        wedge(cc.petersen_graph(), path_graph(4)),
+        union(cc.cycle_graph(9), theta_graph(2, 3, 4), path_graph(4), cc.Graph(1, []),
+              cc.cycle_graph(4)),
+    ]
+    graphs += [
+        subdivided_unevenly(cc.gnp_random_graph(rng.randint(4, 8), 0.5, 19_000 + i), rng)
+        for i in range(40)
+    ]
+    return [relabelled(g, rng) for g in graphs]
+
+
 class TestCanonicalForm:
     def test_starts_at_minimum(self):
         assert cc.canonical_cycle((4, 2, 7)) == (2, 4, 7)
@@ -312,6 +387,28 @@ class TestReferencePipeline:
     def test_hoffman_singleton(self, hoffman_singleton):
         self.check(hoffman_singleton)
 
+    def test_chain_families(self):
+        for g in chain_families():
+            self.check(g)
+
+    @pytest.mark.parametrize(
+        "g, by_length",
+        [
+            (cc.cycle_graph(297), {297: 1}),
+            (cc.cycle_graph(344), {344: 1}),
+            # uniform subdivisions keep the base's convex cycles: Petersen's
+            # 12 pentagons, K4's 4 triangles and none of K3,3
+            (subdivided(cc.petersen_graph(), 23), {115: 12}),
+            (subdivided(cc.complete_graph(4), 57), {171: 4}),
+            (subdivided(cc.complete_bipartite_graph(3, 3), 39), {}),
+        ],
+        ids=["C297", "C344", "petersen-s23", "k4-s57", "k33-s39"],
+    )
+    def test_long_shapes(self, g, by_length):
+        g = relabelled(g, random.Random(g.n))
+        self.check(g)
+        assert census_of(g).by_length == by_length
+
 
 class TestKernelChoice:
     """The census takes the planes kernel exactly on connected graphs whose
@@ -520,6 +617,60 @@ class TestCandidateSweep:
                 edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
                 edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
                 self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in edges]))
+
+
+class TestChainRows:
+    """Each chain row, convexity._chain_row, against the full row of its
+    root, _census_row counting to its end, and bfs_record."""
+
+    @staticmethod
+    def check(g: cc.Graph) -> int:
+        """Check every chain-interior root but each chain's least, which
+        keeps a full row; return how many were checked."""
+        chains, place, ends = convexity._contract(g.adjacency)
+        rows = census_rows(g, g.n, True)
+        least = {}
+        for v in range(g.n):
+            if place[v] is None or least.setdefault(place[v][0], v) == v:
+                continue
+            dist, sigma, odd, edges, merge, ecc = convexity._chain_row(chains, ends, place, v, g.n)
+            record = cc.bfs_record(g, v)
+            points = [
+                convexity._chain_point(chains, place, dist, sigma, v, w) for w in range(g.n)
+            ]
+            assert points == list(zip(record.dist, record.sigma))
+            full_dist, full_sigma, order, *found, owned = rows[v]
+            assert (full_dist, full_sigma) == (list(record.dist), list(record.sigma))
+            assert (odd, edges, merge, ecc) == (*found, full_dist[order[-1]])
+            assert owned == []
+        return len(g.adjacency) - len(least) - place.count(None)
+
+    def test_contraction(self):
+        # every edge lies on one chain, whose interior vertices have
+        # degree 2 and whose ends are the junctions
+        for g in chain_families():
+            chains, place, ends = convexity._contract(g.adjacency)
+            placed = [(v, *p) for v, p in enumerate(place) if p is not None]
+            edges = set()
+            for c, (a, b, length) in enumerate(chains):
+                inner = sorted((j, v) for v, k, j in placed if k == c)
+                path = [a, *(v for _, v in inner), b]
+                assert [j for j, _ in inner] == list(range(1, length))
+                assert all(len(g.adjacency[v]) == 2 for v in path[1:-1])
+                if len(g.adjacency[a]) == 2 or len(g.adjacency[b]) == 2:
+                    # a junction of degree 2 is a cycle component's least vertex
+                    assert a == b < min(path[1:-1])
+                edges.update(frozenset(e) for e in zip(path, path[1:]))
+                assert (b, length) in ends[a] and (a, length) in ends[b]
+            assert edges == {frozenset(e) for e in g.edge_list}
+            assert len(edges) == sum(length for _, _, length in chains)
+
+    def test_chain_families(self):
+        assert sum(self.check(g) for g in chain_families()) > 900
+
+    def test_subdivided(self, petersen, q3):
+        for g in [subdivided(petersen, 5), subdivided(q3, 4), subdivided(cc.complete_graph(4), 7)]:
+            assert self.check(relabelled(g, random.Random(g.n)))
 
 
 class TestRelabelling:
