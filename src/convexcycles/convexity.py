@@ -19,7 +19,9 @@ per root.  A root that can own a candidate gets a BFS row, which stops
 counting as early as the census allows and drops its distance-only tail
 when it cannot raise the diameter.  Every other root lies inside a path
 of degree-2 vertices, and its row runs on the graph contracted to the
-vertices of other degrees, one shortest-path search over those.
+vertices of other degrees, one shortest-path search over those for its
+distances and eccentricity.  The girth and far-edge count come from the
+BFS rows alone.
 """
 
 from __future__ import annotations
@@ -340,58 +342,42 @@ def _contract(
 
 
 def _chain_row(
-    chains: _Chains, ends: _Ends, place: _Places, root: int, n: int,
-) -> tuple[dict[int, int], dict[int, int], int, int, int | None, int]:
+    chains: _Chains, ends: _Ends, place: _Places, root: int,
+) -> tuple[dict[int, int], dict[int, int], int]:
     """The row of a chain-interior root, on the contracted graph: (dist,
-    sigma, odd, edges, merge, ecc) with odd, edges and merge as in a full
-    _census_row and ecc the root's eccentricity; dist and sigma hold the
+    sigma, ecc) with ecc the root's eccentricity; dist and sigma hold the
     root and the junctions it reaches (see _chain_point for the rest).
 
     Root's chain splits at root into two chains from root.  A search over
     the junctions, in order of distance, gives each its distance and path
-    count, and a junction reached tight along two chains or more is a
-    merge.  The fronts from both ends of a chain (u, v, l) meet inside it
-    when |dist[u] - dist[v]| < l: for odd t = dist[u] + dist[v] + l at a
-    same-level edge at level t // 2, for even t at a merge at level t / 2.
-    The farthest vertex of each chain lies t // 2 from root.
+    count.  The farthest vertex of a chain (u, v, l) lies
+    (dist[u] + dist[v] + l) // 2 from root.
     """
     c0, i = place[root]
     a, b, length = chains[c0]
-    dist, sigma, tight = {root: 0}, {root: 1}, {}
+    dist, sigma = {root: 0}, {root: 1}
     heap = [(0, root)]
     while heap:
         d, u = heappop(heap)
         if d != dist[u]:
             continue  # superseded by a shorter arrival
         s = sigma[u]
-        # root's own chain is never tight at a junction: root is nearer
         for y, l in ends[u] if u != root else ((a, i), (b, length - i)):
             e = d + l
             was = dist.get(y)
             if was is None or e < was:
-                dist[y], sigma[y], tight[y] = e, s, 1
+                dist[y], sigma[y] = e, s
                 heappush(heap, (e, y))
             elif e == was:
                 sigma[y] += s
-                tight[y] += 1
-    merges = [dist[x] for x, k in tight.items() if k > 1]
-    odd, edges, far = n, 0, 0
+    far = 0
     for u, v, l in chain(chains[:c0], chains[c0 + 1:], ((a, root, i), (root, b, length - i))):
         du = dist.get(u)
-        if du is None:
-            continue  # another component
-        dv = dist[v]
-        t = du + dv + l
-        if t > far:
-            far = t
-        if -l < du - dv < l:
-            if t % 2 == 0:
-                merges.append(t // 2)
-            elif t // 2 < odd:
-                odd, edges = t // 2, 1
-            elif t // 2 == odd:
-                edges += 1
-    return dist, sigma, odd, edges, min(merges, default=None), far // 2
+        if du is not None:  # else another component
+            t = du + dist[v] + l
+            if t > far:
+                far = t
+    return dist, sigma, far // 2
 
 
 def _chain_point(
@@ -434,8 +420,15 @@ def _census_rows(
     Every other root gets a chain row (_chain_row) on the contracted
     graph, in O(junctions + chains) memory and, with its heap,
     O((junctions + chains) log(junctions)) time: it reads its deferred
-    pairs, girth events and exact eccentricity off the junctions'
-    distances, owns nothing and tightens no bound.
+    pairs and exact eccentricity off the junctions' distances, owns
+    nothing and tightens no bound.
+
+    The girth and far-edge count come from the full rows alone.  Every
+    cycle holds a junction, and a row from any vertex of a girth cycle
+    sees a girth event.  For odd girth a root's far-edge count is the
+    number of girth cycles through it, and every interior vertex of a
+    chain lies on the same cycles, so the row of a chain's minimum
+    interior vertex counts for all length - 1 of them.
 
     A clean vertex has one shortest path from the root, through vertices
     above the root; its branch is the root's neighbor it descends from.
@@ -454,8 +447,8 @@ def _census_rows(
     prefix where that is at most longest.
     """
     n = len(adjacency)
-    # (cycle length, same-level edges) of each row's first cycle events
-    events: list[tuple[int, int]] = []
+    girth: int | float = math.inf
+    far_edges = 0
     candidates: list[tuple[int, ...]] = []
     # (distance, path count) still required of each candidate's pairs;
     # None once one pair failed
@@ -472,38 +465,42 @@ def _census_rows(
     for v in range(n):
         pending = deferred.pop(v, ())
         if place[v] is not None and started[place[v][0]]:
-            dist, sigma, odd, edges, merge, ecc = _chain_row(chains, ends, place, v, n)
+            dist, sigma, ecc = _chain_row(chains, ends, place, v)
             longest = max(longest, ecc)
             for w, cid in zip(pending[::2], pending[1::2]):
                 if _chain_point(chains, place, dist, sigma, v, w) != targets[cid]:
                     targets[cid] = None
-            owned = ()
-        else:
-            if place[v] is not None:
-                started[place[v][0]] = True
-            depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
-            finish = connected and upper[v] > longest
-            dist, sigma, order, odd, edges, merge, owned = _census_row(
-                adjacency, v, depth, finish, branch, pred
-            )
-            ecc = dist[order[-1]]
-            longest = max(longest, ecc)
-            if finish:
-                # a finished row is exact, so ecc(w) <= ecc + d(v, w); a
-                # bound above longest settles no row unless longest grows
-                for w in order:
-                    bound = ecc + dist[w]
-                    if bound > longest:
-                        break
-                    if bound < upper[w]:
-                        upper[w] = bound
-            for w, cid in zip(pending[::2], pending[1::2]):
-                if (dist[w], sigma[w]) != targets[cid]:
-                    targets[cid] = None
-        if edges:
-            events.append((2 * odd + 1, edges))
-        if merge is not None:
-            events.append((2 * merge, 0))
+            continue
+        # how many roots' far-edge counts v's row stands for
+        weight = 1
+        if place[v] is not None:
+            started[place[v][0]] = True
+            weight = chains[place[v][0]][2] - 1
+        depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
+        finish = connected and upper[v] > longest
+        dist, sigma, order, odd, edges, merge, owned = _census_row(
+            adjacency, v, depth, finish, branch, pred
+        )
+        ecc = dist[order[-1]]
+        longest = max(longest, ecc)
+        if finish:
+            # a finished row is exact, so ecc(w) <= ecc + d(v, w); a
+            # bound above longest settles no row unless longest grows
+            for w in order:
+                bound = ecc + dist[w]
+                if bound > longest:
+                    break
+                if bound < upper[w]:
+                    upper[w] = bound
+        for w, cid in zip(pending[::2], pending[1::2]):
+            if (dist[w], sigma[w]) != targets[cid]:
+                targets[cid] = None
+        if merge is not None and 2 * merge < girth:
+            girth, far_edges = 2 * merge, 0
+        if edges and 2 * odd + 1 < girth:
+            girth, far_edges = 2 * odd + 1, 0
+        if 2 * odd + 1 == girth:
+            far_edges += weight * edges
         for cycle in owned:
             cid = len(candidates)
             for lo, hi in _antipodal_pairs(cycle):
@@ -512,8 +509,6 @@ def _census_rows(
             candidates.append(cycle)
             targets.append(_lemma_target(len(cycle)))
     cycles = [c for c, t in zip(candidates, targets) if t is not None]
-    girth = min((length for length, _ in events), default=math.inf)
-    far_edges = sum(count for length, count in events if length == girth)
     return cycles, girth, far_edges, longest
 
 
@@ -628,7 +623,7 @@ def _census_planes(
     of any component.  Round d steps four planes per vertex w from level
     d - 1 to level d: ones, twos and threes hold the roots at distance d
     from w with at least one, two and three shortest paths (a saturating
-    add over w's neighbours, masked by the roots seen at w before), and
+    add over w's neighbours, masked to the roots new at w), and
     clean holds the roots for which w is clean: one shortest path, w above
     the root, and w's one predecessor clean, or the root itself.  A root's
     owned candidates come straight from the planes: a same-level edge with
@@ -647,8 +642,11 @@ def _census_planes(
 
     Memory: the rings of every round are kept for the read-back, (D + 1)
     lists of n ints of n bits for diameter D, about (D + 1) * n * n / 8
-    bytes, beside ten live planes per vertex (about 10 * n * n / 8 bytes)
+    bytes, beside nine live planes per vertex (about 9 * n * n / 8 bytes)
     and O(L) per convex L-cycle; candidates are read back one at a time.
+    A root at distance d - 1 from a neighbour of w is at distance d - 2,
+    d - 1 or d from w, so the roots new at w in round d are those in
+    neither of w's two latest rings.
     profile_and_census runs this kernel only when D <= 2 * log2(n) (see
     _small_world), so the rings take at most about
     (2 * log2(n) + 1) * n * n / 8 bytes there.
@@ -659,7 +657,8 @@ def _census_planes(
     ones = bits[:]
     twos = [0] * n
     threes = [0] * n
-    seen = bits[:]
+    # the ring two levels back: none at level -1
+    back = [0] * n
     clean = bits[:]
     rings = [ones]
     edges = [(x, w) for x in range(n) for w in adjacency[x] if x < w]
@@ -689,11 +688,10 @@ def _census_planes(
                     cu = clean[u]
                     c2 |= c & cu
                     c |= cu
-            fresh = ~seen[w]
+            fresh = ~(ones[w] | back[w])
             a1 &= fresh
             if not a1:
                 continue
-            seen[w] |= a1
             a2 &= fresh
             a3 &= fresh
             new_ones[w] = a1
@@ -705,7 +703,7 @@ def _census_planes(
                 evens.append((w, roots))
         if not any(new_ones):
             return cycles, girth, far_edges, d - 1
-        ones, twos, threes = new_ones, new_twos, new_threes
+        back, ones, twos, threes = ones, new_ones, new_twos, new_threes
         rings.append(ones)
         if girth == math.inf:
             if any(twos):

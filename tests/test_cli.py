@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -605,3 +606,32 @@ class TestRunFuzz:
     @given(_GRAPH6_LINES)
     def test_graph6_alphabet(self, fuzz_path, data):
         self.check(fuzz_path, data)
+
+
+def _benchmark_workloads():
+    """benchmark/workloads.py, imported by path; its dataclasses look their
+    module up in sys.modules, so it is registered there first."""
+    name = "convexcycles_benchmark_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "benchmark" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+class TestGoldenReports:
+    """The census workloads' seed-1 inputs, built by the benchmark's own
+    generator, print reports byte-identical to benchmark/golden."""
+
+    @pytest.mark.parametrize("workload", ["census-random", "census-grid", "census-long"])
+    def test_reports_match_golden(self, workload, tmp_path, monkeypatch, capsys):
+        workloads = _benchmark_workloads()
+        golden = json.loads((ROOT / "benchmark" / "golden" / f"{workload}.json").read_text())
+        cases = workloads.build(workload, 1)
+        assert sorted(case.name for case in cases) == sorted(golden)
+        monkeypatch.chdir(tmp_path)
+        for case in cases:
+            (tmp_path / case.name).write_text(workloads.graph6(case.n, case.edges))
+            assert cc.cli_run(["analyze", case.name, "--format", "json"]) == 0
+            assert capsys.readouterr().out == golden[case.name], case.name

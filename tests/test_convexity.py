@@ -620,29 +620,25 @@ class TestCandidateSweep:
 
 
 class TestChainRows:
-    """Each chain row, convexity._chain_row, against the full row of its
-    root, _census_row counting to its end, and bfs_record."""
+    """Each chain row, convexity._chain_row, against bfs_record of its
+    root."""
 
     @staticmethod
     def check(g: cc.Graph) -> int:
         """Check every chain-interior root but each chain's least, which
         keeps a full row; return how many were checked."""
         chains, place, ends = convexity._contract(g.adjacency)
-        rows = census_rows(g, g.n, True)
         least = {}
         for v in range(g.n):
             if place[v] is None or least.setdefault(place[v][0], v) == v:
                 continue
-            dist, sigma, odd, edges, merge, ecc = convexity._chain_row(chains, ends, place, v, g.n)
+            dist, sigma, ecc = convexity._chain_row(chains, ends, place, v)
             record = cc.bfs_record(g, v)
             points = [
                 convexity._chain_point(chains, place, dist, sigma, v, w) for w in range(g.n)
             ]
             assert points == list(zip(record.dist, record.sigma))
-            full_dist, full_sigma, order, *found, owned = rows[v]
-            assert (full_dist, full_sigma) == (list(record.dist), list(record.sigma))
-            assert (odd, edges, merge, ecc) == (*found, full_dist[order[-1]])
-            assert owned == []
+            assert ecc == max(d for d in record.dist if d is not None)
         return len(g.adjacency) - len(least) - place.count(None)
 
     def test_contraction(self):
@@ -671,6 +667,32 @@ class TestChainRows:
     def test_subdivided(self, petersen, q3):
         for g in [subdivided(petersen, 5), subdivided(q3, 4), subdivided(cc.complete_graph(4), 7)]:
             assert self.check(relabelled(g, random.Random(g.n)))
+
+    def test_girth_events_come_from_full_rows(self, petersen):
+        # the rows kernel reads girth events off full rows only, the row
+        # of a chain's least interior vertex counting for every interior
+        # vertex of its chain; its girth and far-edge count must match a
+        # count over every root's own BFS
+        rng = random.Random(20)
+        k4 = cc.complete_graph(4)
+        for g in [
+            cc.cycle_graph(21),
+            relabelled(subdivided(petersen, 3), rng),
+            relabelled(subdivided(k4, 5), rng),
+            relabelled(union(cc.cycle_graph(15), subdivided(k4, 5), cc.cycle_graph(17),
+                             path_graph(3)), rng),
+        ]:
+            records = oracles.all_roots_records(g)
+            girth = oracles.girth_from_records(g, records)
+            assert girth % 2
+            far_edges = 0
+            for record in records:
+                level, count = first_level_edges(g, record.dist)
+                if 2 * level + 1 == girth:
+                    far_edges += count
+            connected, longest, upper = convexity._eccentricity_bounds(g.adjacency)
+            _, *found, _ = convexity._census_rows(g.adjacency, connected, longest, upper)
+            assert found == [girth, far_edges]
 
 
 class TestRelabelling:
