@@ -333,6 +333,9 @@ def run(argv: list[str] | None = None) -> int:
     except ConvexCyclesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory for this graph", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,10 @@ path counts capped at 3; on any other graph the rows kernel runs one row
 per root.  A root that can own a candidate gets a BFS row, which stops
 counting as early as the census allows and drops its distance-only tail
 when it cannot raise the diameter.  Every other root lies inside a path
-of degree-2 vertices, and its row runs on the graph contracted to the
-vertices of other degrees, one shortest-path search over those for its
-distances and eccentricity.  The girth and far-edge count come from the
-BFS rows alone.
+of degree-2 vertices, a chain, and reads each pair it must test off one
+table of distances and path counts between the vertices of other
+degrees, where that table pays (see _junction_table).  The girth and
+far-edge count come from the BFS rows alone.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ from typing import Iterable, Sequence
 from .errors import ConsistencyError, InvalidCycle, NotApplicable
 from .graphs import Graph
 from .metric import DistanceRecord, MetricProfile, bfs_record
+
+# Bytes the census may hold beyond O(n + m) (see _small_world and
+# _junction_table), and the junction table's bytes per entry and rule.
+_BUDGET = 256 << 20
+_TABLE_ENTRY_BYTES = 128
+_ROOTS_PER_SEARCH = 6
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -302,6 +308,7 @@ def _census_row(
 _Chains = list[tuple[int, int, int]]
 _Places = list[tuple[int, int] | None]
 _Ends = dict[int, list[tuple[int, int]]]
+_Table = dict[int, tuple[dict[int, int], dict[int, int]]]
 
 
 def _contract(
@@ -341,62 +348,94 @@ def _contract(
     return chains, place, ends
 
 
-def _chain_row(
-    chains: _Chains, ends: _Ends, place: _Places, root: int,
-) -> tuple[dict[int, int], dict[int, int], int]:
-    """The row of a chain-interior root, on the contracted graph: (dist,
-    sigma, ecc) with ecc the root's eccentricity; dist and sigma hold the
-    root and the junctions it reaches (see _chain_point for the rest).
-
-    Root's chain splits at root into two chains from root.  A search over
-    the junctions, in order of distance, gives each its distance and path
-    count.  The farthest vertex of a chain (u, v, l) lies
-    (dist[u] + dist[v] + l) // 2 from root.
-    """
-    c0, i = place[root]
-    a, b, length = chains[c0]
-    dist, sigma = {root: 0}, {root: 1}
-    heap = [(0, root)]
-    while heap:
-        d, u = heappop(heap)
-        if d != dist[u]:
-            continue  # superseded by a shorter arrival
-        s = sigma[u]
-        for y, l in ends[u] if u != root else ((a, i), (b, length - i)):
-            e = d + l
-            was = dist.get(y)
-            if was is None or e < was:
-                dist[y], sigma[y] = e, s
-                heappush(heap, (e, y))
-            elif e == was:
-                sigma[y] += s
-    far = 0
-    for u, v, l in chain(chains[:c0], chains[c0 + 1:], ((a, root, i), (root, b, length - i))):
-        du = dist.get(u)
-        if du is not None:  # else another component
-            t = du + dist[v] + l
-            if t > far:
-                far = t
-    return dist, sigma, far // 2
+def _junction_table(adjacency: tuple[tuple[int, ...], ...]) -> tuple[_Chains, _Places, _Table]:
+    """(chains, place, table): _contract's chains and place, and table[x] =
+    (D[x], S[x]), distances and path counts from x to the junctions of its
+    component, by one search per end x of a chain with two interior
+    vertices or more.  The rule: chain rows run when the R chain roots
+    (each chain's interior but its minimum) are at least 6 * E for the E
+    searches, and E * J entries for J junctions fit the budget.  With each
+    edge of four G(n, p) cut into s edges, chain rows took 0.36-0.93 times
+    the time of BFS rows alone from R = 6.8 * E (s = 5) on, 0.78-1.24 times
+    at R = 4.8-5.7 * E (s = 4) and 0.96-1.33 times at R = 2.6-2.9 * E (s =
+    3), the high ends on a connected one.  Other graphs, and those without
+    two adjacent vertices of degree 2 (grids), are not contracted: no
+    chain, place all None and every root a BFS row."""
+    no_chains = [], [None] * len(adjacency), {}
+    if not any(len(adjacency[w]) == 2 for nbrs in adjacency if len(nbrs) == 2 for w in nbrs):
+        return no_chains
+    chains, place, ends = _contract(adjacency)
+    searched = {x for a, b, length in chains if length > 2 for x in (a, b)}
+    roots = sum(length - 2 for _, _, length in chains if length > 2)
+    entries = len(searched) * len(ends)
+    if roots < _ROOTS_PER_SEARCH * len(searched) or entries * _TABLE_ENTRY_BYTES > _BUDGET:
+        return no_chains
+    table: _Table = {}
+    for x in searched:
+        dist, sigma = table[x] = {x: 0}, {x: 1}
+        heap = [(0, x)]
+        while heap:
+            d, u = heappop(heap)
+            if d != dist[u]:
+                continue  # superseded by a shorter arrival
+            s = sigma[u]
+            for y, l in ends[u]:
+                e = d + l
+                was = dist.get(y)
+                if was is None or e < was:
+                    dist[y], sigma[y] = e, s
+                    heappush(heap, (e, y))
+                elif e == was:
+                    sigma[y] += s
+    return chains, place, table
 
 
 def _chain_point(
-    chains: _Chains, place: _Places, dist: dict[int, int], sigma: dict[int, int],
-    root: int, w: int,
-) -> tuple[int | None, int]:
-    """(distance, path count) of w in chain-interior root's _chain_row."""
-    if place[w] is None:
-        return dist.get(w), sigma.get(w, 0)
-    c, j = place[w]
-    a, b, length = chains[c]
+    chains: _Chains, place: _Places, table: _Table, root: int, w: int,
+) -> tuple[int, int]:
+    """(distance, path count) from chain-interior root to w in its
+    component, in O(1): root at position i of chain (a, b, length) lies
+    min(i + D[a][x], length - i + D[b][x]) from a junction x, summing S
+    over the sides that tie (a path from a back along root's chain loses),
+    and a vertex at position j of a chain (u, v, l) lies j past u or l - j
+    past v, root's own chain split into (a, root, i) and (root, b, length
+    - i)."""
+    if w == root:
+        return 0, 1
     c0, i = place[root]
-    if c == c0:
-        # w lies on one of the two chains root's own splits into
-        a, b, length, j = (a, root, i, j) if j <= i else (root, b, length - i, j - i)
-    if a not in dist:
-        return None, 0
-    x, y = dist[a] + j, dist[b] + length - j
-    return min(x, y), (sigma[a] if x <= y else 0) + (sigma[b] if y <= x else 0)
+    a, b, length = chains[c0]
+    if place[w] is None:
+        (da, sa), (db, sb) = table[a], table[b]
+        p, q, sp, sq = i + da[w], length - i + db[w], sa[w], sb[w]
+    else:
+        c, j = place[w]
+        u, v, l = chains[c]
+        if c == c0:
+            u, v, l, j = (a, root, i, j) if j <= i else (root, b, length - i, j - i)
+        p, sp = _chain_point(chains, place, table, root, u)
+        q, sq = _chain_point(chains, place, table, root, v)
+        p, q = p + j, q + l - j
+    return min(p, q), (sp if p <= q else 0) + (sq if q <= p else 0)
+
+
+def _chain_eccentricity(chains: _Chains, table: _Table, c0: int) -> int:
+    """The largest eccentricity of chain c0's interior, in a connected
+    graph, in O(chains): from position x of c0 = (a, b, length), junction
+    y lies d_y(x) = min(x + D[a][y], length - x + D[b][y]) and the far
+    point of another chain (u, v, l) (d_u(x) + d_v(x) + l) // 2 away.  That
+    sum is concave, level between the breakpoints (length + D[b][y] -
+    D[a][y]) / 2 of d_u and d_v, so it peaks at the floor of the first or
+    the position after.  On c0 the far point lies (length + min(length -
+    2, D[a][b])) // 2 from position length - 1."""
+    a, b, length = chains[c0]
+    da, db = table[a][0], table[b][0]
+    far = length + min(length - 2, da[b])
+    for u, v, l in chains[:c0] + chains[c0 + 1:]:
+        au, bu, av, bv = da[u], db[u], da[v], db[v]
+        mid = (length + min(bu - au, bv - av)) // 2
+        for x in (min(max(mid, 1), length - 1), min(mid + 1, length - 1)):
+            far = max(far, min(x + au, length - x + bu) + min(x + av, length - x + bv) + l)
+    return far // 2
 
 
 def _census_rows(
@@ -417,11 +456,12 @@ def _census_rows(
     A cycle through a chain-interior vertex holds its whole chain (see
     _contract), so only a junction or a chain's minimum interior vertex
     can own a candidate.  Those roots get a full BFS row (_census_row).
-    Every other root gets a chain row (_chain_row) on the contracted
-    graph, in O(junctions + chains) memory and, with its heap,
-    O((junctions + chains) log(junctions)) time: it reads its deferred
-    pairs and exact eccentricity off the junctions' distances, owns
-    nothing and tightens no bound.
+    Every other root gets a chain row where the junction table pays (see
+    _junction_table): its J searches take O(J (J + C) log J) time and J^2
+    memory for J junctions and C chains, then each pair deferred to a
+    chain row costs O(1) (_chain_point).  A chain row owns nothing and tightens
+    no bound; once one has upper[v] > longest, its chain's largest
+    eccentricity is found, in O(C) (_chain_eccentricity).
 
     The girth and far-edge count come from the full rows alone.  Every
     cycle holds a junction, and a row from any vertex of a girth cycle
@@ -459,16 +499,19 @@ def _census_rows(
     # predecessor, kept across roots
     branch = [0] * n
     pred = [0] * n
-    chains, place, ends = _contract(adjacency)
-    # the chains whose minimum interior vertex has had its full row
+    chains, place, table = _junction_table(adjacency)
+    # the chains whose minimum interior vertex has had its full row, and
+    # those whose largest eccentricity is in longest
     started = [False] * len(chains)
+    spanned = [False] * len(chains)
     for v in range(n):
         pending = deferred.pop(v, ())
-        if place[v] is not None and started[place[v][0]]:
-            dist, sigma, ecc = _chain_row(chains, ends, place, v)
-            longest = max(longest, ecc)
+        if place[v] is not None and started[c := place[v][0]]:
+            if connected and upper[v] > longest and not spanned[c]:
+                spanned[c] = True
+                longest = max(longest, _chain_eccentricity(chains, table, c))
             for w, cid in zip(pending[::2], pending[1::2]):
-                if _chain_point(chains, place, dist, sigma, v, w) != targets[cid]:
+                if _chain_point(chains, place, table, v, w) != targets[cid]:
                     targets[cid] = None
             continue
         # how many roots' far-edge counts v's row stands for
@@ -641,15 +684,15 @@ def _census_planes(
     of that round.
 
     Memory: the rings of every round are kept for the read-back, (D + 1)
-    lists of n ints of n bits for diameter D, about (D + 1) * n * n / 8
-    bytes, beside nine live planes per vertex (about 9 * n * n / 8 bytes)
-    and O(L) per convex L-cycle; candidates are read back one at a time.
+    lists of n ints of n bits for diameter D, beside nine live planes per
+    vertex and O(L) per convex L-cycle; candidates are read back one at a
+    time.  The peak RSS rise measured 1.3-2.2 times (D + 10) * n * n / 8
+    bytes, 1.0-59 MiB, on G(n, 10 / (n - 1)) with n = 500-4000, so about
+    (D + 10) * n * n / 4 bytes.  profile_and_census runs this kernel only
+    when that fits the budget with D <= 2 * longest (see _small_world).
     A root at distance d - 1 from a neighbour of w is at distance d - 2,
     d - 1 or d from w, so the roots new at w in round d are those in
     neither of w's two latest rings.
-    profile_and_census runs this kernel only when D <= 2 * log2(n) (see
-    _small_world), so the rings take at most about
-    (2 * log2(n) + 1) * n * n / 8 bytes there.
     """
     n = len(adjacency)
     bits = [1 << v for v in range(n)]
@@ -748,10 +791,11 @@ def _profile_and_census_of(
 
 def _small_world(n: int, connected: bool, longest: int) -> bool:
     """Whether the census runs the planes kernel: a connected graph whose
-    largest eccentricity seen by the sweeps is at most log2(n).  Its
-    diameter is then at most 2 * log2(n), since every eccentricity is at
-    most twice that of the sweeps' middle vertex."""
-    return connected and 2**longest <= n
+    largest eccentricity seen by the sweeps is at most log2(n), and whose
+    planes, about (2 * longest + 10) * n * n / 4 bytes (see _census_planes),
+    fit the budget.  Every eccentricity is at most twice that of the
+    sweeps' middle vertex, so the diameter is at most 2 * longest."""
+    return connected and 2**longest <= n and (2 * longest + 10) * n * n // 4 <= _BUDGET
 
 
 def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:

@@ -459,6 +459,19 @@ class TestExitCodes:
         assert cc.cli_run(["analyze", petersen_file]) == 3
         capsys.readouterr()
 
+    def test_memory_error_maps_to_two(self, petersen_file, monkeypatch, capsys):
+        # running out of memory is a resource refusal: one line, exit 2
+        import convexcycles.convexity as convexity
+
+        def exhaust(adjacency):
+            raise MemoryError
+
+        monkeypatch.setattr(convexity, "_census_planes", exhaust)
+        assert cc.cli_run(["analyze", petersen_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory for this graph\n"
+
 
 class TestFlags:
     """Each subcommand takes only the flags it reads."""

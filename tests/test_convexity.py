@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -435,6 +436,21 @@ class TestKernelChoice:
         g = cc.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         assert not self.small_world(g)
 
+    def test_planes_over_budget_take_rows(self, monkeypatch):
+        # the planes of G(270, 9/269), longest 4 or 5, are predicted at
+        # (2 * longest + 10) * n * n / 4 bytes, well under 1 MiB
+        g = cc.gnp_random_graph(270, 9 / 269, 16)
+        connected, longest, _ = convexity._eccentricity_bounds(g.adjacency)
+        planes = (2 * longest + 10) * g.n * g.n // 4
+        assert planes < 1 << 20
+        monkeypatch.setattr(convexity, "_BUDGET", planes)
+        assert self.small_world(g)
+        monkeypatch.setattr(convexity, "_BUDGET", planes - 1)
+        assert not self.small_world(g)
+        assert census_of(g) == cc.CycleCensus.from_cycles(
+            convexity._census_planes(g.adjacency)[0]
+        )
+
 
 class TestKernelsAgree:
     """Both kernels on sparse G(n, p) at the benchmark's scale, where the
@@ -620,26 +636,43 @@ class TestCandidateSweep:
 
 
 class TestChainRows:
-    """Each chain row, convexity._chain_row, against bfs_record of its
-    root."""
+    """Each chain row, convexity._chain_point read off the junction table,
+    and each chain's largest eccentricity, against bfs_record."""
 
     @staticmethod
-    def check(g: cc.Graph) -> int:
+    def check(g: cc.Graph) -> list[tuple[int, int, int, int]]:
         """Check every chain-interior root but each chain's least, which
-        keeps a full row; return how many were checked."""
-        chains, place, ends = convexity._contract(g.adjacency)
+        keeps a full row, with chain rows forced on, and on a connected
+        graph each chain's largest eccentricity; return (|i - j|,
+        distance, path count, lap) per target w at position j on the chain
+        of a root at position i, lap the chain's length when the chain is
+        a cycle through its junction, else 0."""
+        with mock.patch.object(convexity, "_ROOTS_PER_SEARCH", 0):
+            chains, place, table = convexity._junction_table(g.adjacency)
         least = {}
+        eccentricity = [0] * len(chains)
+        own = []
         for v in range(g.n):
-            if place[v] is None or least.setdefault(place[v][0], v) == v:
+            if place[v] is None:
                 continue
-            dist, sigma, ecc = convexity._chain_row(chains, ends, place, v)
+            c, i = place[v]
             record = cc.bfs_record(g, v)
-            points = [
-                convexity._chain_point(chains, place, dist, sigma, v, w) for w in range(g.n)
+            reached = [w for w in range(g.n) if record.dist[w] is not None]
+            eccentricity[c] = max(eccentricity[c], max(record.dist[w] for w in reached))
+            if least.setdefault(c, v) == v:
+                continue
+            points = [convexity._chain_point(chains, place, table, v, w) for w in reached]
+            assert points == [(record.dist[w], record.sigma[w]) for w in reached]
+            a, b, length = chains[c]
+            own += [
+                (abs(i - place[w][1]), record.dist[w], record.sigma[w], length * (a == b))
+                for w in reached if place[w] is not None and place[w][0] == c
             ]
-            assert points == list(zip(record.dist, record.sigma))
-            assert ecc == max(d for d in record.dist if d is not None)
-        return len(g.adjacency) - len(least) - place.count(None)
+        if convexity._eccentricity_bounds(g.adjacency)[0]:
+            for c, (_, _, length) in enumerate(chains):
+                if length > 2:
+                    assert convexity._chain_eccentricity(chains, table, c) == eccentricity[c]
+        return own
 
     def test_contraction(self):
         # every edge lies on one chain, whose interior vertices have
@@ -662,11 +695,113 @@ class TestChainRows:
             assert len(edges) == sum(length for _, _, length in chains)
 
     def test_chain_families(self):
-        assert sum(self.check(g) for g in chain_families()) > 900
+        assert sum(len(self.check(g)) for g in chain_families()) > 9000
 
     def test_subdivided(self, petersen, q3):
         for g in [subdivided(petersen, 5), subdivided(q3, 4), subdivided(cc.complete_graph(4), 7)]:
             assert self.check(relabelled(g, random.Random(g.n)))
+
+    def test_diameter_through_chain_eccentricities(self, monkeypatch):
+        # the sweeps can miss the diameter of a chain-heavy graph, and
+        # where only chain roots reach it, their chains' largest
+        # eccentricities must raise longest to it
+        monkeypatch.setattr(convexity, "_ROOTS_PER_SEARCH", 0)
+        rng = random.Random(24)
+        graphs = chain_families() + [
+            relabelled(subdivided_unevenly(cc.gnp_random_graph(8, 0.5, 24_000 + i), rng), rng)
+            for i in range(60)
+        ]
+        missed = 0
+        for g in graphs:
+            profile, _ = cc.profile_and_census(g)
+            if profile.connected:
+                records = oracles.all_roots_records(g)
+                assert profile.diameter == max(max(r.dist) for r in records)
+                missed += convexity._eccentricity_bounds(g.adjacency)[1] < profile.diameter
+        assert missed >= 3
+
+    def test_targets_on_the_roots_own_chain(self):
+        # a target on the root's chain is reached along the chain, or out
+        # through one end and back through the other, or both ways at once
+        rng = random.Random(21)
+        own = []
+        for lengths in [(1, 9), (2, 8), (3, 9), (1, 2, 10), (4, 4, 7)]:
+            own += self.check(relabelled(theta_graph(*lengths), rng))
+        along = [d == gap for gap, d, _, _ in own]
+        assert all(d <= gap for gap, d, _, _ in own)
+        assert any(along) and not all(along)
+        # round through both ends, alone and tied with the way along
+        assert any(d < gap for gap, d, _, _ in own)
+        assert any(d == gap and sigma == 2 for gap, d, sigma, _ in own)
+
+    def test_loops_and_cycle_components(self):
+        # a lollipop's loop chain at a degree-3 junction, cycle components
+        # and their disconnected unions: with a == b both sides of the
+        # root lead to the one junction, and an even cycle's antipodes sum
+        # the path counts of both sides
+        rng = random.Random(22)
+        graphs = [wedge(cc.cycle_graph(length), path_graph(3)) for length in (7, 10)]
+        graphs += [cc.cycle_graph(length) for length in (11, 12)]
+        graphs += [
+            union(cc.cycle_graph(8), theta_graph(2, 5, 5), cc.cycle_graph(9), path_graph(5))
+        ]
+        own = []
+        for g in graphs:
+            own += self.check(relabelled(g, rng))
+        laps = [(gap, d, sigma, lap) for gap, d, sigma, lap in own if lap]
+        # antipodes on the loop, and targets reached round through its junction
+        assert any(2 * d == lap and sigma == 2 for _, d, sigma, lap in laps)
+        assert any(d < gap for gap, d, _, _ in laps)
+
+    @pytest.mark.parametrize("pieces", [3, 5])
+    def test_same_census_without_chain_rows(self, monkeypatch, pieces):
+        # the rule only trades speed: with chain rows forced on and forced
+        # off, the rows kernel finds the same cycles, girth, far-edge
+        # count and largest eccentricity on subdivided G(n, p)
+        for seed in range(6):
+            g = relabelled(
+                subdivided(cc.gnp_random_graph(12, 0.3, 21_000 + seed), pieces),
+                random.Random(seed),
+            )
+            bounds = convexity._eccentricity_bounds(g.adjacency)
+            found = []
+            for roots_per_search in (0, g.n + 1):
+                monkeypatch.setattr(convexity, "_ROOTS_PER_SEARCH", roots_per_search)
+                chains, place, table = convexity._junction_table(g.adjacency)
+                assert bool(table) == (roots_per_search == 0)
+                assert bool(chains) == (place.count(None) < g.n) == bool(table)
+                found.append(convexity._census_rows(g.adjacency, *bounds))
+            assert found[0] == found[1]
+
+    def test_table_over_budget_falls_back(self, monkeypatch):
+        # a table that does not fit the budget gives no chain rows either
+        g = subdivided(cc.petersen_graph(), 9)
+        assert convexity._junction_table(g.adjacency)[2]
+        monkeypatch.setattr(convexity, "_BUDGET", 100 * convexity._TABLE_ENTRY_BYTES - 1)
+        chains, place, table = convexity._junction_table(g.adjacency)
+        assert (chains, place, table) == ([], [None] * g.n, {})
+
+    def test_grids_are_not_contracted(self, monkeypatch):
+        # a grid of three rows and columns or more has no two adjacent
+        # vertices of degree 2, so no chain row and no contraction; its
+        # census is the planes kernel's
+        rng = random.Random(23)
+
+        def refuse(adjacency):
+            raise AssertionError("contracted a grid")
+
+        monkeypatch.setattr(convexity, "_contract", refuse)
+        for r, c in [(3, 3), (3, 8), (4, 7), (6, 6), (5, 8)]:
+            label = rng.sample(range(r * c), r * c)
+            edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
+            edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
+            g = cc.Graph(r * c, [(label[u], label[v]) for u, v in edges])
+            chains, place, table = convexity._junction_table(g.adjacency)
+            assert (chains, place, table) == ([], [None] * g.n, {})
+            bounds = convexity._eccentricity_bounds(g.adjacency)
+            cycles, *found = convexity._census_rows(g.adjacency, *bounds)
+            planes_cycles, *planes_found = convexity._census_planes(g.adjacency)
+            assert (sorted(cycles), found) == (sorted(planes_cycles), planes_found)
 
     def test_girth_events_come_from_full_rows(self, petersen):
         # the rows kernel reads girth events off full rows only, the row
