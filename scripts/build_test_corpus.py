@@ -10,6 +10,9 @@ the known sequences, so a buggy run cannot silently ship a wrong corpus.
 
 Brute-force canonical labeling lives only here: it is test tooling, not a
 library feature, and is only feasible for these tiny orders anyway.
+
+Requires numpy, which neither the library nor its tests need; install it
+separately (`pip install numpy`) to run this script.
 """
 
 from __future__ import annotations

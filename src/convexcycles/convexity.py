@@ -11,11 +11,12 @@ vertex pairs joined by exactly two shortest paths.  Each root takes the
 candidates it owns (as their minimum vertex) from the vertices it reaches
 by one shortest path through vertices above it.
 
-Three BFS first bound every eccentricity, and the largest one they see
-picks a kernel, each with a BFS loop of its own: on small-world graphs
-the planes kernel runs every root at once as bits of Python ints, with
-path counts capped at 3; on any other graph the rows kernel runs one row
-per root.  A root that can own a candidate gets a BFS row, which stops
+Two sweeps of bfs_record first bound every eccentricity, all of them
+infinite on a disconnected graph, and the largest one they see picks a
+kernel, each with a BFS loop of its own: on small-world graphs the
+planes kernel runs every root at once as bits of Python ints, with path
+counts capped at 3; on any other graph the rows kernel runs one row per
+root.  A root that can own a candidate gets a BFS row, which stops
 counting as early as the census allows and drops its distance-only tail
 when it cannot raise the diameter.  Every other root lies inside a path
 of degree-2 vertices, a chain, and reads each pair it must test off one
@@ -36,8 +37,9 @@ from .errors import ConsistencyError, InvalidCycle, NotApplicable
 from .graphs import Graph
 from .metric import DistanceRecord, MetricProfile, bfs_record
 
-# Bytes the census may hold beyond O(n + m) (see _small_world and
-# _junction_table), and the junction table's bytes per entry and rule.
+# Bytes for the planes' rings (see _small_world) or the junction table (see
+# _junction_table), with O(n + m) and the O(sum of L) list of convex
+# L-cycles on top, and the junction table's bytes per entry and rule.
 _BUDGET = 256 << 20
 _TABLE_ENTRY_BYTES = 128
 _ROOTS_PER_SEARCH = 6
@@ -141,48 +143,24 @@ def is_convex_cycle(g: Graph, vertices: Sequence[int]) -> bool:
     return _lemma_holds({lo: bfs_record(g, lo) for lo in smaller}, verts)
 
 
-def _distances(adjacency: tuple[tuple[int, ...], ...], root: int) -> tuple[list, list[int]]:
-    """(dist, order) of a BFS from root, without shortest-path counts."""
-    dist: list[int | None] = [None] * len(adjacency)
-    dist[root] = 0
-    order = [root]
-    for u in order:
-        du1 = dist[u] + 1
-        for w in adjacency[u]:
-            if dist[w] is None:
-                dist[w] = du1
-                order.append(w)
-    return dist, order
+def _eccentricity_bounds(g: Graph) -> tuple[int | float, list[int | float]]:
+    """(longest, upper): eccentricity bounds from two sweeps of bfs_record.
 
-
-def _eccentricity_bounds(
-    adjacency: tuple[tuple[int, ...], ...],
-) -> tuple[bool, int, list[int]]:
-    """(connected, longest, upper): bounds from three BFS, distances only.
-
-    The first runs from vertex 0 and settles connectivity, the second from
-    the farthest vertex a of the first, the third from the middle c of a
-    shortest path from a to the farthest vertex b of the second.  longest
-    is the largest eccentricity they saw, a lower bound on the diameter,
-    and upper[w] = ecc(c) + d(c, w) bounds ecc(w) from above by the
-    triangle inequality.  The census pass lowers upper further from each
-    row it finishes.  A disconnected graph gets no bounds (upper is
-    empty): its diameter is infinite whatever the rows show.
+    The first sweep runs from vertex 0, the second from the least vertex a
+    farthest from 0.  longest = ecc(a) is a lower bound on the diameter, which
+    is at most 2 * longest, and upper[w] = ecc(a) + d(a, w) bounds ecc(w)
+    from above by the triangle inequality.  The census pass lowers upper
+    further from each row it finishes.  On a disconnected graph every
+    eccentricity is infinite, so longest and every upper[w] are too.
     """
-    if not adjacency:
-        return True, 0, []
-    dist, order = _distances(adjacency, 0)
-    if len(order) < len(adjacency):
-        return False, 0, []
-    dist, order = _distances(adjacency, order[-1])
-    c = b = order[-1]
-    longest = dist[b]
-    # walk from b halfway back to a, one level per step
-    for d in reversed(range(longest // 2, longest)):
-        c = next(w for w in adjacency[c] if dist[w] == d)
-    dist, order = _distances(adjacency, c)
-    ecc = dist[order[-1]]
-    return True, max(longest, ecc), [ecc + d for d in dist]
+    if not g.n:
+        return 0, []
+    dist = bfs_record(g, 0).dist
+    if None in dist:
+        return math.inf, [math.inf] * g.n
+    dist = bfs_record(g, dist.index(max(dist))).dist
+    longest = max(dist)
+    return longest, [longest + d for d in dist]
 
 
 def _arm(pred: list[int], root: int, x: int) -> list[int]:
@@ -440,18 +418,18 @@ def _chain_eccentricity(chains: _Chains, table: _Table, c0: int) -> int:
 
 def _census_rows(
     adjacency: tuple[tuple[int, ...], ...],
-    connected: bool,
-    longest: int,
-    upper: list[int],
-) -> tuple[list[tuple[int, ...]], int | float, int, int]:
+    longest: int | float,
+    upper: list[int | float],
+) -> tuple[list[tuple[int, ...]], int | float, int, int | float]:
     """The rows kernel: one row per root, roots in increasing order.
 
     Returns (cycles, girth, far_edges, longest): the convex cycles in
     canonical order, the girth, for odd girth g = 2k+1 the number of
     (root, edge) pairs with the edge at level k, and the largest
-    eccentricity seen.  A root defers each antipodal pair of its
-    candidates not at itself to the later row of the pair's smaller
-    vertex, then drops its row: O(n + m) memory plus O(L) per L-cycle.
+    eccentricity seen (infinite if disconnected).  A root defers each
+    antipodal pair of its candidates not at itself to the later row of the
+    pair's smaller vertex, then drops its row: O(n + m) memory plus O(L)
+    per L-cycle.
 
     A cycle through a chain-interior vertex holds its whole chain (see
     _contract), so only a junction or a chain's minimum interior vertex
@@ -481,10 +459,10 @@ def _census_rows(
     spans fewer than two branches.  The rest, distances only, can only
     raise the diameter: a row whose bound upper[v] (see
     _eccentricity_bounds) is at most longest, the largest eccentricity seen
-    so far, drops it, as does every row of a disconnected graph.  Any
-    other full row finishes it, raises longest to its eccentricity e and
-    lowers upper[w] to e + d(v, w) for the vertices w of its BFS-order
-    prefix where that is at most longest.
+    so far, drops it, as does every row of a disconnected graph, where both
+    are infinite.  Any other full row finishes it, raises longest to its
+    eccentricity e and lowers upper[w] to e + d(v, w) for the vertices w of
+    its BFS-order prefix where that is at most longest.
     """
     n = len(adjacency)
     girth: int | float = math.inf
@@ -507,7 +485,7 @@ def _census_rows(
     for v in range(n):
         pending = deferred.pop(v, ())
         if place[v] is not None and started[c := place[v][0]]:
-            if connected and upper[v] > longest and not spanned[c]:
+            if upper[v] > longest and not spanned[c]:
                 spanned[c] = True
                 longest = max(longest, _chain_eccentricity(chains, table, c))
             for w, cid in zip(pending[::2], pending[1::2]):
@@ -520,7 +498,7 @@ def _census_rows(
             started[place[v][0]] = True
             weight = chains[place[v][0]][2] - 1
         depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
-        finish = connected and upper[v] > longest
+        finish = upper[v] > longest
         dist, sigma, order, odd, edges, merge, owned = _census_row(
             adjacency, v, depth, finish, branch, pred
         )
@@ -689,7 +667,8 @@ def _census_planes(
     time.  The peak RSS rise measured 1.3-2.2 times (D + 10) * n * n / 8
     bytes, 1.0-59 MiB, on G(n, 10 / (n - 1)) with n = 500-4000, so about
     (D + 10) * n * n / 4 bytes.  profile_and_census runs this kernel only
-    when that fits the budget with D <= 2 * longest (see _small_world).
+    when that fits the budget with D <= 2 * longest (see _small_world),
+    and the O(L) per convex L-cycle comes on top of the budget.
     A root at distance d - 1 from a neighbour of w is at distance d - 2,
     d - 1 or d from w, so the roots new at w in round d are those in
     neither of w's two latest rings.
@@ -768,14 +747,13 @@ def _census_planes(
 
 
 def _profile_and_census_of(
-    connected: bool,
     cycles: list[tuple[int, ...]],
     girth: int | float,
     far_edges: int,
-    longest: int,
+    longest: int | float,
 ) -> tuple[MetricProfile, CycleCensus]:
     """The census and profile a kernel's findings give, after the far-edge
-    check of odd girth."""
+    check of odd girth; an infinite longest means a disconnected graph."""
     census = CycleCensus.from_cycles(cycles)
     if girth != math.inf and girth % 2:
         counted = census.by_length.get(girth, 0)
@@ -785,17 +763,16 @@ def _profile_and_census_of(
                 f"{far_edges / girth:g} cycles of odd girth {girth}, "
                 f"but the census has {counted}"
             )
-    diameter = longest if connected else math.inf
-    return MetricProfile(girth, diameter, connected), census
+    return MetricProfile(girth, longest, longest != math.inf), census
 
 
-def _small_world(n: int, connected: bool, longest: int) -> bool:
-    """Whether the census runs the planes kernel: a connected graph whose
-    largest eccentricity seen by the sweeps is at most log2(n), and whose
-    planes, about (2 * longest + 10) * n * n / 4 bytes (see _census_planes),
-    fit the budget.  Every eccentricity is at most twice that of the
-    sweeps' middle vertex, so the diameter is at most 2 * longest."""
-    return connected and 2**longest <= n and (2 * longest + 10) * n * n // 4 <= _BUDGET
+def _small_world(n: int, longest: int | float) -> bool:
+    """Whether the census runs the planes kernel: on a graph, never a
+    disconnected one, whose largest eccentricity seen by the sweeps is at
+    most log2(n), and whose planes fit the budget.  The diameter is at most
+    2 * longest, so they take about (2 * longest + 10) * n * n / 4 bytes
+    (see _census_planes); the list of convex cycles comes on top."""
+    return 2**longest <= n and (2 * longest + 10) * n * n // 4 <= _BUDGET
 
 
 def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
@@ -814,20 +791,20 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     ConsistencyError.  Antipodal pairs never straddle components, so the
     census covers every component.
 
-    Three BFS first (see _eccentricity_bounds) settle connectivity and
-    bound every eccentricity.  A connected graph whose largest eccentricity
-    they see is at most log2(n) takes the planes kernel (see
+    Two sweeps first (see _eccentricity_bounds) bound every eccentricity,
+    all infinite on a disconnected graph.  A graph whose largest
+    eccentricity they see is at most log2(n) takes the planes kernel (see
     _census_planes); any other graph, such as a grid or a long cycle, the
     rows kernel (see _census_rows).  Both hand their cycles, girth,
     far-edge count and largest eccentricity to the same checks.
     """
     adjacency = g.adjacency
-    connected, longest, upper = _eccentricity_bounds(adjacency)
-    if _small_world(g.n, connected, longest):
+    longest, upper = _eccentricity_bounds(g)
+    if _small_world(g.n, longest):
         found = _census_planes(adjacency)
     else:
-        found = _census_rows(adjacency, connected, longest, upper)
-    return _profile_and_census_of(connected, *found)
+        found = _census_rows(adjacency, longest, upper)
+    return _profile_and_census_of(*found)
 
 
 def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:

@@ -25,6 +25,12 @@ def relabelled(g: cc.Graph, rng: random.Random) -> cc.Graph:
     return cc.Graph(g.n, [(label[u], label[v]) for u, v in g.edge_list])
 
 
+def grid_edges(r: int, c: int) -> list[tuple[int, int]]:
+    """The r x c grid's edges, vertex x * c + y at row x and column y."""
+    edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
+    return edges + [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
+
+
 def path_graph(length: int) -> cc.Graph:
     return cc.Graph(length + 1, [(i, i + 1) for i in range(length)])
 
@@ -305,12 +311,15 @@ class TestReferencePipeline:
         )
         assert list(census.cycles) == cycles
         adjacency = g.adjacency
-        connected, longest, upper = convexity._eccentricity_bounds(adjacency)
+        longest, upper = convexity._eccentricity_bounds(g)
+        # the planes kernel reports the largest eccentricity of any
+        # component, which the sweeps' infinite longest overrides
+        *planes, ecc = convexity._census_planes(adjacency)
         for found in (
-            convexity._census_planes(adjacency),
-            convexity._census_rows(adjacency, connected, longest, upper),
+            (*planes, max(ecc, longest)),
+            convexity._census_rows(adjacency, longest, upper),
         ):
-            assert convexity._profile_and_census_of(connected, *found) == (profile, census)
+            assert convexity._profile_and_census_of(*found) == (profile, census)
 
     def test_corpus(self, corpus):
         for g in corpus:
@@ -327,9 +336,9 @@ class TestReferencePipeline:
 
     def test_sparse_gnp_near_connectivity(self):
         # a row drops its distance-only tail when its eccentricity bound
-        # ecc(c) + d(c, v) is at most the largest eccentricity seen; near
-        # the connectivity threshold the three sweeps sometimes miss the
-        # diameter by one, so a rule that drops one row too many gives a
+        # ecc(a) + d(a, v) is at most the largest eccentricity seen; near
+        # the connectivity threshold the two sweeps sometimes miss the
+        # diameter, so a rule that drops one row too many gives a
         # diameter one short on a few of these graphs
         for i in range(2000):
             n = 12 + i % 7
@@ -349,7 +358,8 @@ class TestReferencePipeline:
     )
     def test_sweep_edge_cases(self, g, diameter):
         # the first sweep, from vertex 0, settles connectivity; a
-        # disconnected graph drops every tail and has infinite diameter
+        # disconnected graph has infinite bounds, so it drops every tail,
+        # and infinite diameter
         self.check(g)
         assert cc.profile_and_census(g)[0].diameter == diameter
 
@@ -366,12 +376,13 @@ class TestReferencePipeline:
         holes = random.Random(12)
         for r in range(2, 10):
             for c in range(2, 10):
-                label = rng.sample(range(r * c), r * c)
-                edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
-                edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
-                self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in edges]))
+                edges = grid_edges(r, c)
                 holed = holes.sample(edges, len(edges) - 1 - (r + c) % 4)
-                self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in holed]))
+                # the grid and its holed copy share one relabelling
+                state = rng.getstate()
+                for kept in (edges, holed):
+                    rng.setstate(state)
+                    self.check(relabelled(cc.Graph(r * c, kept), rng))
 
     def test_cycles(self):
         # the choice of kernel picks planes for C3-C5 and rows for longer
@@ -411,24 +422,66 @@ class TestReferencePipeline:
         assert census_of(g).by_length == by_length
 
 
+class TestEccentricityBounds:
+    """The two sweeps' bounds against every vertex's eccentricity."""
+
+    @staticmethod
+    def check(g: cc.Graph) -> bool:
+        """Check g's bounds and return whether g is connected."""
+        longest, upper = convexity._eccentricity_bounds(g)
+        rows = [oracles.bfs_distances(g, v) for v in range(g.n)]
+        if any(None in row for row in rows):
+            assert (longest, upper) == (math.inf, [math.inf] * g.n)
+            return False
+        ecc = [max(row) for row in rows]
+        # longest is an eccentricity, so at least half the diameter
+        assert longest in ecc and longest <= max(ecc) <= 2 * longest
+        assert len(upper) == g.n and all(e <= u for e, u in zip(ecc, upper))
+        return True
+
+    def test_empty(self):
+        assert convexity._eccentricity_bounds(cc.Graph(0, [])) == (0, [])
+
+    def test_corpus(self, corpus):
+        assert all(self.check(g) for g in corpus)
+
+    def test_relabelled_shapes(self, petersen, q3):
+        rng = random.Random(25)
+        graphs = [
+            relabelled(cc.Graph(r * c, grid_edges(r, c)), rng)
+            for r in range(1, 9) for c in range(r, 12)
+        ]
+        graphs += [relabelled(cc.cycle_graph(length), rng) for length in range(3, 40)]
+        graphs += [
+            relabelled(subdivided(base, pieces), rng)
+            for base in (petersen, q3, cc.complete_graph(4)) for pieces in (2, 3, 7)
+        ]
+        assert all(self.check(g) for g in graphs)
+
+    def test_seeded_gnp_and_unions(self, petersen):
+        graphs = [
+            cc.gnp_random_graph(3 + i % 30, (0.05, 0.1, 0.2, 0.4)[i % 4], 25_000 + i)
+            for i in range(300)
+        ]
+        graphs += [union(g, h) for g, h in zip(graphs[:40], graphs[40:80])]
+        graphs += [union(cc.Graph(1, []), petersen), union(cc.cycle_graph(9), path_graph(3))]
+        connected = [self.check(g) for g in graphs]
+        assert sum(connected) > 100 and len(connected) - sum(connected) > 100
+
+
 class TestKernelChoice:
     """The census takes the planes kernel exactly on connected graphs whose
     largest eccentricity seen by the sweeps is at most log2(n)."""
 
     @staticmethod
     def small_world(g: cc.Graph) -> bool:
-        connected, longest, _ = convexity._eccentricity_bounds(g.adjacency)
-        return convexity._small_world(g.n, connected, longest)
+        return convexity._small_world(g.n, convexity._eccentricity_bounds(g)[0])
 
     def test_sparse_random_graph_takes_planes(self):
         assert self.small_world(cc.gnp_random_graph(270, 9 / 269, 16))
 
     def test_grids_and_long_cycles_take_rows(self, petersen):
-        rng = random.Random(22)
-        label = rng.sample(range(484), 484)
-        edges = [(x * 22 + y, x * 22 + y + 1) for x in range(22) for y in range(21)]
-        edges += [(x * 22 + y, (x + 1) * 22 + y) for x in range(21) for y in range(22)]
-        grid = cc.Graph(484, [(label[u], label[v]) for u, v in edges])
+        grid = relabelled(cc.Graph(484, grid_edges(22, 22)), random.Random(22))
         for g in [grid, cc.cycle_graph(301), subdivided(petersen, 23)]:
             assert not self.small_world(g)
 
@@ -440,7 +493,7 @@ class TestKernelChoice:
         # the planes of G(270, 9/269), longest 4 or 5, are predicted at
         # (2 * longest + 10) * n * n / 4 bytes, well under 1 MiB
         g = cc.gnp_random_graph(270, 9 / 269, 16)
-        connected, longest, _ = convexity._eccentricity_bounds(g.adjacency)
+        longest, _ = convexity._eccentricity_bounds(g)
         planes = (2 * longest + 10) * g.n * g.n // 4
         assert planes < 1 << 20
         monkeypatch.setattr(convexity, "_BUDGET", planes)
@@ -458,11 +511,11 @@ class TestKernelsAgree:
 
     @pytest.mark.parametrize("n, degree", [(150, 6), (200, 7), (240, 8), (270, 9)])
     def test_seeded_gnp(self, n, degree):
-        adjacency = cc.gnp_random_graph(n, degree / (n - 1), 30).adjacency
-        connected, longest, upper = convexity._eccentricity_bounds(adjacency)
-        assert convexity._small_world(n, connected, longest)
-        cycles, *found = convexity._census_planes(adjacency)
-        rows_cycles, *rows_found = convexity._census_rows(adjacency, connected, longest, upper)
+        g = cc.gnp_random_graph(n, degree / (n - 1), 30)
+        longest, upper = convexity._eccentricity_bounds(g)
+        assert convexity._small_world(n, longest)
+        cycles, *found = convexity._census_planes(g.adjacency)
+        rows_cycles, *rows_found = convexity._census_rows(g.adjacency, longest, upper)
         # (girth, far-edge count, longest)
         assert found == rows_found
         assert sorted(cycles) == sorted(rows_cycles)
@@ -629,10 +682,7 @@ class TestCandidateSweep:
         rng = random.Random(15)
         for r in range(2, 8):
             for c in range(r, 9):
-                label = rng.sample(range(r * c), r * c)
-                edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
-                edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
-                self.check(cc.Graph(r * c, [(label[u], label[v]) for u, v in edges]))
+                self.check(relabelled(cc.Graph(r * c, grid_edges(r, c)), rng))
 
 
 class TestChainRows:
@@ -668,7 +718,7 @@ class TestChainRows:
                 (abs(i - place[w][1]), record.dist[w], record.sigma[w], length * (a == b))
                 for w in reached if place[w] is not None and place[w][0] == c
             ]
-        if convexity._eccentricity_bounds(g.adjacency)[0]:
+        if convexity._eccentricity_bounds(g)[0] < math.inf:
             for c, (_, _, length) in enumerate(chains):
                 if length > 2:
                     assert convexity._chain_eccentricity(chains, table, c) == eccentricity[c]
@@ -717,7 +767,7 @@ class TestChainRows:
             if profile.connected:
                 records = oracles.all_roots_records(g)
                 assert profile.diameter == max(max(r.dist) for r in records)
-                missed += convexity._eccentricity_bounds(g.adjacency)[1] < profile.diameter
+                missed += convexity._eccentricity_bounds(g)[0] < profile.diameter
         assert missed >= 3
 
     def test_targets_on_the_roots_own_chain(self):
@@ -763,7 +813,7 @@ class TestChainRows:
                 subdivided(cc.gnp_random_graph(12, 0.3, 21_000 + seed), pieces),
                 random.Random(seed),
             )
-            bounds = convexity._eccentricity_bounds(g.adjacency)
+            bounds = convexity._eccentricity_bounds(g)
             found = []
             for roots_per_search in (0, g.n + 1):
                 monkeypatch.setattr(convexity, "_ROOTS_PER_SEARCH", roots_per_search)
@@ -792,13 +842,10 @@ class TestChainRows:
 
         monkeypatch.setattr(convexity, "_contract", refuse)
         for r, c in [(3, 3), (3, 8), (4, 7), (6, 6), (5, 8)]:
-            label = rng.sample(range(r * c), r * c)
-            edges = [(x * c + y, x * c + y + 1) for x in range(r) for y in range(c - 1)]
-            edges += [(x * c + y, (x + 1) * c + y) for x in range(r - 1) for y in range(c)]
-            g = cc.Graph(r * c, [(label[u], label[v]) for u, v in edges])
+            g = relabelled(cc.Graph(r * c, grid_edges(r, c)), rng)
             chains, place, table = convexity._junction_table(g.adjacency)
             assert (chains, place, table) == ([], [None] * g.n, {})
-            bounds = convexity._eccentricity_bounds(g.adjacency)
+            bounds = convexity._eccentricity_bounds(g)
             cycles, *found = convexity._census_rows(g.adjacency, *bounds)
             planes_cycles, *planes_found = convexity._census_planes(g.adjacency)
             assert (sorted(cycles), found) == (sorted(planes_cycles), planes_found)
@@ -825,8 +872,7 @@ class TestChainRows:
                 level, count = first_level_edges(g, record.dist)
                 if 2 * level + 1 == girth:
                     far_edges += count
-            connected, longest, upper = convexity._eccentricity_bounds(g.adjacency)
-            _, *found, _ = convexity._census_rows(g.adjacency, connected, longest, upper)
+            _, *found, _ = convexity._census_rows(g.adjacency, *convexity._eccentricity_bounds(g))
             assert found == [girth, far_edges]
 
 
