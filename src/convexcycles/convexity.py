@@ -28,6 +28,7 @@ far-edge count come from the BFS rows alone.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
@@ -83,12 +84,11 @@ class CycleCensus:
     def from_cycles(cls, cycles: Iterable[tuple[int, ...]]) -> "CycleCensus":
         """Census of distinct cycles, each in canonical order; a repeated
         cycle is counted twice."""
-        ordered = sorted(cycles, key=lambda c: (len(c), c))
-        histogram: dict[int, int] = {}
-        odd = 0
-        for c in ordered:
-            histogram[len(c)] = histogram.get(len(c), 0) + 1
-            odd += len(c) % 2
+        # a stable sort by length keeps the vertex order within a length
+        ordered = sorted(cycles)
+        ordered.sort(key=len)
+        histogram = dict(Counter(map(len, ordered)))
+        odd = sum(count for length, count in histogram.items() if length % 2)
         return cls(
             cycles=tuple(ordered),
             total=len(ordered),
@@ -635,6 +635,24 @@ def _read_back(
                 cycles.append((r, *a, *apex, *b))
 
 
+def _component_sizes(adjacency: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The order of each vertex's component."""
+    size = [0] * len(adjacency)
+    for s in range(len(adjacency)):
+        if size[s]:
+            continue
+        size[s] = 1
+        component = [s]
+        for v in component:
+            for u in adjacency[v]:
+                if not size[u]:
+                    size[u] = 1
+                    component.append(u)
+        for v in component:
+            size[v] = len(component)
+    return size
+
+
 def _census_planes(
     adjacency: tuple[tuple[int, ...], ...],
 ) -> tuple[list[tuple[int, ...]], int | float, int, int]:
@@ -646,7 +664,9 @@ def _census_planes(
     from w with at least one, two and three shortest paths (a saturating
     add over w's neighbours, masked to the roots new at w), and
     clean holds the roots for which w is clean: one shortest path, w above
-    the root, and w's one predecessor clean, or the root itself.  A root's
+    the root, and w's one predecessor clean, or the root itself.  Level 1
+    is set in closed form, not stepped: ones is w's neighbour mask, twos
+    and threes are 0, and clean is the neighbours below w.  A root's
     owned candidates come straight from the planes: a same-level edge with
     the root in both ends' clean planes closes an odd candidate, a vertex
     above the root with exactly two shortest paths, both from clean
@@ -661,6 +681,12 @@ def _census_planes(
     and the far-edge count sums popcount(ones[x] & ones[w]) over the edges
     of that round.
 
+    A vertex retires once its rings hold every root of its component: each
+    later ring of it is empty, so no later round steps it, and its planes
+    stay 0.  The kernel returns after the round in which the last vertex
+    retires, whose level is the largest eccentricity, without stepping an
+    empty round.
+
     Memory: the rings of every round are kept for the read-back, (D + 1)
     lists of n ints of n bits for diameter D, beside nine live planes per
     vertex and O(L) per convex L-cycle; candidates are read back one at a
@@ -674,21 +700,40 @@ def _census_planes(
     neither of w's two latest rings.
     """
     n = len(adjacency)
-    bits = [1 << v for v in range(n)]
-    # level 0: each vertex is its own root, and the root is clean
-    ones = bits[:]
-    twos = [0] * n
-    threes = [0] * n
-    # the ring two levels back: none at level -1
-    back = [0] * n
-    clean = bits[:]
-    rings = [ones]
-    edges = [(x, w) for x in range(n) for w in adjacency[x] if x < w]
     cycles: list[tuple[int, ...]] = []
+    if not any(adjacency):
+        # every vertex's eccentricity is 0
+        return cycles, math.inf, 0, 0
+    bits = [1 << v for v in range(n)]
+    near = [sum(map(bits.__getitem__, nbrs)) for nbrs in adjacency]
+    # level 1 in closed form, level 0 (each vertex its own root) before it
+    back = bits
+    ones = near
+    twos = threes = [0] * n
+    clean = [m & (b - 1) for m, b in zip(near, bits)]
+    rings = [bits, near]
+    edges = [(x, w) for x in range(n) for w in adjacency[x] if x < w]
+    # the roots of each vertex's component outside its rings so far
+    unseen = [s - 1 - len(nbrs) for s, nbrs in zip(_component_sizes(adjacency), adjacency)]
+    active = [w for w in range(n) if unseen[w]]
     girth: int | float = math.inf
     far_edges = 0
-    d = 0
+    d = 1
     while True:
+        if girth == math.inf:
+            if any(twos):
+                girth = 2 * d
+            else:
+                far_edges = sum((ones[x] & ones[w]).bit_count() for x, w in edges)
+                if far_edges:
+                    girth = 2 * d + 1
+        # odd candidates, arms at level d
+        found = (
+            (x, w, (), both) for x, w in edges for both in [clean[x] & clean[w]] if both
+        )
+        _read_back(rings, bits, [a & ~b for a, b in zip(ones, twos)], d, True, found, cycles)
+        if not active:
+            return cycles, girth, far_edges, d
         d += 1
         new_ones = [0] * n
         new_twos = [0] * n
@@ -696,7 +741,8 @@ def _census_planes(
         new_clean = [0] * n
         # (vertex, roots it closes an even candidate for)
         evens = []
-        for w in range(n):
+        still = []
+        for w in active:
             a1 = a2 = a3 = c = c2 = 0
             # add u's path counts to w's, saturating at 3, and count w's
             # clean neighbours, saturating at 2
@@ -712,8 +758,6 @@ def _census_planes(
                     c |= cu
             fresh = ~(ones[w] | back[w])
             a1 &= fresh
-            if not a1:
-                continue
             a2 &= fresh
             a3 &= fresh
             new_ones[w] = a1
@@ -723,27 +767,17 @@ def _census_planes(
             new_clean[w] = c & a1 & ~a2 & lower
             if roots := c2 & a2 & ~a3 & lower:
                 evens.append((w, roots))
-        if not any(new_ones):
-            return cycles, girth, far_edges, d - 1
+            if left := unseen[w] - a1.bit_count():
+                unseen[w] = left
+                still.append(w)
+        active = still
         back, ones, twos, threes = ones, new_ones, new_twos, new_threes
-        rings.append(ones)
-        if girth == math.inf:
-            if any(twos):
-                girth = 2 * d
-            else:
-                far_edges = sum((ones[x] & ones[w]).bit_count() for x, w in edges)
-                if far_edges:
-                    girth = 2 * d + 1
-        # even candidates, arms at level d - 1, then odd ones, arms at level d
-        exact = [a & ~b for a, b in zip(twos, threes)]
-        found = _predecessor_pairs(rings[1], rings[d - 1], evens)
-        _read_back(rings, bits, exact, d - 1, False, found, cycles)
         clean = new_clean
-        exact = [a & ~b for a, b in zip(ones, twos)]
-        found = (
-            (x, w, (), both) for x, w in edges for both in [clean[x] & clean[w]] if both
-        )
-        _read_back(rings, bits, exact, d, True, found, cycles)
+        rings.append(ones)
+        # even candidates, arms at level d - 1
+        exact = [a & ~b for a, b in zip(twos, threes)]
+        found = _predecessor_pairs(near, rings[d - 1], evens)
+        _read_back(rings, bits, exact, d - 1, False, found, cycles)
 
 
 def _profile_and_census_of(

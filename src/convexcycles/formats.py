@@ -13,7 +13,6 @@ sheds only the same blanks and its line end.
 from __future__ import annotations
 
 import re
-from math import isqrt
 
 from .errors import ParseError
 from .graphs import Graph
@@ -83,16 +82,21 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(f"graph6 payload too short: {len(payload)} bytes, need {need}")
     if len(payload) > need:
         raise ParseError(f"graph6 payload too long: {len(payload)} bytes, need {need}")
-    # bit b of the payload is the pair (u, v), u < v, with b = v(v-1)/2 + u;
-    # bits at or past nbits are padding
+    # bit b of the payload is the pair (u, v), u < v, with b = row + u for
+    # column v's first bit row = v(v-1)/2; set bits come in increasing
+    # order, so the column only moves on; bits at or past nbits are padding
     edges = []
+    row, v = 0, 1
     for match in _NONZERO.finditer(payload):
         i = match.start()
         for offset in _SET_BITS[payload[i]]:
             b = 6 * i + offset
-            if b < nbits:
-                v = (1 + isqrt(8 * b + 1)) // 2
-                edges.append((b - v * (v - 1) // 2, v))
+            if b >= nbits:
+                break
+            while b - row >= v:
+                row += v
+                v += 1
+            edges.append((b - row, v))
     return Graph(n, edges)
 
 

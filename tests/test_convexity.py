@@ -507,7 +507,8 @@ class TestKernelChoice:
 
 class TestKernelsAgree:
     """Both kernels on sparse G(n, p) at the benchmark's scale, where the
-    planes kernel reads arms three levels deep and more."""
+    planes kernel reads arms three levels deep and more, and on graphs
+    whose vertices retire from the planes kernel in different rounds."""
 
     @pytest.mark.parametrize("n, degree", [(150, 6), (200, 7), (240, 8), (270, 9)])
     def test_seeded_gnp(self, n, degree):
@@ -519,6 +520,61 @@ class TestKernelsAgree:
         # (girth, far-edge count, longest)
         assert found == rows_found
         assert sorted(cycles) == sorted(rows_cycles)
+
+    @staticmethod
+    def agree_with_reference(g: cc.Graph) -> None:
+        # planes, rows and the reference pipeline find the same cycles,
+        # girth and far-edge count, and the planes kernel's longest is the
+        # largest eccentricity of any component
+        girth, _, _, cycles = oracles.reference_census(g)
+        ecc = max(
+            (d for rec in oracles.all_roots_records(g) for d in rec.dist if d is not None),
+            default=0,
+        )
+        planes_cycles, *planes = convexity._census_planes(g.adjacency)
+        rows_cycles, *rows = convexity._census_rows(
+            g.adjacency, *convexity._eccentricity_bounds(g)
+        )
+        assert sorted(planes_cycles) == sorted(rows_cycles) == sorted(cycles)
+        assert planes[:2] == rows[:2]
+        assert planes[0] == girth
+        assert planes[2] == ecc
+
+    @pytest.mark.parametrize("extra", ["isolated vertex", "pendant paths", "triangle"])
+    def test_gnp_with_vertices_that_retire_apart(self, extra):
+        # a vertex retires once its rings hold its whole component, so an
+        # isolated vertex never steps and a triangle's vertices retire
+        # after level 1; the far ends of two pendant paths of 9 edges are
+        # each other's only vertex at the diameter, so they step last and
+        # retire in the same round
+        g = cc.gnp_random_graph(270, 9 / 269, 31)
+        n = g.n
+        g = {
+            "isolated vertex": union(g, cc.Graph(1, [])),
+            "pendant paths": cc.Graph(n + 18, [
+                *g.edge_list,
+                *zip([0, *range(n, n + 8)], range(n, n + 9)),
+                *zip([1, *range(n + 9, n + 17)], range(n + 9, n + 18)),
+            ]),
+            "triangle": union(g, cc.complete_graph(3)),
+        }[extra]
+        self.agree_with_reference(relabelled(g, random.Random(31)))
+
+    def test_vertex_adjacent_to_its_whole_component(self):
+        # a cone's apex retires after level 1 while the vertices under it
+        # step on, beside a cycle whose vertices step to level 3
+        rng = random.Random(32)
+        base = cc.gnp_random_graph(30, 0.08, 32)
+        cone = cc.Graph(31, [*((u + 1, v + 1) for u, v in base.edge_list),
+                             *((0, v) for v in range(1, 31))])
+        for g in (cone, union(cone, cc.cycle_graph(7))):
+            self.agree_with_reference(relabelled(g, rng))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_complete_graphs_end_after_level_one(self, n):
+        # every vertex of K_n retires after level 1, so no round is stepped
+        self.agree_with_reference(cc.complete_graph(n))
+        self.agree_with_reference(union(cc.complete_graph(n), cc.complete_graph(n + 1)))
 
 
 class TestFarEdgeCheck:
