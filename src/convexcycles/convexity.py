@@ -11,8 +11,8 @@ vertex pairs joined by exactly two shortest paths.  Each root takes the
 candidates it owns (as their minimum vertex) from the vertices it reaches
 by one shortest path through vertices above it.
 
-Two sweeps of bfs_record first bound every eccentricity, all of them
-infinite on a disconnected graph, and the largest one they see picks a
+One component at a time, two sweeps of bfs_record first bound every
+eccentricity, and on a graph with a cycle the largest one they see picks a
 kernel, each with a BFS loop of its own: on small-world graphs the
 planes kernel runs every root at once as bits of Python ints, with path
 counts capped at 3; on any other graph the rows kernel runs one row per
@@ -143,21 +143,15 @@ def is_convex_cycle(g: Graph, vertices: Sequence[int]) -> bool:
     return _lemma_holds({lo: bfs_record(g, lo) for lo in smaller}, verts)
 
 
-def _eccentricity_bounds(g: Graph) -> tuple[int | float, list[int | float]]:
-    """(longest, upper): eccentricity bounds from two sweeps of bfs_record.
-
-    The first sweep runs from vertex 0, the second from the least vertex a
-    farthest from 0.  longest = ecc(a) is a lower bound on the diameter, which
-    is at most 2 * longest, and upper[w] = ecc(a) + d(a, w) bounds ecc(w)
-    from above by the triangle inequality.  The census pass lowers upper
-    further from each row it finishes.  On a disconnected graph every
-    eccentricity is infinite, so longest and every upper[w] are too.
+def _eccentricity_bounds(g: Graph, dist: Sequence[int]) -> tuple[int, list[int]]:
+    """(longest, upper): eccentricity bounds of a connected graph from two
+    sweeps of bfs_record, from vertex 0, which gave dist, and from the
+    least vertex a farthest from 0.  longest = ecc(a) is a lower bound on
+    the diameter, which is at most 2 * longest and on a tree equals it, and
+    upper[w] = ecc(a) + d(a, w) bounds ecc(w) from above by the triangle
+    inequality.  The census pass lowers upper further from each row it
+    finishes.
     """
-    if not g.n:
-        return 0, []
-    dist = bfs_record(g, 0).dist
-    if None in dist:
-        return math.inf, [math.inf] * g.n
     dist = bfs_record(g, dist.index(max(dist))).dist
     longest = max(dist)
     return longest, [longest + d for d in dist]
@@ -294,8 +288,8 @@ def _contract(
 ) -> tuple[_Chains, _Places, _Ends]:
     """(chains, place, ends): the graph contracted to its junctions.
 
-    A junction is a vertex whose degree is not 2, or the minimum vertex of
-    a component that is a cycle.  A chain (a, b, length) is a maximal path
+    A junction is a vertex whose degree is not 2, or vertex 0 of a cycle
+    graph; the graph is connected.  A chain (a, b, length) is a maximal path
     from junction a to junction b (a == b for a cycle through a) whose
     interior vertices have degree 2.  place[v] is (chain index, position
     from a) for an interior vertex v, None for a junction, and ends[x]
@@ -303,14 +297,10 @@ def _contract(
     """
     place: _Places = [None] * len(adjacency)
     junction = [len(nbrs) != 2 for nbrs in adjacency]
+    junction[0] |= not any(junction)
     chains: _Chains = []
     ends: _Ends = {}
-    # the cycle components' junctions come after every other junction
-    for a in chain(
-        [a for a, j in enumerate(junction) if j],
-        (a for a in range(len(adjacency)) if not junction[a] and place[a] is None),
-    ):
-        junction[a] = True
+    for a in [a for a, j in enumerate(junction) if j]:
         for x in adjacency[a]:
             if place[x] is not None or junction[x] and x < a:
                 continue  # walked from its other end
@@ -328,11 +318,11 @@ def _contract(
 
 def _junction_table(adjacency: tuple[tuple[int, ...], ...]) -> tuple[_Chains, _Places, _Table]:
     """(chains, place, table): _contract's chains and place, and table[x] =
-    (D[x], S[x]), distances and path counts from x to the junctions of its
-    component, by one search per end x of a chain with two interior
-    vertices or more.  The rule: chain rows run when the R chain roots
-    (each chain's interior but its minimum) are at least 6 * E for the E
-    searches, and E * J entries for J junctions fit the budget.  With each
+    (D[x], S[x]), distances and path counts from x to every junction, by
+    one search per end x of a chain with two interior vertices or more.
+    The rule: chain rows run when the R chain roots (each chain's interior
+    but its minimum) are at least 6 * E for the E searches, and E * J
+    entries for J junctions fit the budget.  With each
     edge of four G(n, p) cut into s edges, chain rows took 0.36-0.93 times
     the time of BFS rows alone from R = 6.8 * E (s = 5) on, 0.78-1.24 times
     at R = 4.8-5.7 * E (s = 4) and 0.96-1.33 times at R = 2.6-2.9 * E (s =
@@ -371,13 +361,12 @@ def _junction_table(adjacency: tuple[tuple[int, ...], ...]) -> tuple[_Chains, _P
 def _chain_point(
     chains: _Chains, place: _Places, table: _Table, root: int, w: int,
 ) -> tuple[int, int]:
-    """(distance, path count) from chain-interior root to w in its
-    component, in O(1): root at position i of chain (a, b, length) lies
-    min(i + D[a][x], length - i + D[b][x]) from a junction x, summing S
-    over the sides that tie (a path from a back along root's chain loses),
-    and a vertex at position j of a chain (u, v, l) lies j past u or l - j
-    past v, root's own chain split into (a, root, i) and (root, b, length
-    - i)."""
+    """(distance, path count) from chain-interior root to w, in O(1):
+    root at position i of chain (a, b, length) lies min(i + D[a][x],
+    length - i + D[b][x]) from a junction x, summing S over the sides that
+    tie (a path from a back along root's chain loses), and a vertex at
+    position j of a chain (u, v, l) lies j past u or l - j past v, root's
+    own chain split into (a, root, i) and (root, b, length - i)."""
     if w == root:
         return 0, 1
     c0, i = place[root]
@@ -397,14 +386,14 @@ def _chain_point(
 
 
 def _chain_eccentricity(chains: _Chains, table: _Table, c0: int) -> int:
-    """The largest eccentricity of chain c0's interior, in a connected
-    graph, in O(chains): from position x of c0 = (a, b, length), junction
-    y lies d_y(x) = min(x + D[a][y], length - x + D[b][y]) and the far
-    point of another chain (u, v, l) (d_u(x) + d_v(x) + l) // 2 away.  That
-    sum is concave, level between the breakpoints (length + D[b][y] -
-    D[a][y]) / 2 of d_u and d_v, so it peaks at the floor of the first or
-    the position after.  On c0 the far point lies (length + min(length -
-    2, D[a][b])) // 2 from position length - 1."""
+    """The largest eccentricity of chain c0's interior, in O(chains):
+    from position x of c0 = (a, b, length), junction y lies d_y(x) = min(x
+    + D[a][y], length - x + D[b][y]) and the far point of another chain
+    (u, v, l) (d_u(x) + d_v(x) + l) // 2 away.  That sum is concave, level
+    between the breakpoints (length + D[b][y] - D[a][y]) / 2 of d_u and
+    d_v, so it peaks at the floor of the first or the position after.  On
+    c0 the far point lies (length + min(length - 2, D[a][b])) // 2 from
+    position length - 1."""
     a, b, length = chains[c0]
     da, db = table[a][0], table[b][0]
     far = length + min(length - 2, da[b])
@@ -418,18 +407,18 @@ def _chain_eccentricity(chains: _Chains, table: _Table, c0: int) -> int:
 
 def _census_rows(
     adjacency: tuple[tuple[int, ...], ...],
-    longest: int | float,
-    upper: list[int | float],
-) -> tuple[list[tuple[int, ...]], int | float, int, int | float]:
-    """The rows kernel: one row per root, roots in increasing order.
+    longest: int,
+    upper: list[int],
+) -> tuple[list[tuple[int, ...]], int, int, int]:
+    """The rows kernel: one row per root, roots in increasing order, on a
+    connected graph with a cycle.
 
     Returns (cycles, girth, far_edges, longest): the convex cycles in
     canonical order, the girth, for odd girth g = 2k+1 the number of
-    (root, edge) pairs with the edge at level k, and the largest
-    eccentricity seen (infinite if disconnected).  A root defers each
-    antipodal pair of its candidates not at itself to the later row of the
-    pair's smaller vertex, then drops its row: O(n + m) memory plus O(L)
-    per L-cycle.
+    (root, edge) pairs with the edge at level k, and the diameter, the
+    largest eccentricity seen.  A root defers each antipodal pair of its
+    candidates not at itself to the later row of the pair's smaller
+    vertex, then drops its row: O(n + m) memory plus O(L) per L-cycle.
 
     A cycle through a chain-interior vertex holds its whole chain (see
     _contract), so only a junction or a chain's minimum interior vertex
@@ -459,13 +448,12 @@ def _census_rows(
     spans fewer than two branches.  The rest, distances only, can only
     raise the diameter: a row whose bound upper[v] (see
     _eccentricity_bounds) is at most longest, the largest eccentricity seen
-    so far, drops it, as does every row of a disconnected graph, where both
-    are infinite.  Any other full row finishes it, raises longest to its
-    eccentricity e and lowers upper[w] to e + d(v, w) for the vertices w of
-    its BFS-order prefix where that is at most longest.
+    so far, drops it.  Any other full row finishes it, raises longest to
+    its eccentricity e and lowers upper[w] to e + d(v, w) for the vertices
+    w of its BFS-order prefix where that is at most longest.
     """
     n = len(adjacency)
-    girth: int | float = math.inf
+    girth = math.inf
     far_edges = 0
     candidates: list[tuple[int, ...]] = []
     # (distance, path count) still required of each candidate's pairs;
@@ -635,34 +623,16 @@ def _read_back(
                 cycles.append((r, *a, *apex, *b))
 
 
-def _component_sizes(adjacency: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The order of each vertex's component."""
-    size = [0] * len(adjacency)
-    for s in range(len(adjacency)):
-        if size[s]:
-            continue
-        size[s] = 1
-        component = [s]
-        for v in component:
-            for u in adjacency[v]:
-                if not size[u]:
-                    size[u] = 1
-                    component.append(u)
-        for v in component:
-            size[v] = len(component)
-    return size
-
-
 def _census_planes(
     adjacency: tuple[tuple[int, ...], ...],
-) -> tuple[list[tuple[int, ...]], int | float, int, int]:
-    """The planes kernel: every root's BFS at once, root r as bit r.
+) -> tuple[list[tuple[int, ...]], int, int, int]:
+    """The planes kernel: every root's BFS at once, root r as bit r, on a
+    connected graph with a cycle.
 
-    Returns what _census_rows does, with longest the largest eccentricity
-    of any component.  Round d steps four planes per vertex w from level
-    d - 1 to level d: ones, twos and threes hold the roots at distance d
-    from w with at least one, two and three shortest paths (a saturating
-    add over w's neighbours, masked to the roots new at w), and
+    Returns what _census_rows does.  Round d steps four planes per vertex
+    w from level d - 1 to level d: ones, twos and threes hold the roots at
+    distance d from w with at least one, two and three shortest paths (a
+    saturating add over w's neighbours, masked to the roots new at w), and
     clean holds the roots for which w is clean: one shortest path, w above
     the root, and w's one predecessor clean, or the root itself.  Level 1
     is set in closed form, not stepped: ones is w's neighbour mask, twos
@@ -681,11 +651,10 @@ def _census_planes(
     and the far-edge count sums popcount(ones[x] & ones[w]) over the edges
     of that round.
 
-    A vertex retires once its rings hold every root of its component: each
-    later ring of it is empty, so no later round steps it, and its planes
-    stay 0.  The kernel returns after the round in which the last vertex
-    retires, whose level is the largest eccentricity, without stepping an
-    empty round.
+    A vertex retires once its rings hold every root: each later ring of it
+    is empty, so no later round steps it, and its planes stay 0.  The
+    kernel returns after the round in which the last vertex retires, whose
+    level is the diameter, without stepping an empty round.
 
     Memory: the rings of every round are kept for the read-back, (D + 1)
     lists of n ints of n bits for diameter D, beside nine live planes per
@@ -701,9 +670,6 @@ def _census_planes(
     """
     n = len(adjacency)
     cycles: list[tuple[int, ...]] = []
-    if not any(adjacency):
-        # every vertex's eccentricity is 0
-        return cycles, math.inf, 0, 0
     bits = [1 << v for v in range(n)]
     near = [sum(map(bits.__getitem__, nbrs)) for nbrs in adjacency]
     # level 1 in closed form, level 0 (each vertex its own root) before it
@@ -713,10 +679,10 @@ def _census_planes(
     clean = [m & (b - 1) for m, b in zip(near, bits)]
     rings = [bits, near]
     edges = [(x, w) for x in range(n) for w in adjacency[x] if x < w]
-    # the roots of each vertex's component outside its rings so far
-    unseen = [s - 1 - len(nbrs) for s, nbrs in zip(_component_sizes(adjacency), adjacency)]
+    # the roots outside each vertex's rings so far
+    unseen = [n - 1 - len(nbrs) for nbrs in adjacency]
     active = [w for w in range(n) if unseen[w]]
-    girth: int | float = math.inf
+    girth = math.inf
     far_edges = 0
     d = 1
     while True:
@@ -784,10 +750,10 @@ def _profile_and_census_of(
     cycles: list[tuple[int, ...]],
     girth: int | float,
     far_edges: int,
-    longest: int | float,
+    longest: int,
 ) -> tuple[MetricProfile, CycleCensus]:
-    """The census and profile a kernel's findings give, after the far-edge
-    check of odd girth; an infinite longest means a disconnected graph."""
+    """The census and profile of a connected graph from a kernel's
+    findings, after the far-edge check of odd girth."""
     census = CycleCensus.from_cycles(cycles)
     if girth != math.inf and girth % 2:
         counted = census.by_length.get(girth, 0)
@@ -797,15 +763,15 @@ def _profile_and_census_of(
                 f"{far_edges / girth:g} cycles of odd girth {girth}, "
                 f"but the census has {counted}"
             )
-    return MetricProfile(girth, longest, longest != math.inf), census
+    return MetricProfile(girth, longest, True), census
 
 
-def _small_world(n: int, longest: int | float) -> bool:
-    """Whether the census runs the planes kernel: on a graph, never a
-    disconnected one, whose largest eccentricity seen by the sweeps is at
-    most log2(n), and whose planes fit the budget.  The diameter is at most
-    2 * longest, so they take about (2 * longest + 10) * n * n / 4 bytes
-    (see _census_planes); the list of convex cycles comes on top."""
+def _small_world(n: int, longest: int) -> bool:
+    """Whether the census runs the planes kernel: on a connected graph
+    whose largest eccentricity seen by the sweeps is at most log2(n), and
+    whose planes fit the budget.  The diameter is at most 2 * longest, so
+    they take about (2 * longest + 10) * n * n / 4 bytes (see
+    _census_planes); the list of convex cycles comes on top."""
     return 2**longest <= n and (2 * longest + 10) * n * n // 4 <= _BUDGET
 
 
@@ -822,23 +788,56 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     girth cycle shows one same-level edge at level k to each of its g
     vertices and no other such edge exists, so g times the census's
     girth-cycle count must equal that edge count; a mismatch raises
-    ConsistencyError.  Antipodal pairs never straddle components, so the
-    census covers every component.
+    ConsistencyError.
 
-    Two sweeps first (see _eccentricity_bounds) bound every eccentricity,
-    all infinite on a disconnected graph.  A graph whose largest
-    eccentricity they see is at most log2(n) takes the planes kernel (see
-    _census_planes); any other graph, such as a grid or a long cycle, the
-    rows kernel (see _census_rows).  Both hand their cycles, girth,
-    far-edge count and largest eccentricity to the same checks.
+    The first sweep (see _eccentricity_bounds) shows whether g is
+    connected.  If not, g is split in O(n + m), and each component with a
+    cycle, relabelled by increasing vertex (which keeps canonical order),
+    goes through this pass as a connected graph; the girth is the least
+    of theirs, the diameter infinite.  On a connected graph two sweeps
+    bound every eccentricity and give a tree its diameter.  A graph with
+    a cycle whose largest eccentricity they see is at most log2(n) takes
+    the planes kernel (see _census_planes); any other, such as a grid or
+    a long cycle, the rows kernel (see _census_rows).  Both hand their
+    cycles, girth, far-edge count and diameter to the same checks.
     """
     adjacency = g.adjacency
-    longest, upper = _eccentricity_bounds(g)
-    if _small_world(g.n, longest):
-        found = _census_planes(adjacency)
-    else:
-        found = _census_rows(adjacency, longest, upper)
-    return _profile_and_census_of(*found)
+    if not g.n:
+        return MetricProfile(math.inf, 0, True), CycleCensus.from_cycles(())
+    dist = bfs_record(g, 0).dist
+    if None not in dist:
+        longest, upper = _eccentricity_bounds(g, dist)
+        if g.m < g.n:
+            found = [], math.inf, 0, longest
+        elif _small_world(g.n, longest):
+            found = _census_planes(adjacency)
+        else:
+            found = _census_rows(adjacency, longest, upper)
+        return _profile_and_census_of(*found)
+    # components named by their least vertex; each one's vertices increase
+    part = [-1] * g.n
+    members: dict[int, list[int]] = {}
+    for s in range(g.n):
+        if part[s] < 0:
+            part[s] = s
+            queue = [s]
+            for v in queue:
+                for w in adjacency[v]:
+                    if part[w] < 0:
+                        part[w] = s
+                        queue.append(w)
+        members.setdefault(part[s], []).append(s)
+    girth = math.inf
+    cycles: list[tuple[int, ...]] = []
+    for vertices in members.values():
+        if sum(len(adjacency[v]) for v in vertices) < 2 * len(vertices):
+            continue  # a tree
+        label = {v: i for i, v in enumerate(vertices)}
+        edges = [(label[v], label[w]) for v in vertices for w in adjacency[v] if v < w]
+        profile, census = profile_and_census(Graph(len(vertices), edges))
+        girth = min(girth, profile.girth)
+        cycles += [tuple(map(vertices.__getitem__, c)) for c in census.cycles]
+    return MetricProfile(girth, math.inf, False), CycleCensus.from_cycles(cycles)
 
 
 def brute_force_convex_cycles(g: Graph, max_len: int) -> CycleCensus:

@@ -44,6 +44,46 @@ def union(*parts: cc.Graph) -> cc.Graph:
     return cc.Graph(n, edges)
 
 
+def components(g: cc.Graph) -> list[cc.Graph]:
+    """Each component of g relabelled by increasing vertex, components by
+    least vertex."""
+    left = set(range(g.n))
+    parts = []
+    while left:
+        dist = oracles.bfs_distances(g, min(left))
+        vertices = [v for v in range(g.n) if dist[v] is not None]
+        label = {v: i for i, v in enumerate(vertices)}
+        edges = [(label[u], label[v]) for u, v in g.edge_list if u in label]
+        parts.append(cc.Graph(len(label), edges))
+        left -= label.keys()
+    return parts
+
+
+def with_cycles(g: cc.Graph) -> list[cc.Graph]:
+    """The components of g with a cycle, the only graphs a kernel gets."""
+    return [h for h in components(g) if h.m >= h.n]
+
+
+def eccentricity_bounds(g: cc.Graph) -> tuple[int, list[int]]:
+    """The sweeps' bounds of a connected graph, as the census takes them."""
+    return convexity._eccentricity_bounds(g, cc.bfs_record(g, 0).dist)
+
+
+@pytest.fixture
+def kernel_inputs(monkeypatch) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
+    """Wrap both census kernels; the list receives (kernel, adjacency) per
+    call."""
+    received = []
+    for name in ("_census_planes", "_census_rows"):
+
+        def record(adjacency, *args, name=name, kernel=getattr(convexity, name)):
+            received.append((name, adjacency))
+            return kernel(adjacency, *args)
+
+        monkeypatch.setattr(convexity, name, record)
+    return received
+
+
 def wedge(g: cc.Graph, h: cc.Graph) -> cc.Graph:
     """g and h glued at their vertex 0."""
     shift = [0, *range(g.n, g.n + h.n - 1)]
@@ -299,27 +339,27 @@ class TestEnumeration:
 
 
 class TestReferencePipeline:
-    """The one-pass census, and each of its kernels whatever the choice
-    of kernel picks, against the all-roots reference pipeline."""
+    """The one-pass census on the whole graph and on each of its
+    components, and each kernel, whatever the choice of kernel picks, on
+    each component with a cycle, against the all-roots reference pipeline."""
 
     @staticmethod
     def check(g: cc.Graph) -> None:
-        profile, census = cc.profile_and_census(g)
-        girth, diameter, connected, cycles = oracles.reference_census(g)
-        assert (profile.girth, profile.diameter, profile.connected) == (
-            girth, diameter, connected,
-        )
-        assert list(census.cycles) == cycles
-        adjacency = g.adjacency
-        longest, upper = convexity._eccentricity_bounds(g)
-        # the planes kernel reports the largest eccentricity of any
-        # component, which the sweeps' infinite longest overrides
-        *planes, ecc = convexity._census_planes(adjacency)
-        for found in (
-            (*planes, max(ecc, longest)),
-            convexity._census_rows(adjacency, longest, upper),
-        ):
-            assert convexity._profile_and_census_of(*found) == (profile, census)
+        parts = components(g)
+        for h in [g, *parts] if len(parts) > 1 else [g]:
+            profile, census = cc.profile_and_census(h)
+            girth, diameter, connected, cycles = oracles.reference_census(h)
+            assert (profile.girth, profile.diameter, profile.connected) == (
+                girth, diameter, connected,
+            )
+            assert list(census.cycles) == cycles
+            if connected and h.m >= h.n > 0:
+                longest, upper = eccentricity_bounds(h)
+                for found in (
+                    convexity._census_planes(h.adjacency),
+                    convexity._census_rows(h.adjacency, longest, upper),
+                ):
+                    assert convexity._profile_and_census_of(*found) == (profile, census)
 
     def test_corpus(self, corpus):
         for g in corpus:
@@ -358,8 +398,8 @@ class TestReferencePipeline:
     )
     def test_sweep_edge_cases(self, g, diameter):
         # the first sweep, from vertex 0, settles connectivity; a
-        # disconnected graph has infinite bounds, so it drops every tail,
-        # and infinite diameter
+        # disconnected graph goes through the pass per component and has
+        # infinite diameter, K0 never reaches the sweeps
         self.check(g)
         assert cc.profile_and_census(g)[0].diameter == diameter
 
@@ -423,24 +463,34 @@ class TestReferencePipeline:
 
 
 class TestEccentricityBounds:
-    """The two sweeps' bounds against every vertex's eccentricity."""
+    """The two sweeps' bounds against every vertex's eccentricity, on each
+    component, which the census sweeps as a connected graph."""
 
     @staticmethod
     def check(g: cc.Graph) -> bool:
-        """Check g's bounds and return whether g is connected."""
-        longest, upper = convexity._eccentricity_bounds(g)
-        rows = [oracles.bfs_distances(g, v) for v in range(g.n)]
-        if any(None in row for row in rows):
-            assert (longest, upper) == (math.inf, [math.inf] * g.n)
-            return False
-        ecc = [max(row) for row in rows]
-        # longest is an eccentricity, so at least half the diameter
-        assert longest in ecc and longest <= max(ecc) <= 2 * longest
-        assert len(upper) == g.n and all(e <= u for e, u in zip(ecc, upper))
-        return True
+        """Check the bounds of each component of g and return whether g is
+        connected."""
+        parts = components(g)
+        for h in parts:
+            longest, upper = eccentricity_bounds(h)
+            ecc = [max(oracles.bfs_distances(h, v)) for v in range(h.n)]
+            # longest is an eccentricity, so at least half the diameter,
+            # and on a tree the diameter itself
+            assert longest in ecc and longest <= max(ecc) <= 2 * longest
+            assert h.m >= h.n or longest == max(ecc)
+            assert len(upper) == h.n and all(e <= u for e, u in zip(ecc, upper))
+        return len(parts) == 1
 
-    def test_empty(self):
-        assert convexity._eccentricity_bounds(cc.Graph(0, [])) == (0, [])
+    def test_empty(self, monkeypatch):
+        # K0 has no vertex 0 to sweep from: the census reports it
+        # connected, with diameter 0, without the sweeps
+        def refuse(g, dist):
+            raise AssertionError("swept K0")
+
+        monkeypatch.setattr(convexity, "_eccentricity_bounds", refuse)
+        profile, census = cc.profile_and_census(cc.Graph(0, []))
+        assert (profile.girth, profile.diameter, profile.connected) == (math.inf, 0, True)
+        assert census.total == 0
 
     def test_corpus(self, corpus):
         assert all(self.check(g) for g in corpus)
@@ -471,11 +521,12 @@ class TestEccentricityBounds:
 
 class TestKernelChoice:
     """The census takes the planes kernel exactly on connected graphs whose
-    largest eccentricity seen by the sweeps is at most log2(n)."""
+    largest eccentricity seen by the sweeps is at most log2(n), and each
+    component of a disconnected graph takes its own kernel."""
 
     @staticmethod
     def small_world(g: cc.Graph) -> bool:
-        return convexity._small_world(g.n, convexity._eccentricity_bounds(g)[0])
+        return convexity._small_world(g.n, eccentricity_bounds(g)[0])
 
     def test_sparse_random_graph_takes_planes(self):
         assert self.small_world(cc.gnp_random_graph(270, 9 / 269, 16))
@@ -485,15 +536,27 @@ class TestKernelChoice:
         for g in [grid, cc.cycle_graph(301), subdivided(petersen, 23)]:
             assert not self.small_world(g)
 
-    def test_disconnected_takes_rows(self):
-        g = cc.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert not self.small_world(g)
+    def test_components_take_their_own_kernels(self, kernel_inputs):
+        # two triangles are two small worlds; beside a triangle, C31 takes
+        # rows; an isolated vertex no longer sends a small-world giant
+        # component to the rows kernel
+        triangle = cc.complete_graph(3).adjacency
+        cc.profile_and_census(union(cc.complete_graph(3), cc.complete_graph(3)))
+        assert kernel_inputs == [("_census_planes", triangle)] * 2
+        kernel_inputs.clear()
+        cc.profile_and_census(union(cc.cycle_graph(31), cc.complete_graph(3)))
+        assert kernel_inputs == [("_census_rows", cc.cycle_graph(31).adjacency),
+                                 ("_census_planes", triangle)]
+        kernel_inputs.clear()
+        giant = cc.gnp_random_graph(270, 9 / 269, 31)
+        cc.profile_and_census(union(giant, cc.Graph(1, [])))
+        assert kernel_inputs == [("_census_planes", giant.adjacency)]
 
     def test_planes_over_budget_take_rows(self, monkeypatch):
         # the planes of G(270, 9/269), longest 4 or 5, are predicted at
         # (2 * longest + 10) * n * n / 4 bytes, well under 1 MiB
         g = cc.gnp_random_graph(270, 9 / 269, 16)
-        longest, _ = convexity._eccentricity_bounds(g)
+        longest, _ = eccentricity_bounds(g)
         planes = (2 * longest + 10) * g.n * g.n // 4
         assert planes < 1 << 20
         monkeypatch.setattr(convexity, "_BUDGET", planes)
@@ -505,6 +568,54 @@ class TestKernelChoice:
         )
 
 
+def unions() -> list[cc.Graph]:
+    """The disconnected unions of the kernel-level tests."""
+    gnp = cc.gnp_random_graph(270, 9 / 269, 31)
+    k4 = cc.complete_graph(4)
+    graphs = [
+        relabelled(union(gnp, extra), random.Random(31))
+        for extra in (cc.Graph(1, []), cc.complete_graph(3))
+    ]
+    graphs += [union(cc.complete_graph(n), cc.complete_graph(n + 1)) for n in (2, 3, 4, 7)]
+    return graphs + [
+        union(cc.complete_graph(3), cc.complete_graph(3)),
+        union(cc.Graph(1, []), cc.petersen_graph()),
+        union(cc.cycle_graph(9), path_graph(3)),
+        union(cc.cycle_graph(8), theta_graph(2, 5, 5), cc.cycle_graph(9), path_graph(5)),
+        union(cc.cycle_graph(15), subdivided(k4, 5), cc.cycle_graph(17), path_graph(3)),
+    ]
+
+
+class TestKernelInputs:
+    """The census hands a kernel only a connected graph with a cycle: a
+    component, relabelled by increasing vertex."""
+
+    def test_each_kernel_gets_one_component_with_a_cycle(self, kernel_inputs, corpus):
+        graphs = [*corpus, *chain_families(), *unions()]
+        for g in graphs:
+            cc.profile_and_census(g)
+        received = [adjacency for _, adjacency in kernel_inputs]
+        assert received == [h.adjacency for g in graphs for h in with_cycles(g)]
+        for adjacency in received:
+            edges = [(u, v) for u, nbrs in enumerate(adjacency) for v in nbrs if u < v]
+            g = cc.Graph(len(adjacency), edges)
+            assert None not in oracles.bfs_distances(g, 0) and g.m >= g.n
+
+    def test_stray_label_reaches_no_kernel(self, kernel_inputs, monkeypatch):
+        # the label 20000 leaves 19 997 isolated vertices; each is skipped
+        # before any relabelling or Graph is built, and only the
+        # triangle's component, the triangle and its pendant vertex 20000
+        # as 3, reaches a kernel
+        built = []
+        monkeypatch.setattr(convexity, "Graph", lambda n, edges: built.append(n) or cc.Graph(n, edges))
+        g = cc.parse_edge_list("0 1\n1 2\n2 0\n0 20000\n")
+        profile, census = cc.profile_and_census(g)
+        assert (g.n, built) == (20_001, [4])
+        assert kernel_inputs == [("_census_planes", ((1, 2, 3), (0, 2), (0, 1), (0,)))]
+        assert (profile.girth, profile.diameter, profile.connected) == (3, math.inf, False)
+        assert census.cycles == ((0, 1, 2),)
+
+
 class TestKernelsAgree:
     """Both kernels on sparse G(n, p) at the benchmark's scale, where the
     planes kernel reads arms three levels deep and more, and on graphs
@@ -513,7 +624,7 @@ class TestKernelsAgree:
     @pytest.mark.parametrize("n, degree", [(150, 6), (200, 7), (240, 8), (270, 9)])
     def test_seeded_gnp(self, n, degree):
         g = cc.gnp_random_graph(n, degree / (n - 1), 30)
-        longest, upper = convexity._eccentricity_bounds(g)
+        longest, upper = eccentricity_bounds(g)
         assert convexity._small_world(n, longest)
         cycles, *found = convexity._census_planes(g.adjacency)
         rows_cycles, *rows_found = convexity._census_rows(g.adjacency, longest, upper)
@@ -523,30 +634,31 @@ class TestKernelsAgree:
 
     @staticmethod
     def agree_with_reference(g: cc.Graph) -> None:
-        # planes, rows and the reference pipeline find the same cycles,
-        # girth and far-edge count, and the planes kernel's longest is the
-        # largest eccentricity of any component
-        girth, _, _, cycles = oracles.reference_census(g)
-        ecc = max(
-            (d for rec in oracles.all_roots_records(g) for d in rec.dist if d is not None),
-            default=0,
+        # the census of g matches the reference pipeline, and on each
+        # component with a cycle planes, rows and the reference pipeline
+        # find the same cycles, girth and far-edge count, and both kernels
+        # the component's diameter
+        profile, census = cc.profile_and_census(g)
+        girth, diameter, connected, cycles = oracles.reference_census(g)
+        assert (profile.girth, profile.diameter, profile.connected) == (
+            girth, diameter, connected,
         )
-        planes_cycles, *planes = convexity._census_planes(g.adjacency)
-        rows_cycles, *rows = convexity._census_rows(
-            g.adjacency, *convexity._eccentricity_bounds(g)
-        )
-        assert sorted(planes_cycles) == sorted(rows_cycles) == sorted(cycles)
-        assert planes[:2] == rows[:2]
-        assert planes[0] == girth
-        assert planes[2] == ecc
+        assert list(census.cycles) == cycles
+        for h in with_cycles(g):
+            girth, diameter, _, cycles = oracles.reference_census(h)
+            planes_cycles, *planes = convexity._census_planes(h.adjacency)
+            rows_cycles, *rows = convexity._census_rows(h.adjacency, *eccentricity_bounds(h))
+            assert sorted(planes_cycles) == sorted(rows_cycles) == sorted(cycles)
+            assert planes == rows
+            assert (planes[0], planes[2]) == (girth, diameter)
 
     @pytest.mark.parametrize("extra", ["isolated vertex", "pendant paths", "triangle"])
     def test_gnp_with_vertices_that_retire_apart(self, extra):
-        # a vertex retires once its rings hold its whole component, so an
-        # isolated vertex never steps and a triangle's vertices retire
-        # after level 1; the far ends of two pendant paths of 9 edges are
-        # each other's only vertex at the diameter, so they step last and
-        # retire in the same round
+        # an isolated vertex and a triangle beside G(270, 9/269) are
+        # components of their own, the triangle's vertices retiring after
+        # level 1 of its own pass; the far ends of two pendant paths of 9
+        # edges are each other's only vertex at the diameter, so they step
+        # last and retire in the same round
         g = cc.gnp_random_graph(270, 9 / 269, 31)
         n = g.n
         g = {
@@ -747,34 +859,33 @@ class TestChainRows:
 
     @staticmethod
     def check(g: cc.Graph) -> list[tuple[int, int, int, int]]:
-        """Check every chain-interior root but each chain's least, which
-        keeps a full row, with chain rows forced on, and on a connected
-        graph each chain's largest eccentricity; return (|i - j|,
-        distance, path count, lap) per target w at position j on the chain
-        of a root at position i, lap the chain's length when the chain is
-        a cycle through its junction, else 0."""
-        with mock.patch.object(convexity, "_ROOTS_PER_SEARCH", 0):
-            chains, place, table = convexity._junction_table(g.adjacency)
-        least = {}
-        eccentricity = [0] * len(chains)
+        """On each component of g with a cycle, check every chain-interior
+        root but each chain's least, which keeps a full row, with chain
+        rows forced on, and each chain's largest eccentricity; return
+        (|i - j|, distance, path count, lap) per target w at position j on
+        the chain of a root at position i, lap the chain's length when the
+        chain is a cycle through its junction, else 0."""
         own = []
-        for v in range(g.n):
-            if place[v] is None:
-                continue
-            c, i = place[v]
-            record = cc.bfs_record(g, v)
-            reached = [w for w in range(g.n) if record.dist[w] is not None]
-            eccentricity[c] = max(eccentricity[c], max(record.dist[w] for w in reached))
-            if least.setdefault(c, v) == v:
-                continue
-            points = [convexity._chain_point(chains, place, table, v, w) for w in reached]
-            assert points == [(record.dist[w], record.sigma[w]) for w in reached]
-            a, b, length = chains[c]
-            own += [
-                (abs(i - place[w][1]), record.dist[w], record.sigma[w], length * (a == b))
-                for w in reached if place[w] is not None and place[w][0] == c
-            ]
-        if convexity._eccentricity_bounds(g)[0] < math.inf:
+        for h in with_cycles(g):
+            with mock.patch.object(convexity, "_ROOTS_PER_SEARCH", 0):
+                chains, place, table = convexity._junction_table(h.adjacency)
+            least = {}
+            eccentricity = [0] * len(chains)
+            for v in range(h.n):
+                if place[v] is None:
+                    continue
+                c, i = place[v]
+                record = cc.bfs_record(h, v)
+                eccentricity[c] = max(eccentricity[c], max(record.dist))
+                if least.setdefault(c, v) == v:
+                    continue
+                points = [convexity._chain_point(chains, place, table, v, w) for w in range(h.n)]
+                assert points == list(zip(record.dist, record.sigma))
+                a, b, length = chains[c]
+                own += [
+                    (abs(i - place[w][1]), record.dist[w], record.sigma[w], length * (a == b))
+                    for w in range(h.n) if place[w] is not None and place[w][0] == c
+                ]
             for c, (_, _, length) in enumerate(chains):
                 if length > 2:
                     assert convexity._chain_eccentricity(chains, table, c) == eccentricity[c]
@@ -782,8 +893,9 @@ class TestChainRows:
 
     def test_contraction(self):
         # every edge lies on one chain, whose interior vertices have
-        # degree 2 and whose ends are the junctions
-        for g in chain_families():
+        # degree 2 and whose ends are the junctions, on each component
+        # with a cycle
+        for g in [h for g in chain_families() for h in with_cycles(g)]:
             chains, place, ends = convexity._contract(g.adjacency)
             placed = [(v, *p) for v, p in enumerate(place) if p is not None]
             edges = set()
@@ -793,8 +905,8 @@ class TestChainRows:
                 assert [j for j, _ in inner] == list(range(1, length))
                 assert all(len(g.adjacency[v]) == 2 for v in path[1:-1])
                 if len(g.adjacency[a]) == 2 or len(g.adjacency[b]) == 2:
-                    # a junction of degree 2 is a cycle component's least vertex
-                    assert a == b < min(path[1:-1])
+                    # a junction of degree 2 is vertex 0 of a cycle graph
+                    assert a == b == 0 and len(chains) == 1
                 edges.update(frozenset(e) for e in zip(path, path[1:]))
                 assert (b, length) in ends[a] and (a, length) in ends[b]
             assert edges == {frozenset(e) for e in g.edge_list}
@@ -823,7 +935,7 @@ class TestChainRows:
             if profile.connected:
                 records = oracles.all_roots_records(g)
                 assert profile.diameter == max(max(r.dist) for r in records)
-                missed += convexity._eccentricity_bounds(g)[0] < profile.diameter
+                missed += eccentricity_bounds(g)[0] < profile.diameter
         assert missed >= 3
 
     def test_targets_on_the_roots_own_chain(self):
@@ -863,21 +975,23 @@ class TestChainRows:
     def test_same_census_without_chain_rows(self, monkeypatch, pieces):
         # the rule only trades speed: with chain rows forced on and forced
         # off, the rows kernel finds the same cycles, girth, far-edge
-        # count and largest eccentricity on subdivided G(n, p)
+        # count and largest eccentricity on each component with a cycle of
+        # subdivided G(n, p)
         for seed in range(6):
             g = relabelled(
                 subdivided(cc.gnp_random_graph(12, 0.3, 21_000 + seed), pieces),
                 random.Random(seed),
             )
-            bounds = convexity._eccentricity_bounds(g)
-            found = []
-            for roots_per_search in (0, g.n + 1):
-                monkeypatch.setattr(convexity, "_ROOTS_PER_SEARCH", roots_per_search)
-                chains, place, table = convexity._junction_table(g.adjacency)
-                assert bool(table) == (roots_per_search == 0)
-                assert bool(chains) == (place.count(None) < g.n) == bool(table)
-                found.append(convexity._census_rows(g.adjacency, *bounds))
-            assert found[0] == found[1]
+            for h in with_cycles(g):
+                bounds = eccentricity_bounds(h)
+                found = []
+                for roots_per_search in (0, h.n + 1):
+                    monkeypatch.setattr(convexity, "_ROOTS_PER_SEARCH", roots_per_search)
+                    chains, place, table = convexity._junction_table(h.adjacency)
+                    assert bool(table) == (roots_per_search == 0)
+                    assert bool(chains) == (place.count(None) < h.n) == bool(table)
+                    found.append(convexity._census_rows(h.adjacency, *bounds))
+                assert found[0] == found[1]
 
     def test_table_over_budget_falls_back(self, monkeypatch):
         # a table that does not fit the budget gives no chain rows either
@@ -901,7 +1015,7 @@ class TestChainRows:
             g = relabelled(cc.Graph(r * c, grid_edges(r, c)), rng)
             chains, place, table = convexity._junction_table(g.adjacency)
             assert (chains, place, table) == ([], [None] * g.n, {})
-            bounds = convexity._eccentricity_bounds(g)
+            bounds = eccentricity_bounds(g)
             cycles, *found = convexity._census_rows(g.adjacency, *bounds)
             planes_cycles, *planes_found = convexity._census_planes(g.adjacency)
             assert (sorted(cycles), found) == (sorted(planes_cycles), planes_found)
@@ -910,15 +1024,15 @@ class TestChainRows:
         # the rows kernel reads girth events off full rows only, the row
         # of a chain's least interior vertex counting for every interior
         # vertex of its chain; its girth and far-edge count must match a
-        # count over every root's own BFS
+        # count over every root's own BFS, on each component with a cycle
         rng = random.Random(20)
         k4 = cc.complete_graph(4)
         for g in [
             cc.cycle_graph(21),
             relabelled(subdivided(petersen, 3), rng),
             relabelled(subdivided(k4, 5), rng),
-            relabelled(union(cc.cycle_graph(15), subdivided(k4, 5), cc.cycle_graph(17),
-                             path_graph(3)), rng),
+            *with_cycles(relabelled(union(cc.cycle_graph(15), subdivided(k4, 5),
+                                          cc.cycle_graph(17), path_graph(3)), rng)),
         ]:
             records = oracles.all_roots_records(g)
             girth = oracles.girth_from_records(g, records)
@@ -928,7 +1042,7 @@ class TestChainRows:
                 level, count = first_level_edges(g, record.dist)
                 if 2 * level + 1 == girth:
                     far_edges += count
-            _, *found, _ = convexity._census_rows(g.adjacency, *convexity._eccentricity_bounds(g))
+            _, *found, _ = convexity._census_rows(g.adjacency, *eccentricity_bounds(g))
             assert found == [girth, far_edges]
 
 
