@@ -12,17 +12,19 @@ candidates it owns (as their minimum vertex) from the vertices it reaches
 by one shortest path through vertices above it.
 
 One component at a time, two sweeps of bfs_record first bound every
-eccentricity, and on a graph with a cycle the largest one they see picks a
-kernel, each with a BFS loop of its own: on small-world graphs the
-planes kernel runs every root at once as bits of Python ints, with path
-counts capped at 3; on any other graph the rows kernel runs one row per
-root.  A root that can own a candidate gets a BFS row, which stops
-counting as early as the census allows and drops its distance-only tail
-when it cannot raise the diameter.  Every other root lies inside a path
-of degree-2 vertices, a chain, and reads each pair it must test off one
-table of distances and path counts between the vertices of other
-degrees, where that table pays (see _junction_table).  The girth and
-far-edge count come from the BFS rows alone.
+eccentricity, and on a graph with a cycle the largest one they see picks
+one of three kernels: on small-world graphs the planes kernel runs every
+root at once as bits of Python ints, with path counts capped at 3, in a
+BFS loop of its own.  On a graph made of long paths of degree-2
+vertices, chains, the chains kernel reads every pair it tests, every
+girth event and every eccentricity off one table of distances and path
+counts between the vertices of other degrees, the junctions, where that
+table pays (see _junction_table); only junctions and each chain's least
+interior vertex can own a candidate, and each gets a BFS row that only
+sweeps for its candidates.  On any other graph the rows kernel runs one
+BFS row per root, which stops counting as early as the census allows,
+takes the girth events, and drops its distance-only tail when it cannot
+raise the diameter.  _census_row is the one counting BFS loop of both.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .metric import DistanceRecord, MetricProfile, bfs_record
 # L-cycles on top, and the junction table's bytes per entry and rule.
 _BUDGET = 256 << 20
 _TABLE_ENTRY_BYTES = 128
-_ROOTS_PER_SEARCH = 6
+_ROOTS_PER_SEARCH = 4
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -174,7 +176,9 @@ def _sweep(
     be final through last.  Stepping from level d appends to owned an odd
     candidate per same-level edge at level d with clean ends in two
     branches, an even one per vertex above root at level d + 1 with sigma 2
-    and clean predecessors in two."""
+    and clean predecessors in two.  branch must hold root * n + b for each
+    clean vertex of branch b and smaller labels elsewhere, as rows of
+    smaller roots leave them."""
     while len(branches) > 1 and (d := dist[branches[0][0]]) < last:
         stepped = []
         # a vertex of sigma 2 -> the first clean predecessor that reached it
@@ -206,18 +210,23 @@ def _sweep(
 
 
 def _census_row(
-    adjacency: tuple[tuple[int, ...], ...], root: int, depth: int, finish: bool,
+    adjacency: tuple[tuple[int, ...], ...], root: int, depth: int | None, finish: bool,
     branch: list[int], pred: list[int],
 ) -> tuple[list, list[int], list[int], int, int, int | None, list[tuple[int, ...]]]:
     """Root's BFS row and the candidates root owns: (dist, sigma, order,
     odd, edges, merge, owned), with the level of the first same-level edge
     (n if none) and the count of such edges there, the level of the first
     vertex with two predecessors (None if none), and owned in canonical
-    order.  Counting stops at the first level d where the rules of
-    _census_rows hold with depth, the distance of the deepest pair deferred
-    to root; sigma is exact only through d.  With finish, dist and order
-    are then completed without counting, else the row ends with part of
-    level d + 1.  branch and pred are _census_rows' clean-vertex lists."""
+    order.  Every vertex of level d - 1 is scanned before level d's first,
+    so sigma through level d is final there, and at each such boundary the
+    row tests its stop rules: with depth, the distance of the deepest pair
+    deferred to root, those of _census_rows, and with depth None, for a
+    row that only sweeps, rule (c) alone.  Counting stops at the first
+    boundary d where they hold, before level d is scanned; sigma is then
+    exact through d, and the girth events are complete unless depth is
+    None.  With finish, dist and order are then completed without
+    counting, else the row ends with level d.  branch and pred are the
+    kernel's clean-vertex lists."""
     n = len(adjacency)
     dist: list[int | None] = [None] * n
     sigma = [0] * n
@@ -231,12 +240,26 @@ def _census_row(
     for (w,) in branches:
         branch[w] = root * n + w
         pred[w] = root
-    # the last level whose first merge has been checked
-    checked = -1
+    # the level being scanned
+    level = 0
     # the loop also visits the vertices it appends, which makes order a queue
     queue = iter(order)
     for u in queue:
         du = dist[u]
+        if du > level:
+            level = du
+            # an event found before this boundary completes the girth events
+            if depth is None or du >= depth and (edges or merge is not None):
+                branches = _sweep(adjacency, root, dist, sigma, branches, du, branch, pred, owned)
+                if len(branches) < 2:
+                    if finish:
+                        for u in chain((u,), queue):
+                            du1 = dist[u] + 1
+                            for w in adjacency[u]:
+                                if dist[w] is None:
+                                    dist[w] = du1
+                                    order.append(w)
+                    break
         du1 = du + 1
         su = sigma[u]
         for w in adjacency[u]:
@@ -246,34 +269,16 @@ def _census_row(
                 sigma[w] = su
                 order.append(w)
             elif dw == du1:
-                if du > checked:
-                    checked = du
-                    if merge is None:
-                        merge = du1
-                    if (odd < du or merge <= du) and du >= depth:
-                        branches = _sweep(
-                            adjacency, root, dist, sigma, branches, du, branch, pred, owned
-                        )
-                        if len(branches) < 2:
-                            break
                 sigma[w] += su
+                if merge is None:
+                    merge = du1
             elif dw == du and u < w and du <= odd:
                 # levels never fall along order: the first level counts
                 odd = du
                 edges += 1
-        else:
-            continue
-        # counting stopped while scanning u
-        if finish:
-            for u in chain((u,), queue):
-                du1 = dist[u] + 1
-                for w in adjacency[u]:
-                    if dist[w] is None:
-                        dist[w] = du1
-                        order.append(w)
-        break
-    # a row that never stopped counting steps its frontier on to its end
-    _sweep(adjacency, root, dist, sigma, branches, n, branch, pred, owned)
+    else:
+        # a row that never stopped counting steps its frontier on to its end
+        _sweep(adjacency, root, dist, sigma, branches, n, branch, pred, owned)
     return dist, sigma, order, odd, edges, merge, owned
 
 
@@ -316,30 +321,39 @@ def _contract(
     return chains, place, ends
 
 
-def _junction_table(adjacency: tuple[tuple[int, ...], ...]) -> tuple[_Chains, _Places, _Table]:
+def _junction_table(
+    adjacency: tuple[tuple[int, ...], ...],
+) -> tuple[_Chains, _Places, _Table] | None:
     """(chains, place, table): _contract's chains and place, and table[x] =
-    (D[x], S[x]), distances and path counts from x to every junction, by
-    one search per end x of a chain with two interior vertices or more.
-    The rule: chain rows run when the R chain roots (each chain's interior
-    but its minimum) are at least 6 * E for the E searches, and E * J
-    entries for J junctions fit the budget.  With each
-    edge of four G(n, p) cut into s edges, chain rows took 0.36-0.93 times
-    the time of BFS rows alone from R = 6.8 * E (s = 5) on, 0.78-1.24 times
-    at R = 4.8-5.7 * E (s = 4) and 0.96-1.33 times at R = 2.6-2.9 * E (s =
-    3), the high ends on a connected one.  Other graphs, and those without
-    two adjacent vertices of degree 2 (grids), are not contracted: no
-    chain, place all None and every root a BFS row."""
-    no_chains = [], [None] * len(adjacency), {}
+    (D[x], S[x]), distances and path counts from junction x to every
+    junction, by one search from each of the J junctions
+    (_junction_searches), or None where the table does not pay.  The rule:
+    the R chain roots (each chain's interior but its minimum), which need
+    no BFS row of their own, are at least 4 * J, and the J * J entries fit
+    the budget.  On the components with a cycle of four G(n, p) with each
+    edge cut into s edges, the chains kernel took, in median, 1.53-1.88
+    times the time of the rows kernel at R = 0.1-0.7 * J (s = 2),
+    1.08-1.36 times at R = 2.6-2.9 * J (s = 3), 0.64-0.79 times at R =
+    4.8-5.7 * J (s = 4) and 0.54-0.76 times at R = 6.8-8.6 * J (s = 5),
+    the table 12-46 % of its own time.  A graph without two adjacent
+    vertices of degree 2 (a grid) has R = 0 and is not contracted."""
     if not any(len(adjacency[w]) == 2 for nbrs in adjacency if len(nbrs) == 2 for w in nbrs):
-        return no_chains
+        return None
     chains, place, ends = _contract(adjacency)
-    searched = {x for a, b, length in chains if length > 2 for x in (a, b)}
     roots = sum(length - 2 for _, _, length in chains if length > 2)
-    entries = len(searched) * len(ends)
-    if roots < _ROOTS_PER_SEARCH * len(searched) or entries * _TABLE_ENTRY_BYTES > _BUDGET:
-        return no_chains
+    if roots < _ROOTS_PER_SEARCH * len(ends) or len(ends) ** 2 * _TABLE_ENTRY_BYTES > _BUDGET:
+        return None
+    return chains, place, _junction_searches(ends)
+
+
+def _junction_searches(ends: _Ends) -> _Table:
+    """table[x] = (D[x], S[x]) for every junction x of _contract's ends: a
+    heap search over the junctions, chain lengths as weights, in O((J + C)
+    log J) per junction for J junctions and C chains.  A shortest path
+    between junctions runs along whole chains, so the path counts S are
+    the graph's; a chain from a junction back to itself lies on none."""
     table: _Table = {}
-    for x in searched:
+    for x in ends:
         dist, sigma = table[x] = {x: 0}, {x: 1}
         heap = [(0, x)]
         while heap:
@@ -355,34 +369,132 @@ def _junction_table(adjacency: tuple[tuple[int, ...], ...]) -> tuple[_Chains, _P
                     heappush(heap, (e, y))
                 elif e == was:
                     sigma[y] += s
-    return chains, place, table
+    return table
 
 
 def _chain_point(
     chains: _Chains, place: _Places, table: _Table, root: int, w: int,
 ) -> tuple[int, int]:
-    """(distance, path count) from chain-interior root to w, in O(1):
-    root at position i of chain (a, b, length) lies min(i + D[a][x],
-    length - i + D[b][x]) from a junction x, summing S over the sides that
-    tie (a path from a back along root's chain loses), and a vertex at
-    position j of a chain (u, v, l) lies j past u or l - j past v, root's
-    own chain split into (a, root, i) and (root, b, length - i)."""
+    """(distance, path count) from root to w, in O(1): w lies at a junction
+    or at position j of a chain (u, v, l), so j past u or l - j past v; a
+    junction root reads D and S of those ends off its own table entry, and
+    a root at position i of chain (a, b, length) lies min(i + D[a][x],
+    length - i + D[b][x]) from a junction x.  Path counts are summed over
+    the sides that tie; a side that runs back along root's or w's own
+    chain always loses.  On root's own chain, w is reached along it or out
+    through the end beyond w and round into the other."""
     if w == root:
         return 0, 1
-    c0, i = place[root]
-    a, b, length = chains[c0]
     if place[w] is None:
-        (da, sa), (db, sb) = table[a], table[b]
-        p, q, sp, sq = i + da[w], length - i + db[w], sa[w], sb[w]
+        ends: tuple[tuple[int, int], ...] = ((w, 0),)
     else:
         c, j = place[w]
         u, v, l = chains[c]
-        if c == c0:
-            u, v, l, j = (a, root, i, j) if j <= i else (root, b, length - i, j - i)
-        p, sp = _chain_point(chains, place, table, root, u)
-        q, sq = _chain_point(chains, place, table, root, v)
-        p, q = p + j, q + l - j
-    return min(p, q), (sp if p <= q else 0) + (sq if q <= p else 0)
+        ends = ((u, j), (v, l - j))
+    if place[root] is None:
+        dist, sigma = table[root]
+        sides = [(dist[x] + k, sigma[x]) for x, k in ends]
+    else:
+        c0, i = place[root]
+        a, b, length = chains[c0]
+        (da, sa), (db, sb) = table[a], table[b]
+        if place[w] is not None and c == c0:
+            if j < i:
+                sides = [(i - j, 1), (length - i + db[a] + j, sb[a])]
+            else:
+                sides = [(j - i, 1), (i + da[b] + length - j, sa[b])]
+        else:
+            sides = [(i + da[x] + k, sa[x]) for x, k in ends]
+            sides += [(length - i + db[x] + k, sb[x]) for x, k in ends]
+    d = min(p for p, _ in sides)
+    return d, sum(s for p, s in sides if p == d)
+
+
+def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[int, ...]) -> bool:
+    """Whether each antipodal pair of cycle, a cycle of the graph in
+    canonical order, shows the lemma's distance and path count, by
+    _chain_point on the pairs with a junction within one step of either
+    end along the cycle, O(1) per junction of the cycle.
+
+    The cycle holds each chain it enters whole.  While the pairs (x_p,
+    x_(p+h)) for h = len // 2 keep both ends inside the same two chains,
+    each side of _chain_point is linear in p with slope -2, 0 or 2.  The
+    arc of the cycle from x_p to x_(p+h) through one end of x_p's chain
+    and one of x_(p+h)'s, of length h, is a walk no shorter than the side
+    through those ends, of slope 0; for even length the other arc, also of
+    length h, gives a second such side.  So where the first and last pair
+    of such a stretch pass, those sides are at h, every side of slope 2
+    or -2 lies above h inside the stretch, and every pair in it passes
+    too.  Those first and last pairs have a junction one step beyond an
+    end; the pairs at the root hold by construction."""
+    length = len(cycle)
+    half, want = _lemma_target(length)
+    junction = [place[v] is None for v in cycle]
+    near = [junction[i - 1] or junction[i] or junction[i + 1 - length] for i in range(length)]
+    root = cycle[0]
+    for i in range(length if length % 2 else half):
+        j = (i + half) % length
+        if (near[i] or near[j]) and root != cycle[i] and root != cycle[j]:
+            if _chain_point(chains, place, table, cycle[i], cycle[j]) != (half, want):
+                return False
+    return True
+
+
+def _table_row(
+    chains: _Chains, place: _Places, table: _Table, root: int,
+) -> tuple[int | float, int, int | float, int]:
+    """(odd, edges, merge, ecc) of root's BFS row, read off the table in
+    O(J + C): the level of its first same-level edges (inf if none) and
+    their count, the level of its first vertex with two predecessors (inf
+    if none) and root's eccentricity.
+
+    With D the distances from root to the junctions (see _chain_point), and
+    a chain-interior root's own chain split at it into two chains with the
+    root as their junction, the distance along a chain (u, v, l) rises
+    from both ends to where the two fronts meet, inside the chain exactly
+    when |D[u] - D[v]| < l: at one same-level edge at level (D[u] + D[v] +
+    l - 1) / 2 when D[u] + D[v] + l is odd, else at a vertex with two
+    predecessors at level (D[u] + D[v] + l) / 2.  No other edge is
+    same-level, and no other interior vertex has two predecessors.  The
+    first vertex with two shortest paths has two predecessors, so the
+    first merge is also the least such level or distance of a junction
+    with path count 2 or more.  The chain's farthest vertex lies (D[u] +
+    D[v] + l) // 2 away."""
+    if place[root] is None:
+        dist, sigma = table[root]
+        links = chains
+    else:
+        c0, i = place[root]
+        a, b, length = chains[c0]
+        (da, sa), (db, sb) = table[a], table[b]
+        dist, sigma = {root: 0}, {root: 1}
+        for x, p in da.items():
+            p += i
+            q = length - i + db[x]
+            dist[x] = min(p, q)
+            sigma[x] = (sa[x] if p <= q else 0) + (sb[x] if q <= p else 0)
+        links = [*chains[:c0], (a, root, i), (root, b, length - i), *chains[c0 + 1:]]
+    odd: int | float = math.inf
+    edges = 0
+    merge = min((d for x, d in dist.items() if sigma[x] > 1), default=math.inf)
+    far = 0
+    for u, v, l in links:
+        du = dist[u]
+        dv = dist[v]
+        top = du + dv + l
+        if top > far:
+            far = top
+        # |du - dv| < l
+        if 2 * du < top > 2 * dv:
+            level = top >> 1
+            if not top & 1:
+                if level < merge:
+                    merge = level
+            elif level < odd:
+                odd, edges = level, 1
+            elif level == odd:
+                edges += 1
+    return odd, edges, merge, far >> 1
 
 
 def _chain_eccentricity(chains: _Chains, table: _Table, c0: int) -> int:
@@ -410,8 +522,8 @@ def _census_rows(
     longest: int,
     upper: list[int],
 ) -> tuple[list[tuple[int, ...]], int, int, int]:
-    """The rows kernel: one row per root, roots in increasing order, on a
-    connected graph with a cycle.
+    """The rows kernel: one BFS row per root (_census_row), roots in
+    increasing order, on a connected graph with a cycle.
 
     Returns (cycles, girth, far_edges, longest): the convex cycles in
     canonical order, the girth, for odd girth g = 2k+1 the number of
@@ -420,37 +532,20 @@ def _census_rows(
     candidates not at itself to the later row of the pair's smaller
     vertex, then drops its row: O(n + m) memory plus O(L) per L-cycle.
 
-    A cycle through a chain-interior vertex holds its whole chain (see
-    _contract), so only a junction or a chain's minimum interior vertex
-    can own a candidate.  Those roots get a full BFS row (_census_row).
-    Every other root gets a chain row where the junction table pays (see
-    _junction_table): its J searches take O(J (J + C) log J) time and J^2
-    memory for J junctions and C chains, then each pair deferred to a
-    chain row costs O(1) (_chain_point).  A chain row owns nothing and tightens
-    no bound; once one has upper[v] > longest, its chain's largest
-    eccentricity is found, in O(C) (_chain_eccentricity).
-
-    The girth and far-edge count come from the full rows alone.  Every
-    cycle holds a junction, and a row from any vertex of a girth cycle
-    sees a girth event.  For odd girth a root's far-edge count is the
-    number of girth cycles through it, and every interior vertex of a
-    chain lies on the same cycles, so the row of a chain's minimum
-    interior vertex counts for all length - 1 of them.
-
     A clean vertex has one shortest path from the root, through vertices
     above the root; its branch is the root's neighbor it descends from.
     The arms of each candidate the root owns (as its minimum) run through
-    clean vertices of two branches (see _sweep).  At the first merge into
-    level d + 1, a full row stops counting shortest paths once (a) no live
-    pair deferred to the root lies deeper than d, (b) its first same-level
-    edge or merge was found scanning a level less than d, so its girth
-    events are complete, and (c) the clean frontier, stepped to level d,
-    spans fewer than two branches.  The rest, distances only, can only
-    raise the diameter: a row whose bound upper[v] (see
-    _eccentricity_bounds) is at most longest, the largest eccentricity seen
-    so far, drops it.  Any other full row finishes it, raises longest to
-    its eccentricity e and lowers upper[w] to e + d(v, w) for the vertices
-    w of its BFS-order prefix where that is at most longest.
+    clean vertices of two branches (see _sweep).  At the boundary of each
+    level d, a row stops counting shortest paths once (a) no live pair
+    deferred to the root lies deeper than d, (b) it has found a
+    same-level edge or a merge, so its girth events are complete, and (c)
+    the clean frontier, stepped to level d, spans fewer than two
+    branches.  The rest, distances only, can only raise the diameter: a
+    row whose bound upper[v] (see _eccentricity_bounds) is at most
+    longest, the largest eccentricity seen so far, drops it.  Any other
+    row finishes it, raises longest to its eccentricity e and lowers
+    upper[w] to e + d(v, w) for the vertices w of its BFS-order prefix
+    where that is at most longest.
     """
     n = len(adjacency)
     girth = math.inf
@@ -465,26 +560,8 @@ def _census_rows(
     # predecessor, kept across roots
     branch = [0] * n
     pred = [0] * n
-    chains, place, table = _junction_table(adjacency)
-    # the chains whose minimum interior vertex has had its full row, and
-    # those whose largest eccentricity is in longest
-    started = [False] * len(chains)
-    spanned = [False] * len(chains)
     for v in range(n):
         pending = deferred.pop(v, ())
-        if place[v] is not None and started[c := place[v][0]]:
-            if upper[v] > longest and not spanned[c]:
-                spanned[c] = True
-                longest = max(longest, _chain_eccentricity(chains, table, c))
-            for w, cid in zip(pending[::2], pending[1::2]):
-                if _chain_point(chains, place, table, v, w) != targets[cid]:
-                    targets[cid] = None
-            continue
-        # how many roots' far-edge counts v's row stands for
-        weight = 1
-        if place[v] is not None:
-            started[place[v][0]] = True
-            weight = chains[place[v][0]][2] - 1
         depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
         finish = upper[v] > longest
         dist, sigma, order, odd, edges, merge, owned = _census_row(
@@ -509,7 +586,7 @@ def _census_rows(
         if edges and 2 * odd + 1 < girth:
             girth, far_edges = 2 * odd + 1, 0
         if 2 * odd + 1 == girth:
-            far_edges += weight * edges
+            far_edges += edges
         for cycle in owned:
             cid = len(candidates)
             for lo, hi in _antipodal_pairs(cycle):
@@ -518,6 +595,80 @@ def _census_rows(
             candidates.append(cycle)
             targets.append(_lemma_target(len(cycle)))
     cycles = [c for c, t in zip(candidates, targets) if t is not None]
+    return cycles, girth, far_edges, longest
+
+
+def _census_chains(
+    adjacency: tuple[tuple[int, ...], ...], chains: _Chains, place: _Places, table: _Table,
+) -> tuple[list[tuple[int, ...]], int, int, int]:
+    """The chains kernel: a connected graph with a cycle, contracted to
+    its junctions where the junction table pays (see _junction_table),
+    with the table as its metric.
+
+    Returns what _census_rows does.  A cycle through a chain-interior
+    vertex holds its whole chain (see _contract), so only a junction or a
+    chain's least interior vertex can own a candidate.  Each of these
+    roots gets a BFS row that only sweeps (_census_row with depth None):
+    it stops counting at the first level boundary where its clean
+    frontier spans fewer than two branches, and drops the rest.  Each
+    antipodal pair of a candidate is tested as the candidate is built, in
+    O(1) (_chain_point), so nothing is deferred.
+
+    The girth, far-edge count and diameter come from the table alone.
+    Every cycle holds a junction, and the row from any vertex of a girth
+    cycle sees a girth event, so the girth is the least event of the
+    junction roots (_table_row).  For odd girth a root's far-edge count is
+    the number of girth cycles through it, and every interior vertex of a
+    chain lies on the same cycles, so the table row of a chain's least
+    interior vertex counts for all length - 1 of them.  A vertex at
+    position i of chain (a, b, length) has eccentricity at most min(i +
+    ecc(a), length - i + ecc(b)), so only a chain where (length + ecc(a) +
+    ecc(b)) // 2 exceeds the largest eccentricity seen has its own largest
+    found, in O(C) (_chain_eccentricity).
+
+    Time: O(J (J + C) log J) for the table, O(J + C) per root's table
+    row, O(L) per candidate L-cycle and a BFS row per root as far as it
+    sweeps; memory J * J entries beside O(n + m).
+    """
+    n = len(adjacency)
+    cycles: list[tuple[int, ...]] = []
+    branch = [0] * n
+    pred = [0] * n
+    # each chain's least interior vertex
+    least: dict[int, int] = {}
+    for v, p in enumerate(place):
+        if p is not None:
+            least.setdefault(p[0], v)
+    girth = math.inf
+    # each junction's first same-level edges, (level, count), and its
+    # eccentricity
+    first = {}
+    eccentricity = {}
+    for x in table:
+        odd, edges, merge, eccentricity[x] = _table_row(chains, place, table, x)
+        first[x] = odd, edges
+        girth = min(girth, 2 * merge, 2 * odd + 1)
+    far_edges = 0
+    if girth % 2:
+        k = girth // 2
+        far_edges = sum(edges for odd, edges in first.values() if odd == k)
+        for c, v in least.items():
+            a, b, length = chains[c]
+            # a girth cycle through the chain runs through both its ends
+            if first[a][0] == k == first[b][0]:
+                odd, edges, _, _ = _table_row(chains, place, table, v)
+                if odd == k:
+                    far_edges += (length - 1) * edges
+    # roots in increasing order, so that a label left in branch by an
+    # earlier root is below every label of the current one (see _sweep)
+    for root in sorted([*table, *least.values()]):
+        for cycle in _census_row(adjacency, root, None, False, branch, pred)[6]:
+            if _table_holds(chains, place, table, cycle):
+                cycles.append(cycle)
+    longest = max(eccentricity.values())
+    for c, (a, b, length) in enumerate(chains):
+        if (length + eccentricity[a] + eccentricity[b]) // 2 > longest:
+            longest = max(longest, _chain_eccentricity(chains, table, c))
     return cycles, girth, far_edges, longest
 
 
@@ -797,9 +948,11 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     of theirs, the diameter infinite.  On a connected graph two sweeps
     bound every eccentricity and give a tree its diameter.  A graph with
     a cycle whose largest eccentricity they see is at most log2(n) takes
-    the planes kernel (see _census_planes); any other, such as a grid or
-    a long cycle, the rows kernel (see _census_rows).  Both hand their
-    cycles, girth, far-edge count and diameter to the same checks.
+    the planes kernel (see _census_planes); any other where the junction
+    table pays, such as a long cycle or a subdivided graph, the chains
+    kernel (see _census_chains); the rest, such as a grid, the rows kernel
+    (see _census_rows).  All three hand their cycles, girth, far-edge
+    count and diameter to the same checks.
     """
     adjacency = g.adjacency
     if not g.n:
@@ -811,6 +964,8 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
             found = [], math.inf, 0, longest
         elif _small_world(g.n, longest):
             found = _census_planes(adjacency)
+        elif contracted := _junction_table(adjacency):
+            found = _census_chains(adjacency, *contracted)
         else:
             found = _census_rows(adjacency, longest, upper)
         return _profile_and_census_of(*found)

@@ -379,7 +379,7 @@ class TestExitCodes:
         import convexcycles.convexity as convexity
 
         dropped = []
-        for name in ("_census_planes", "_census_rows"):
+        for name in ("_census_planes", "_census_chains", "_census_rows"):
 
             def drop_first(*args, name=name, kernel=getattr(convexity, name)):
                 cycles, *found = kernel(*args)
@@ -398,27 +398,38 @@ class TestExitCodes:
     def test_dropped_girth_cycle_maps_to_three(
         self, petersen_file, tmp_path, monkeypatch, capsys
     ):
-        # the far-edge count reads only BFS levels, so it notices a census
-        # that lost a girth cycle in either kernel: Petersen (diameter 2)
-        # takes the planes kernel, C9 (diameter 4 > log2 9) the rows kernel
+        # the far-edge count reads only BFS levels or the junction table,
+        # so it notices a census that lost a girth cycle in every kernel:
+        # Petersen (diameter 2) takes the planes kernel, C9 (7 chain roots
+        # for its one junction) the chains kernel, and the square of C40
+        # (diameter 10 > log2 40, no vertex of degree 2) the rows kernel
         c9_file = self.write(tmp_path, cc.cycle_graph(9), "c9.g6")
+        square = cc.Graph(40, [(i, (i + k) % 40) for i in range(40) for k in (1, 2)])
+        square_file = self.write(tmp_path, square, "c40-squared.g6")
         dropped = self.drop_first_cycle(monkeypatch)
         for path, kernel, length in [
-            (petersen_file, "_census_planes", 5), (c9_file, "_census_rows", 9),
+            (petersen_file, "_census_planes", 5), (c9_file, "_census_chains", 9),
+            (square_file, "_census_rows", 3),
         ]:
             assert cc.cli_run(["analyze", path]) == 3
             assert dropped[-1][0] == kernel and len(dropped[-1][1]) == length
             assert "same-level edges" in capsys.readouterr().err
 
     def test_oracle_disagreement_maps_to_three(self, tmp_path, q3, monkeypatch, capsys):
-        # Q3 and C8 have even girth, so the far-edge count is silent on a
-        # lost cycle; the brute-force census still has it.  Q3 (diameter 3)
-        # takes the planes kernel, C8 (diameter 4 > log2 8) the rows kernel
+        # Q3, C8 and grids have even girth, so the far-edge count is silent
+        # on a lost cycle; the brute-force census still has it.  Q3
+        # (diameter 3) takes the planes kernel, C8 (6 chain roots for its
+        # one junction) the chains kernel, and the 3 x 4 grid (diameter 5 >
+        # log2 12, no two adjacent vertices of degree 2) the rows kernel
         q3_file = self.write(tmp_path, q3, "q3.g6")
         c8_file = self.write(tmp_path, cc.cycle_graph(8), "c8.g6")
+        grid = cc.Graph(12, [(v, v + 1) for v in range(12) if v % 4 < 3]
+                        + [(v, v + 4) for v in range(8)])
+        grid_file = self.write(tmp_path, grid, "grid-3x4.g6")
         dropped = self.drop_first_cycle(monkeypatch)
         for path, kernel, length in [
-            (q3_file, "_census_planes", 4), (c8_file, "_census_rows", 8),
+            (q3_file, "_census_planes", 4), (c8_file, "_census_chains", 8),
+            (grid_file, "_census_rows", 4),
         ]:
             assert cc.cli_run(["oracle", path]) == 3
             assert dropped[-1][0] == kernel and len(dropped[-1][1]) == length

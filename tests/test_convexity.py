@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -71,10 +70,10 @@ def eccentricity_bounds(g: cc.Graph) -> tuple[int, list[int]]:
 
 @pytest.fixture
 def kernel_inputs(monkeypatch) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
-    """Wrap both census kernels; the list receives (kernel, adjacency) per
-    call."""
+    """Wrap the three census kernels; the list receives (kernel, adjacency)
+    per call."""
     received = []
-    for name in ("_census_planes", "_census_rows"):
+    for name in ("_census_planes", "_census_chains", "_census_rows"):
 
         def record(adjacency, *args, name=name, kernel=getattr(convexity, name)):
             received.append((name, adjacency))
@@ -341,7 +340,8 @@ class TestEnumeration:
 class TestReferencePipeline:
     """The one-pass census on the whole graph and on each of its
     components, and each kernel, whatever the choice of kernel picks, on
-    each component with a cycle, against the all-roots reference pipeline."""
+    each component with a cycle (the chains kernel where the junction
+    table pays), against the all-roots reference pipeline."""
 
     @staticmethod
     def check(g: cc.Graph) -> None:
@@ -355,10 +355,13 @@ class TestReferencePipeline:
             assert list(census.cycles) == cycles
             if connected and h.m >= h.n > 0:
                 longest, upper = eccentricity_bounds(h)
-                for found in (
+                kernels = [
                     convexity._census_planes(h.adjacency),
                     convexity._census_rows(h.adjacency, longest, upper),
-                ):
+                ]
+                if contracted := convexity._junction_table(h.adjacency):
+                    kernels.append(convexity._census_chains(h.adjacency, *contracted))
+                for found in kernels:
                     assert convexity._profile_and_census_of(*found) == (profile, census)
 
     def test_corpus(self, corpus):
@@ -425,7 +428,7 @@ class TestReferencePipeline:
                     self.check(relabelled(cc.Graph(r * c, kept), rng))
 
     def test_cycles(self):
-        # the choice of kernel picks planes for C3-C5 and rows for longer
+        # the choice of kernel picks planes for C3-C5 and chains for longer
         # cycles
         for length in range(3, 31):
             self.check(cc.cycle_graph(length))
@@ -521,7 +524,8 @@ class TestEccentricityBounds:
 
 class TestKernelChoice:
     """The census takes the planes kernel exactly on connected graphs whose
-    largest eccentricity seen by the sweeps is at most log2(n), and each
+    largest eccentricity seen by the sweeps is at most log2(n), the chains
+    kernel on the others where the junction table pays, and each
     component of a disconnected graph takes its own kernel."""
 
     @staticmethod
@@ -536,16 +540,33 @@ class TestKernelChoice:
         for g in [grid, cc.cycle_graph(301), subdivided(petersen, 23)]:
             assert not self.small_world(g)
 
+    def test_long_chains_take_chains(self, kernel_inputs, petersen):
+        # a grid has no two adjacent vertices of degree 2 and takes rows; a
+        # cycle from C6 on and subdivided Petersen pass the junction
+        # table's rule, R >= 4 * J, and take chains: C6 has R = 4 for
+        # J = 1, and with each edge cut into 3 Petersen has R = 15 for
+        # J = 10, short of 40, while cut into 23 it has R = 315
+        grid = relabelled(cc.Graph(484, grid_edges(22, 22)), random.Random(22))
+        for g, kernel in [
+            (grid, "_census_rows"), (cc.cycle_graph(6), "_census_chains"),
+            (cc.cycle_graph(301), "_census_chains"),
+            (subdivided(petersen, 3), "_census_rows"),
+            (subdivided(petersen, 23), "_census_chains"),
+        ]:
+            kernel_inputs.clear()
+            cc.profile_and_census(g)
+            assert kernel_inputs == [(kernel, g.adjacency)]
+
     def test_components_take_their_own_kernels(self, kernel_inputs):
         # two triangles are two small worlds; beside a triangle, C31 takes
-        # rows; an isolated vertex no longer sends a small-world giant
-        # component to the rows kernel
+        # chains; an isolated vertex no longer sends a small-world giant
+        # component to another kernel
         triangle = cc.complete_graph(3).adjacency
         cc.profile_and_census(union(cc.complete_graph(3), cc.complete_graph(3)))
         assert kernel_inputs == [("_census_planes", triangle)] * 2
         kernel_inputs.clear()
         cc.profile_and_census(union(cc.cycle_graph(31), cc.complete_graph(3)))
-        assert kernel_inputs == [("_census_rows", cc.cycle_graph(31).adjacency),
+        assert kernel_inputs == [("_census_chains", cc.cycle_graph(31).adjacency),
                                  ("_census_planes", triangle)]
         kernel_inputs.clear()
         giant = cc.gnp_random_graph(270, 9 / 269, 31)
@@ -708,7 +729,7 @@ def first_level_edges(g: cc.Graph, dist) -> tuple[int, int]:
     return min(levels), levels.count(min(levels))
 
 
-def census_rows(g: cc.Graph, depth: int, finish: bool) -> list[tuple]:
+def census_rows(g: cc.Graph, depth: int | None, finish: bool) -> list[tuple]:
     """Every root's census row with the given pending depth, roots in
     increasing order sharing the label and predecessor lists, as in the
     census."""
@@ -716,6 +737,17 @@ def census_rows(g: cc.Graph, depth: int, finish: bool) -> list[tuple]:
     return [
         convexity._census_row(g.adjacency, v, depth, finish, branch, pred) for v in range(g.n)
     ]
+
+
+def check_merge(g: cc.Graph, dist, odd: int, edges: int, merge: int | None) -> None:
+    """A row reports the full row's first merge, or none when it stopped
+    counting at a level boundary after its first same-level edges and
+    before that merge."""
+    merges = oracles.merge_levels(g, dist)
+    if merge is None and merges:
+        assert edges and odd < merges[0]
+    else:
+        assert merge == (merges[0] if merges else None)
 
 
 def wrong_sigma_levels(g: cc.Graph, root: int, dist, sigma) -> set[int]:
@@ -731,8 +763,7 @@ class TestStoppedRow:
     def test_distances_stay_exact_after_counting_stops(self, corpus):
         # with nothing pending a row stops counting as early as the girth
         # event and the clean frontier allow; a finished row keeps dist and
-        # order exact, and the first merge and the first same-level edges
-        # it reports are the full row's
+        # order exact, and the girth events it reports are the full row's
         stopped = 0
         for g in corpus:
             for root, row in enumerate(census_rows(g, 0, True)):
@@ -742,8 +773,7 @@ class TestStoppedRow:
                 assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
                 assert [dist[v] for v in order] == sorted(dist[v] for v in order)
                 stopped += bool(wrong_sigma_levels(g, root, dist, sigma))
-                merges = oracles.merge_levels(g, dist)
-                assert merge == (merges[0] if merges else None)
+                check_merge(g, dist, odd, edges, merge)
                 level, count = first_level_edges(g, dist)
                 if merge is None or level < merge:
                     assert (odd, edges) == (level, count)
@@ -759,9 +789,9 @@ class TestStoppedRow:
 
     def test_dropped_tail_keeps_the_row_through_its_level(self, corpus):
         # a row that drops its distance-only tail when counting stops at
-        # level d is the finished row cut after part of level d + 1: the
-        # same path counts, girth events and candidates, and a prefix of
-        # its order holding every vertex through level d
+        # the boundary of level d is the finished row cut after level d:
+        # the same path counts, girth events and candidates, and a prefix
+        # of its order holding every vertex through level d
         dropped = 0
         for g in corpus:
             for depth in (0, 2):
@@ -776,8 +806,8 @@ class TestStoppedRow:
                     assert order == full_order[: len(order)] != full_order
                     assert all(dist[v] == full_dist[v] for v in order)
                     assert sorted(order) == [v for v in range(g.n) if dist[v] is not None]
-                    # the row stopped counting while scanning level d
-                    d = dist[order[-1]] - 1
+                    # the row stopped counting at the boundary of level d
+                    d = dist[order[-1]]
                     assert all(v in order for v in range(g.n) if full_dist[v] <= d)
         assert dropped
 
@@ -802,24 +832,25 @@ class TestCountCutoff:
                   (11, 13), (12, 13)]
 
     @pytest.mark.parametrize(
-        "tail, stopped_at",
-        [([], 5), ([(0, 14), (14, 15), (15, 16), (16, 17), (17, 18)], 7)],
+        "tail, stopped_at, merge",
+        [([], 3, None), ([(0, 14), (14, 15), (15, 16), (16, 17), (17, 18)], 6, 6)],
         ids=["one-branch", "second-branch-ends-at-level-5"],
     )
-    def test_counting_stops_below_two_branches(self, tail, stopped_at):
-        # the first merge, into 10 at level 6, is met while scanning level
-        # 5 after the girth event at level 2; 8 and 9 still have one
-        # shortest path each, but with one branch 0 owns no cycle through
-        # them and stops counting there, while a second clean branch keeps
-        # the row counting until that branch ends, at the merge into 13
+    def test_counting_stops_below_two_branches(self, tail, stopped_at, merge):
+        # the girth event, the edge 2 3 at level 2, is complete at the
+        # boundary of level 3; 4 and 7 still have one shortest path each,
+        # but with one branch 0 owns no cycle through them and stops
+        # counting there, before the first merge, into 10 at level 6; a
+        # second clean branch keeps the row counting until that branch
+        # ends, at the boundary of level 6, past that merge
         g = cc.Graph(19 if tail else 14, self.ONE_BRANCH + tail)
-        dist, sigma, _, _, _, merge, owned = convexity._census_row(
+        dist, sigma, _, _, _, found, owned = convexity._census_row(
             g.adjacency, 0, 0, True, [0] * g.n, [0] * g.n
         )
         assert dist == list(oracles.bfs_distances(g, 0))
         assert min(wrong_sigma_levels(g, 0, dist, sigma)) == stopped_at + 1
-        # 0 owns no cycle, and the row's first merge is into 10 at level 6
-        assert (owned, merge) == ([], 6)
+        # 0 owns no cycle
+        assert (owned, found) == ([], merge)
         TestReferencePipeline.check(g)
 
 
@@ -830,12 +861,14 @@ class TestCandidateSweep:
     @staticmethod
     def check(g: cc.Graph) -> None:
         # nothing is pending, so each row stops counting as soon as its
-        # frontier spans fewer than two branches
+        # girth events are in and its frontier spans fewer than two
+        # branches; a row that only sweeps stops at the latter alone
         for v, row in enumerate(census_rows(g, 0, True)):
-            *_, merge, owned = row
+            dist, _, _, odd, edges, merge, owned = row
             assert sorted(owned) == oracles.owned_candidates(g, v)
-            merges = oracles.merge_levels(g, oracles.bfs_distances(g, v))
-            assert merge == (merges[0] if merges else None)
+            check_merge(g, dist, odd, edges, merge)
+        for v, row in enumerate(census_rows(g, None, False)):
+            assert sorted(row[6]) == oracles.owned_candidates(g, v)
 
     def test_corpus(self, corpus):
         for g in corpus:
@@ -853,41 +886,57 @@ class TestCandidateSweep:
                 self.check(relabelled(cc.Graph(r * c, grid_edges(r, c)), rng))
 
 
+def contracted(g: cc.Graph) -> tuple[list, list, dict]:
+    """chains, place and table of a connected graph with a cycle, with no
+    pay rule: the contraction and a search from every junction."""
+    chains, place, ends = convexity._contract(g.adjacency)
+    return chains, place, convexity._junction_searches(ends)
+
+
+def random_cubic(n: int, rng: random.Random) -> cc.Graph:
+    """A simple cubic graph on n vertices (n even), by random pairings of
+    three points per vertex, drawn again until simple and connected."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2]) if u != v}
+        g = cc.Graph(n, sorted(edges))
+        if g.m == 3 * n // 2 and None not in oracles.bfs_distances(g, 0):
+            return g
+
+
 class TestChainRows:
-    """Each chain row, convexity._chain_point read off the junction table,
-    and each chain's largest eccentricity, against bfs_record."""
+    """The junction table's answers, convexity._chain_point for a pair and
+    convexity._table_row for a root's girth events and eccentricity, and
+    each chain's largest eccentricity, against BFS from every root; and
+    the chains kernel against the rows kernel."""
 
     @staticmethod
     def check(g: cc.Graph) -> list[tuple[int, int, int, int]]:
-        """On each component of g with a cycle, check every chain-interior
-        root but each chain's least, which keeps a full row, with chain
-        rows forced on, and each chain's largest eccentricity; return
-        (|i - j|, distance, path count, lap) per target w at position j on
-        the chain of a root at position i, lap the chain's length when the
-        chain is a cycle through its junction, else 0."""
+        """On each component of g with a cycle, check _chain_point from
+        every root to every vertex, and each chain's largest eccentricity;
+        return (|i - j|, distance, path count, lap) per target w at
+        position j on the chain of a root at position i, lap the chain's
+        length when the chain is a cycle through its junction, else 0."""
         own = []
         for h in with_cycles(g):
-            with mock.patch.object(convexity, "_ROOTS_PER_SEARCH", 0):
-                chains, place, table = convexity._junction_table(h.adjacency)
-            least = {}
+            chains, place, table = contracted(h)
             eccentricity = [0] * len(chains)
             for v in range(h.n):
+                record = cc.bfs_record(h, v)
+                points = [convexity._chain_point(chains, place, table, v, w) for w in range(h.n)]
+                assert points == list(zip(record.dist, record.sigma))
                 if place[v] is None:
                     continue
                 c, i = place[v]
-                record = cc.bfs_record(h, v)
                 eccentricity[c] = max(eccentricity[c], max(record.dist))
-                if least.setdefault(c, v) == v:
-                    continue
-                points = [convexity._chain_point(chains, place, table, v, w) for w in range(h.n)]
-                assert points == list(zip(record.dist, record.sigma))
                 a, b, length = chains[c]
                 own += [
                     (abs(i - place[w][1]), record.dist[w], record.sigma[w], length * (a == b))
                     for w in range(h.n) if place[w] is not None and place[w][0] == c
                 ]
             for c, (_, _, length) in enumerate(chains):
-                if length > 2:
+                if length > 1:
                     assert convexity._chain_eccentricity(chains, table, c) == eccentricity[c]
         return own
 
@@ -913,16 +962,16 @@ class TestChainRows:
             assert len(edges) == sum(length for _, _, length in chains)
 
     def test_chain_families(self):
-        assert sum(len(self.check(g)) for g in chain_families()) > 9000
+        assert sum(len(self.check(g)) for g in chain_families()) > 10_000
 
     def test_subdivided(self, petersen, q3):
         for g in [subdivided(petersen, 5), subdivided(q3, 4), subdivided(cc.complete_graph(4), 7)]:
             assert self.check(relabelled(g, random.Random(g.n)))
 
     def test_diameter_through_chain_eccentricities(self, monkeypatch):
-        # the sweeps can miss the diameter of a chain-heavy graph, and
-        # where only chain roots reach it, their chains' largest
-        # eccentricities must raise longest to it
+        # the sweeps can miss the diameter of a chain-heavy graph; the
+        # chains kernel takes it from the junction roots' table rows and
+        # the chains' largest eccentricities
         monkeypatch.setattr(convexity, "_ROOTS_PER_SEARCH", 0)
         rng = random.Random(24)
         graphs = chain_families() + [
@@ -972,39 +1021,38 @@ class TestChainRows:
         assert any(d < gap for gap, d, _, _ in laps)
 
     @pytest.mark.parametrize("pieces", [3, 5])
-    def test_same_census_without_chain_rows(self, monkeypatch, pieces):
-        # the rule only trades speed: with chain rows forced on and forced
-        # off, the rows kernel finds the same cycles, girth, far-edge
-        # count and largest eccentricity on each component with a cycle of
-        # subdivided G(n, p)
-        for seed in range(6):
-            g = relabelled(
-                subdivided(cc.gnp_random_graph(12, 0.3, 21_000 + seed), pieces),
-                random.Random(seed),
-            )
-            for h in with_cycles(g):
-                bounds = eccentricity_bounds(h)
-                found = []
-                for roots_per_search in (0, h.n + 1):
-                    monkeypatch.setattr(convexity, "_ROOTS_PER_SEARCH", roots_per_search)
-                    chains, place, table = convexity._junction_table(h.adjacency)
-                    assert bool(table) == (roots_per_search == 0)
-                    assert bool(chains) == (place.count(None) < h.n) == bool(table)
-                    found.append(convexity._census_rows(h.adjacency, *bounds))
-                assert found[0] == found[1]
+    def test_same_census_without_chain_rows(self, pieces):
+        # the rule only trades speed: the chains kernel, with the table
+        # built whether or not it pays, and the rows kernel find the same
+        # cycles, girth, far-edge count and diameter on each component
+        # with a cycle of subdivided G(n, p), and on subdivided K4, K3,3,
+        # Petersen and random cubic graphs, at odd s
+        rng = random.Random(pieces)
+        graphs = [
+            relabelled(subdivided(cc.gnp_random_graph(12, 0.3, 21_000 + seed), pieces),
+                       random.Random(seed))
+            for seed in range(6)
+        ]
+        bases = [cc.complete_graph(4), cc.complete_bipartite_graph(3, 3), cc.petersen_graph()]
+        bases += [random_cubic(n, rng) for n in (8, 10, 12)]
+        graphs += [relabelled(subdivided(base, pieces), rng) for base in bases]
+        for h in [h for g in graphs for h in with_cycles(g)]:
+            cycles, *found = convexity._census_chains(h.adjacency, *contracted(h))
+            rows_cycles, *rows_found = convexity._census_rows(h.adjacency, *eccentricity_bounds(h))
+            assert (sorted(cycles), found) == (sorted(rows_cycles), rows_found)
 
     def test_table_over_budget_falls_back(self, monkeypatch):
-        # a table that does not fit the budget gives no chain rows either
+        # a table that does not fit the budget is not built: J * J entries
+        # for the J = 10 junctions of subdivided Petersen
         g = subdivided(cc.petersen_graph(), 9)
-        assert convexity._junction_table(g.adjacency)[2]
+        assert convexity._junction_table(g.adjacency)
         monkeypatch.setattr(convexity, "_BUDGET", 100 * convexity._TABLE_ENTRY_BYTES - 1)
-        chains, place, table = convexity._junction_table(g.adjacency)
-        assert (chains, place, table) == ([], [None] * g.n, {})
+        assert convexity._junction_table(g.adjacency) is None
 
     def test_grids_are_not_contracted(self, monkeypatch):
         # a grid of three rows and columns or more has no two adjacent
-        # vertices of degree 2, so no chain row and no contraction; its
-        # census is the planes kernel's
+        # vertices of degree 2, so no chain root and no contraction; its
+        # rows kernel's census is the planes kernel's
         rng = random.Random(23)
 
         def refuse(adjacency):
@@ -1013,37 +1061,63 @@ class TestChainRows:
         monkeypatch.setattr(convexity, "_contract", refuse)
         for r, c in [(3, 3), (3, 8), (4, 7), (6, 6), (5, 8)]:
             g = relabelled(cc.Graph(r * c, grid_edges(r, c)), rng)
-            chains, place, table = convexity._junction_table(g.adjacency)
-            assert (chains, place, table) == ([], [None] * g.n, {})
+            assert convexity._junction_table(g.adjacency) is None
             bounds = eccentricity_bounds(g)
             cycles, *found = convexity._census_rows(g.adjacency, *bounds)
             planes_cycles, *planes_found = convexity._census_planes(g.adjacency)
             assert (sorted(cycles), found) == (sorted(planes_cycles), planes_found)
 
-    def test_girth_events_come_from_full_rows(self, petersen):
-        # the rows kernel reads girth events off full rows only, the row
-        # of a chain's least interior vertex counting for every interior
-        # vertex of its chain; its girth and far-edge count must match a
-        # count over every root's own BFS, on each component with a cycle
+    def test_table_rows_match_bfs_rows(self, petersen):
+        # from every root, junction or chain-interior, the table row gives
+        # the level and count of the first same-level edges, the first
+        # merge and the eccentricity of the root's full BFS row: chains
+        # with loops, cycles of both parities and uniform subdivisions,
+        # s = 1 giving chains of length 1 between junctions
         rng = random.Random(20)
-        k4 = cc.complete_graph(4)
-        for g in [
-            cc.cycle_graph(21),
-            relabelled(subdivided(petersen, 3), rng),
-            relabelled(subdivided(k4, 5), rng),
-            *with_cycles(relabelled(union(cc.cycle_graph(15), subdivided(k4, 5),
-                                          cc.cycle_graph(17), path_graph(3)), rng)),
-        ]:
-            records = oracles.all_roots_records(g)
-            girth = oracles.girth_from_records(g, records)
-            assert girth % 2
-            far_edges = 0
-            for record in records:
-                level, count = first_level_edges(g, record.dist)
-                if 2 * level + 1 == girth:
-                    far_edges += count
-            _, *found, _ = convexity._census_rows(g.adjacency, *eccentricity_bounds(g))
-            assert found == [girth, far_edges]
+        graphs = chain_families()
+        graphs += [relabelled(theta_graph(*lengths), rng)
+                   for lengths in [(1, 2), (1, 3), (2, 2, 2, 2), (3, 4, 5), (5, 5, 6)]]
+        graphs += [relabelled(wedge(cc.cycle_graph(length), h), rng)
+                   for length in (4, 5, 8, 11) for h in (path_graph(2), cc.cycle_graph(3))]
+        graphs += [relabelled(cc.cycle_graph(length), rng) for length in (3, 4, 9, 10, 31, 32)]
+        graphs += [
+            relabelled(subdivided(base, s), rng)
+            for base in (cc.complete_graph(4), cc.complete_bipartite_graph(3, 3), petersen)
+            for s in range(1, 6)
+        ]
+        roots = 0
+        for h in [h for g in graphs for h in with_cycles(g)]:
+            chains, place, table = contracted(h)
+            for record in oracles.all_roots_records(h):
+                level, count = first_level_edges(h, record.dist)
+                merges = oracles.merge_levels(h, record.dist)
+                want = (level if count else math.inf, count,
+                        merges[0] if merges else math.inf, max(record.dist))
+                assert convexity._table_row(chains, place, table, record.root) == want
+                roots += 1
+        assert roots > 2000
+
+    def test_sweep_rows_on_subdivided_petersen(self, monkeypatch, kernel_inputs):
+        # a deterministic count of work, not a timing: on Petersen with
+        # each edge cut into 23, the chains kernel's 25 rows (10 junctions,
+        # 15 chains' least interior vertices) only sweep, nothing pending
+        # and nothing finished, and stop once their clean frontier spans
+        # fewer than two branches; each used to visit all 340 vertices
+        g = relabelled(subdivided(cc.petersen_graph(), 23), random.Random(340))
+        calls = []
+
+        def row(adjacency, root, depth, finish, *args, kernel=convexity._census_row):
+            found = kernel(adjacency, root, depth, finish, *args)
+            calls.append((depth, finish, len(found[2])))
+            return found
+
+        monkeypatch.setattr(convexity, "_census_row", row)
+        census = census_of(g)
+        assert [kernel for kernel, _ in kernel_inputs] == ["_census_chains"]
+        assert census.by_length == {115: 12}
+        assert len(calls) == 25
+        assert {(depth, finish) for depth, finish, _ in calls} == {(None, False)}
+        assert sum(visits for *_, visits in calls) <= 4250
 
 
 class TestRelabelling:
