@@ -412,30 +412,29 @@ def _chain_point(
 
 def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[int, ...]) -> bool:
     """Whether each antipodal pair of cycle, a cycle of the graph in
-    canonical order, shows the lemma's distance and path count, by
-    _chain_point on the pairs with a junction within one step of either
-    end along the cycle, O(1) per junction of the cycle.
+    canonical order, shows the lemma's distance h = len // 2 and path
+    count, by _chain_point on the pairs with a junction at an end, O(1)
+    per junction of the cycle; the pairs at the root hold by construction.
 
-    The cycle holds each chain it enters whole.  While the pairs (x_p,
-    x_(p+h)) for h = len // 2 keep both ends inside the same two chains,
-    each side of _chain_point is linear in p with slope -2, 0 or 2.  The
-    arc of the cycle from x_p to x_(p+h) through one end of x_p's chain
-    and one of x_(p+h)'s, of length h, is a walk no shorter than the side
-    through those ends, of slope 0; for even length the other arc, also of
-    length h, gives a second such side.  So where the first and last pair
-    of such a stretch pass, those sides are at h, every side of slope 2
-    or -2 lies above h inside the stretch, and every pair in it passes
-    too.  Those first and last pairs have a junction one step beyond an
-    end; the pairs at the root hold by construction."""
+    The cycle holds each chain it enters whole.  Take a stretch of pairs
+    (x_p, x_(p+h)) whose ends stay inside chains c and c', and the pairs
+    just before and after it, each with a junction at an end.  Over all
+    of these, each side of _chain_point, through an end of c and one of
+    c', is linear in p with slope -2, 0 or 2, and the shortest is the
+    distance.  The arc of the cycle from x_p to x_(p+h) through one end of
+    each is a walk of length h no shorter than the side through those
+    ends, of slope 0; for even length the other arc gives a second.  So
+    where the outer pairs pass, those sides are at h, each side of slope
+    2 or -2 lies above h inside the stretch, and each pair inside has
+    distance h and the path counts of the sides at h, which are also
+    distinct shortest paths of the outer pair: it passes too."""
     length = len(cycle)
     half, want = _lemma_target(length)
-    junction = [place[v] is None for v in cycle]
-    near = [junction[i - 1] or junction[i] or junction[i + 1 - length] for i in range(length)]
     root = cycle[0]
     for i in range(length if length % 2 else half):
-        j = (i + half) % length
-        if (near[i] or near[j]) and root != cycle[i] and root != cycle[j]:
-            if _chain_point(chains, place, table, cycle[i], cycle[j]) != (half, want):
+        x, y = cycle[i], cycle[(i + half) % length]
+        if (place[x] is None or place[y] is None) and root != x and root != y:
+            if _chain_point(chains, place, table, x, y) != (half, want):
                 return False
     return True
 
