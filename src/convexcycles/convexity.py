@@ -609,9 +609,10 @@ def _census_chains(
     chain's least interior vertex can own a candidate.  Each of these
     roots gets a BFS row that only sweeps (_census_row with depth None):
     it stops counting at the first level boundary where its clean
-    frontier spans fewer than two branches, and drops the rest.  Each
-    antipodal pair of a candidate is tested as the candidate is built, in
-    O(1) (_chain_point), so nothing is deferred.
+    frontier spans fewer than two branches, and drops the rest.  A
+    candidate's antipodal pairs are tested as it is built, those with a
+    junction at an end in O(1) each, which settles the rest
+    (_table_holds), so nothing is deferred.
 
     The girth, far-edge count and diameter come from the table alone.
     Every cycle holds a junction, and the row from any vertex of a girth
@@ -619,7 +620,8 @@ def _census_chains(
     junction roots (_table_row).  For odd girth a root's far-edge count is
     the number of girth cycles through it, and every interior vertex of a
     chain lies on the same cycles, so the table row of a chain's least
-    interior vertex counts for all length - 1 of them.  A vertex at
+    interior vertex counts for all length - 1 of them; it is read only
+    where both ends of the chain lie on girth cycles.  A vertex at
     position i of chain (a, b, length) has eccentricity at most min(i +
     ecc(a), length - i + ecc(b)), so only a chain where (length + ecc(a) +
     ecc(b)) // 2 exceeds the largest eccentricity seen has its own largest
