@@ -5,8 +5,8 @@ girth and diameter use math.inf for "no cycle" / "disconnected".  Path
 counts are plain Python integers, so they stay exact no matter how fast
 they grow.  bfs_record gives one full row.  It is the slow path that
 is_convex_cycle and the brute-force oracle read, and it runs the census
-pass's two eccentricity sweeps; the pass's two kernels, and the tests'
-oracles, run BFS loops of their own.
+pass's two eccentricity sweeps; the pass's planes kernel and its one
+counting BFS row loop, and the tests' oracles, run BFS loops of their own.
 """
 
 from __future__ import annotations
