@@ -11,20 +11,21 @@ vertex pairs joined by exactly two shortest paths.  Each root takes the
 candidates it owns (as their minimum vertex) from the vertices it reaches
 by one shortest path through vertices above it.
 
-One component at a time, two sweeps of bfs_record first bound every
-eccentricity, and on a graph with a cycle the largest one they see picks
-one of three kernels: on small-world graphs the planes kernel runs every
-root at once as bits of Python ints, with path counts capped at 3, in a
-BFS loop of its own.  On a graph made of long paths of degree-2
-vertices, chains, the chains kernel reads every pair it tests, every
-girth event and every eccentricity off one table of distances and path
-counts between the vertices of other degrees, the junctions, where that
-table pays (see _junction_table); only junctions and each chain's least
-interior vertex can own a candidate, and each gets a BFS row that only
-sweeps for its candidates.  On any other graph the rows kernel runs one
-BFS row per root, which stops counting as early as the census allows,
-takes the girth events, and drops its distance-only tail when it cannot
-raise the diameter.  _census_row is the one counting BFS loop of both.
+One component at a time, a sweep of bfs_record from vertex 0 and, unless
+the chains kernel takes the graph, a second one bound every eccentricity,
+and on a graph with a cycle the largest one they see picks one of three
+kernels: on small-world graphs the planes kernel runs every root at once
+as bits of Python ints, with path counts capped at 3, in a BFS loop of
+its own.  On a graph made of long paths of degree-2 vertices, chains,
+the chains kernel reads every pair it tests, every girth event and every
+eccentricity off one table of distances and path counts between the
+vertices of other degrees, the junctions, where that table pays (see
+_junction_table); only junctions and each chain's least interior vertex
+can own a candidate, and each sweeps its candidates off the table too, a
+whole chain per step, so this kernel runs no BFS.  On any other graph
+the rows kernel runs one BFS row per root, _census_row, which stops
+counting as early as the census allows, takes the girth events, and
+drops its distance-only tail when it cannot raise the diameter.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def _sweep(
 
 
 def _census_row(
-    adjacency: tuple[tuple[int, ...], ...], root: int, depth: int | None, finish: bool,
+    adjacency: tuple[tuple[int, ...], ...], root: int, depth: int, finish: bool,
     branch: list[int], pred: list[int],
 ) -> tuple[list, list[int], list[int], int, int, int | None, list[tuple[int, ...]]]:
     """Root's BFS row and the candidates root owns: (dist, sigma, order,
@@ -219,14 +220,12 @@ def _census_row(
     vertex with two predecessors (None if none), and owned in canonical
     order.  Every vertex of level d - 1 is scanned before level d's first,
     so sigma through level d is final there, and at each such boundary the
-    row tests its stop rules: with depth, the distance of the deepest pair
-    deferred to root, those of _census_rows, and with depth None, for a
-    row that only sweeps, rule (c) alone.  Counting stops at the first
+    row tests the stop rules of _census_rows, with depth the distance of
+    the deepest pair deferred to root.  Counting stops at the first
     boundary d where they hold, before level d is scanned; sigma is then
-    exact through d, and the girth events are complete unless depth is
-    None.  With finish, dist and order are then completed without
-    counting, else the row ends with level d.  branch and pred are the
-    kernel's clean-vertex lists."""
+    exact through d, and the girth events are complete.  With finish,
+    dist and order are then completed without counting, else the row ends
+    with level d.  branch and pred are the kernel's clean-vertex lists."""
     n = len(adjacency)
     dist: list[int | None] = [None] * n
     sigma = [0] * n
@@ -249,7 +248,7 @@ def _census_row(
         if du > level:
             level = du
             # an event found before this boundary completes the girth events
-            if depth is None or du >= depth and (edges or merge is not None):
+            if du >= depth and (edges or merge is not None):
                 branches = _sweep(adjacency, root, dist, sigma, branches, du, branch, pred, owned)
                 if len(branches) < 2:
                     if finish:
@@ -286,6 +285,8 @@ _Chains = list[tuple[int, int, int]]
 _Places = list[tuple[int, int] | None]
 _Ends = dict[int, list[tuple[int, int]]]
 _Table = dict[int, tuple[dict[int, int], dict[int, int]]]
+_Runs = list[tuple[list[int], int]]
+_Clean = dict[int, tuple[int, list[int], int]]
 
 
 def _contract(
@@ -329,14 +330,15 @@ def _junction_table(
     junction, by one search from each of the J junctions
     (_junction_searches), or None where the table does not pay.  The rule:
     the R chain roots (each chain's interior but its minimum), which need
-    no BFS row of their own, are at least 4 * J, and the J * J entries fit
-    the budget.  On the components with a cycle of four G(n, p) with each
-    edge cut into s edges, the chains kernel took, in median, 1.53-1.88
-    times the time of the rows kernel at R = 0.1-0.7 * J (s = 2),
-    1.08-1.36 times at R = 2.6-2.9 * J (s = 3), 0.64-0.79 times at R =
-    4.8-5.7 * J (s = 4) and 0.54-0.76 times at R = 6.8-8.6 * J (s = 5),
-    the table 12-46 % of its own time.  A graph without two adjacent
-    vertices of degree 2 (a grid) has R = 0 and is not contracted."""
+    no candidate sweep of their own, are at least 4 * J, and the J * J
+    entries fit the budget.  On the components with a cycle of four G(n,
+    p) with each edge cut into s edges, the chains kernel took, in median,
+    1.46-1.77 times the time of the rows kernel at R = 0.1-0.7 * J (s =
+    2), 0.83-1.03 times at R = 2.6-2.9 * J (s = 3), 0.44-0.57 times at R =
+    4.8-5.7 * J (s = 4) and 0.31-0.49 times at R = 6.8-8.6 * J (s = 5),
+    the table 18-49 % of its own time; s = 3 is near even, so the rule
+    stays at 4 * J.  A graph without two adjacent vertices of degree 2 (a
+    grid) has R = 0 and is not contracted."""
     if not any(len(adjacency[w]) == 2 for nbrs in adjacency if len(nbrs) == 2 for w in nbrs):
         return None
     chains, place, ends = _contract(adjacency)
@@ -439,6 +441,31 @@ def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[in
     return True
 
 
+def _root_row(
+    chains: _Chains, place: _Places, table: _Table, root: int,
+) -> tuple[dict[int, int], dict[int, int]]:
+    """(D, S): distances and path counts from root to root and every
+    junction, root's own table entry, or for a root at position i of chain
+    (a, b, length) the sides through a and b (see _chain_point), in O(J)."""
+    if place[root] is None:
+        return table[root]
+    c0, i = place[root]
+    a, b, length = chains[c0]
+    (da, sa), (db, sb) = table[a], table[b]
+    dist, sigma = {root: 0}, {root: 1}
+    rest = length - i
+    for x, p in da.items():
+        p += i
+        q = rest + db[x]
+        if p < q:
+            dist[x], sigma[x] = p, sa[x]
+        elif q < p:
+            dist[x], sigma[x] = q, sb[x]
+        else:
+            dist[x], sigma[x] = p, sa[x] + sb[x]
+    return dist, sigma
+
+
 def _table_row(
     chains: _Chains, place: _Places, table: _Table, root: int,
 ) -> tuple[int | float, int, int | float, int]:
@@ -459,19 +486,12 @@ def _table_row(
     first merge is also the least such level or distance of a junction
     with path count 2 or more.  The chain's farthest vertex lies (D[u] +
     D[v] + l) // 2 away."""
+    dist, sigma = _root_row(chains, place, table, root)
     if place[root] is None:
-        dist, sigma = table[root]
         links = chains
     else:
         c0, i = place[root]
         a, b, length = chains[c0]
-        (da, sa), (db, sb) = table[a], table[b]
-        dist, sigma = {root: 0}, {root: 1}
-        for x, p in da.items():
-            p += i
-            q = length - i + db[x]
-            dist[x] = min(p, q)
-            sigma[x] = (sa[x] if p <= q else 0) + (sb[x] if q <= p else 0)
         links = [*chains[:c0], (a, root, i), (root, b, length - i), *chains[c0 + 1:]]
     odd: int | float = math.inf
     edges = 0
@@ -514,6 +534,86 @@ def _chain_eccentricity(chains: _Chains, table: _Table, c0: int) -> int:
         for x in (min(max(mid, 1), length - 1), min(mid + 1, length - 1)):
             far = max(far, min(x + au, length - x + bu) + min(x + av, length - x + bv) + l)
     return far // 2
+
+
+def _table_arm(clean: _Clean, root: int, x: int) -> list[int]:
+    """The vertices of root's one shortest path to clean junction x, root
+    left out, x last: a run per clean junction on the way."""
+    runs = []
+    while x != root:
+        x, run, _ = clean[x]
+        runs.append(run)
+    return [v for run in reversed(runs) for v in run[1:]]
+
+
+def _close(clean: _Clean, root: int, x: int, middle: list[int], y: int) -> tuple[int, ...]:
+    """The cycle root, x's arm, middle, y's arm back, in canonical order."""
+    seq = [*_table_arm(clean, root, x), *middle, *_table_arm(clean, root, y)[::-1]]
+    if seq[0] > seq[-1]:
+        seq.reverse()
+    return root, *seq
+
+
+def _table_sweep(
+    dist: dict[int, int], sigma: dict[int, int], own: _Runs, runs: dict[int, _Runs],
+    low: list[int], root: int,
+) -> list[tuple[int, ...]]:
+    """The candidates root owns, in canonical order, from root's clean
+    region read off the table: dist and sigma from root (see _root_row),
+    own the runs that leave root and runs[x] those that leave junction x,
+    each run a chain's vertices from that end on with its index, and
+    low[c] the least interior vertex of chain c, or one above every vertex.
+
+    A clean vertex has one shortest path from root, through vertices above
+    root; its branch is the vertex after root on it.  From root, the sweep
+    steps a whole chain (x, y, l) at a time, its interior above root: when
+    D[x] + l = D[y], y > root is reached through it, clean with S[y] = 1
+    and x as its one arrival, and closes an even candidate with S[y] = 2
+    when it is the second clean arrival, from another branch.  Else the
+    fronts from x and y meet inside the chain when D[x] < D[y] + l, at a
+    same-level edge or at a vertex of path count S[x] + S[y] = 2; with
+    both ends clean, or root, and of two branches, that closes a
+    candidate root, x's arm, the chain's interior, y's arm back.  It is
+    taken once, at the later of x and y, and a loop at root (x = y = root)
+    in the run whose branch is the smaller.  Root's own chain ends at root,
+    so a chain-interior root cuts it there.  A clean junction keeps the
+    junction before it and the run from there, and the arms are built only
+    for candidates (_table_arm)."""
+    owned = []
+    # clean junction -> (the clean junction or root before it, the run
+    # from there, branch)
+    clean: _Clean = {}
+    # junction of path count 2 -> its first clean arrival
+    half: _Clean = {}
+    done = set()
+    todo = [root]
+    for x in todo:
+        done.add(x)
+        dx = dist[x]
+        bx = clean[x][2] if x != root else None
+        for run, c in own if x == root else runs[x]:
+            if low[c] < root:
+                continue
+            if low[c] == root and x != root:
+                run = run[: run.index(root) + 1]
+            b = run[1] if bx is None else bx
+            y = run[-1]
+            l = len(run) - 1
+            dy = dist[y]
+            if dx + l == dy:
+                if y > root and sigma[y] == 1:
+                    clean[y] = x, run, b
+                    todo.append(y)
+                elif y > root and sigma[y] == 2:
+                    x1, run1, b1 = half.setdefault(y, (x, run, b))
+                    if b1 != b:
+                        middle = [*run1[1:], *run[-2:0:-1]]
+                        owned.append(_close(clean, root, x1, middle, x))
+            elif dx < dy + l and y in done:
+                by = run[-2] if y == root else clean[y][2]
+                if b != by and (x != y or b < by):
+                    owned.append(_close(clean, root, x, run[1:-1], y))
+    return owned
 
 
 def _census_rows(
@@ -607,9 +707,9 @@ def _census_chains(
     Returns what _census_rows does.  A cycle through a chain-interior
     vertex holds its whole chain (see _contract), so only a junction or a
     chain's least interior vertex can own a candidate.  Each of these
-    roots gets a BFS row that only sweeps (_census_row with depth None):
-    it stops counting at the first level boundary where its clean
-    frontier spans fewer than two branches, and drops the rest.  A
+    roots sweeps its clean region over the table (_table_sweep), a whole
+    chain per step, from the root's D and S (_root_row), and reads no
+    vertex outside that region but the arms of its candidates.  A
     candidate's antipodal pairs are tested as it is built, those with a
     junction at an end in O(1) each, which settles the rest
     (_table_holds), so nothing is deferred.
@@ -628,18 +728,25 @@ def _census_chains(
     found, in O(C) (_chain_eccentricity).
 
     Time: O(J (J + C) log J) for the table, O(J + C) per root's table
-    row, O(L) per candidate L-cycle and a BFS row per root as far as it
-    sweeps; memory J * J entries beside O(n + m).
+    row, O(L) per candidate L-cycle and, per root, O(1) per chain end at
+    each junction of its clean region; a chain-interior root adds O(J)
+    for its D and S and O(length) for its own chain, cut at it; memory
+    J * J entries beside O(n + m).
     """
     n = len(adjacency)
     cycles: list[tuple[int, ...]] = []
-    branch = [0] * n
-    pred = [0] * n
-    # each chain's least interior vertex
-    least: dict[int, int] = {}
+    # each chain's vertices from a to b, and its least interior vertex, n
+    # for none
+    paths = [[a, *[b] * length] for a, b, length in chains]
     for v, p in enumerate(place):
         if p is not None:
-            least.setdefault(p[0], v)
+            c, j = p
+            paths[c][j] = v
+    low = [min(path[1:-1], default=n) for path in paths]
+    runs: dict[int, _Runs] = {x: [] for x in table}
+    for c, path in enumerate(paths):
+        runs[path[0]].append((path, c))
+        runs[path[-1]].append((path[::-1], c))
     girth = math.inf
     # each junction's first same-level edges, (level, count), and its
     # eccentricity
@@ -653,17 +760,21 @@ def _census_chains(
     if girth % 2:
         k = girth // 2
         far_edges = sum(edges for odd, edges in first.values() if odd == k)
-        for c, v in least.items():
+        for c, v in enumerate(low):
             a, b, length = chains[c]
             # a girth cycle through the chain runs through both its ends
-            if first[a][0] == k == first[b][0]:
+            if v < n and first[a][0] == k == first[b][0]:
                 odd, edges, _, _ = _table_row(chains, place, table, v)
                 if odd == k:
                     far_edges += (length - 1) * edges
-    # roots in increasing order, so that a label left in branch by an
-    # earlier root is below every label of the current one (see _sweep)
-    for root in sorted([*table, *least.values()]):
-        for cycle in _census_row(adjacency, root, None, False, branch, pred)[6]:
+    for root in [*table, *(v for v in low if v < n)]:
+        if place[root] is None:
+            own = runs[root]
+        else:
+            c, i = place[root]
+            own = [(paths[c][i::-1], c), (paths[c][i:], c)]
+        dist, sigma = _root_row(chains, place, table, root)
+        for cycle in _table_sweep(dist, sigma, own, runs, low, root):
             if _table_holds(chains, place, table, cycle):
                 cycles.append(cycle)
     longest = max(eccentricity.values())
@@ -960,12 +1071,16 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
         return MetricProfile(math.inf, 0, True), CycleCensus.from_cycles(())
     dist = bfs_record(g, 0).dist
     if None not in dist:
+        # ecc(0) <= longest, and _small_world passes less as longest grows
+        tried = g.m >= g.n and not _small_world(g.n, max(dist))
+        if tried and (contracted := _junction_table(adjacency)):
+            return _profile_and_census_of(*_census_chains(adjacency, *contracted))
         longest, upper = _eccentricity_bounds(g, dist)
         if g.m < g.n:
             found = [], math.inf, 0, longest
         elif _small_world(g.n, longest):
             found = _census_planes(adjacency)
-        elif contracted := _junction_table(adjacency):
+        elif not tried and (contracted := _junction_table(adjacency)):
             found = _census_chains(adjacency, *contracted)
         else:
             found = _census_rows(adjacency, longest, upper)

@@ -862,13 +862,11 @@ class TestCandidateSweep:
     def check(g: cc.Graph) -> None:
         # nothing is pending, so each row stops counting as soon as its
         # girth events are in and its frontier spans fewer than two
-        # branches; a row that only sweeps stops at the latter alone
+        # branches
         for v, row in enumerate(census_rows(g, 0, True)):
             dist, _, _, odd, edges, merge, owned = row
             assert sorted(owned) == oracles.owned_candidates(g, v)
             check_merge(g, dist, odd, edges, merge)
-        for v, row in enumerate(census_rows(g, None, False)):
-            assert sorted(row[6]) == oracles.owned_candidates(g, v)
 
     def test_corpus(self, corpus):
         for g in corpus:
@@ -884,6 +882,46 @@ class TestCandidateSweep:
         for r in range(2, 8):
             for c in range(r, 9):
                 self.check(relabelled(cc.Graph(r * c, grid_edges(r, c)), rng))
+
+    def test_table_sweep(self, monkeypatch, petersen):
+        # the chains kernel's sweep over the junction table, from every
+        # junction and each chain's least interior vertex, the roots that
+        # can own a candidate: cycles, theta graphs, two or three cycles
+        # through one vertex (loops at a junction), uniform subdivisions
+        # and G(n, p) cut into chains of length 1-5
+        rng = random.Random(26)
+        graphs = [cc.cycle_graph(length) for length in range(3, 41)]
+        graphs += [theta_graph(*lengths) for a in range(1, 6) for b in range(max(a, 2), 7)
+                   for c in range(max(b, 2), 8) for lengths in [(a, b, c), (a, b, c, c)]]
+        graphs += [wedge(cc.cycle_graph(p), cc.cycle_graph(q)) for p in range(3, 10)
+                   for q in range(p, 11)]
+        graphs += [wedge(wedge(cc.cycle_graph(p), cc.cycle_graph(q)), cc.cycle_graph(r))
+                   for p, q, r in [(3, 3, 3), (3, 4, 5), (4, 4, 7), (5, 6, 6), (6, 8, 9)]]
+        bases = [cc.complete_graph(4), cc.complete_bipartite_graph(3, 3), petersen]
+        bases += [random_cubic(n, rng) for n in (8, 10, 12)]
+        graphs += [subdivided(base, s) for base in bases for s in range(2, 6)]
+        graphs += [subdivided_unevenly(cc.gnp_random_graph(rng.randint(5, 14), 0.4, 26_000 + i),
+                                       rng) for i in range(300)]
+        swept = []
+
+        def sweep(*args, kernel=convexity._table_sweep):
+            owned = kernel(*args)
+            swept.append((args[-1], sorted(owned)))
+            return owned
+
+        monkeypatch.setattr(convexity, "_table_sweep", sweep)
+        roots = candidates = 0
+        for h in [h for g in graphs for h in with_cycles(relabelled(g, rng))]:
+            chains, place, table = contracted(h)
+            least = {p[0]: v for v, p in reversed(list(enumerate(place))) if p is not None}
+            swept.clear()
+            convexity._census_chains(h.adjacency, chains, place, table)
+            assert sorted(root for root, _ in swept) == sorted([*table, *least.values()])
+            for root, owned in swept:
+                assert owned == oracles.owned_candidates(h, root)
+                candidates += len(owned)
+            roots += len(swept)
+        assert roots > 7500 and candidates > 6500
 
 
 def contracted(g: cc.Graph) -> tuple[list, list, dict]:
@@ -1097,27 +1135,19 @@ class TestChainRows:
                 roots += 1
         assert roots > 2000
 
-    def test_sweep_rows_on_subdivided_petersen(self, monkeypatch, kernel_inputs):
+    def test_no_bfs_rows_on_subdivided_petersen(self, monkeypatch, kernel_inputs):
         # a deterministic count of work, not a timing: on Petersen with
-        # each edge cut into 23, the chains kernel's 25 rows (10 junctions,
-        # 15 chains' least interior vertices) only sweep, nothing pending
-        # and nothing finished, and stop once their clean frontier spans
-        # fewer than two branches; each used to visit all 340 vertices
+        # each edge cut into 23, the chains kernel's 25 roots (10
+        # junctions, 15 chains' least interior vertices) sweep the junction
+        # table for their candidates, and no BFS row runs; before, each
+        # root ran a BFS row that visited up to 340 vertices
         g = relabelled(subdivided(cc.petersen_graph(), 23), random.Random(340))
         calls = []
-
-        def row(adjacency, root, depth, finish, *args, kernel=convexity._census_row):
-            found = kernel(adjacency, root, depth, finish, *args)
-            calls.append((depth, finish, len(found[2])))
-            return found
-
-        monkeypatch.setattr(convexity, "_census_row", row)
+        monkeypatch.setattr(convexity, "_census_row", lambda *args: calls.append(args))
         census = census_of(g)
         assert [kernel for kernel, _ in kernel_inputs] == ["_census_chains"]
         assert census.by_length == {115: 12}
-        assert len(calls) == 25
-        assert {(depth, finish) for depth, finish, _ in calls} == {(None, False)}
-        assert sum(visits for *_, visits in calls) <= 4250
+        assert calls == []
 
 
 class TestRelabelling:
