@@ -708,8 +708,8 @@ def _census_chains(
     vertex holds its whole chain (see _contract), so only a junction or a
     chain's least interior vertex can own a candidate.  Each of these
     roots sweeps its clean region over the table (_table_sweep), a whole
-    chain per step, from the root's D and S (_root_row), and reads no
-    vertex outside that region but the arms of its candidates.  A
+    chain per step, from the root's D and S (_root_row), and reads only
+    the chains at the junctions of that region.  A
     candidate's antipodal pairs are tested as it is built, those with a
     junction at an end in O(1) each, which settles the rest
     (_table_holds), so nothing is deferred.
@@ -743,6 +743,7 @@ def _census_chains(
             c, j = p
             paths[c][j] = v
     low = [min(path[1:-1], default=n) for path in paths]
+    # each junction's chains, each as a run of its vertices from there on
     runs: dict[int, _Runs] = {x: [] for x in table}
     for c, path in enumerate(paths):
         runs[path[0]].append((path, c))
