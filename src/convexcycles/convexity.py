@@ -333,12 +333,13 @@ def _junction_table(
     no candidate sweep of their own, are at least 4 * J, and the J * J
     entries fit the budget.  On the components with a cycle of four G(n,
     p) with each edge cut into s edges, the chains kernel took, in median,
-    1.46-1.77 times the time of the rows kernel at R = 0.1-0.7 * J (s =
-    2), 0.83-1.03 times at R = 2.6-2.9 * J (s = 3), 0.44-0.57 times at R =
-    4.8-5.7 * J (s = 4) and 0.31-0.49 times at R = 6.8-8.6 * J (s = 5),
-    the table 18-49 % of its own time; s = 3 is near even, so the rule
-    stays at 4 * J.  A graph without two adjacent vertices of degree 2 (a
-    grid) has R = 0 and is not contracted."""
+    1.37-1.68 times the time of the rows kernel at R = 0.1-0.7 * J (s =
+    2), 0.72-0.95 times at R = 2.6-2.9 * J (s = 3), 0.42-0.54 times at R =
+    4.8-5.7 * J (s = 4) and 0.28-0.44 times at R = 6.8-8.6 * J (s = 5),
+    the table 20-51 % of its own time; s = 3 now favours the chains
+    kernel in these medians, but no paired benchmark runs have tested a
+    lower rule, so it stays at 4 * J.  A graph without two adjacent
+    vertices of degree 2 (a grid) has R = 0 and is not contracted."""
     if not any(len(adjacency[w]) == 2 for nbrs in adjacency if len(nbrs) == 2 for w in nbrs):
         return None
     chains, place, ends = _contract(adjacency)
@@ -375,67 +376,58 @@ def _junction_searches(ends: _Ends) -> _Table:
 
 
 def _chain_point(
-    chains: _Chains, place: _Places, table: _Table, root: int, w: int,
+    chains: _Chains, place: _Places, table: _Table, x: int, w: int,
 ) -> tuple[int, int]:
-    """(distance, path count) from root to w, in O(1): w lies at a junction
-    or at position j of a chain (u, v, l), so j past u or l - j past v; a
-    junction root reads D and S of those ends off its own table entry, and
-    a root at position i of chain (a, b, length) lies min(i + D[a][x],
-    length - i + D[b][x]) from a junction x.  Path counts are summed over
-    the sides that tie; a side that runs back along root's or w's own
-    chain always loses.  On root's own chain, w is reached along it or out
-    through the end beyond w and round into the other."""
-    if w == root:
-        return 0, 1
+    """(distance, path count) from junction x to w, in O(1), off x's table
+    entry: w is a junction, or lies at position j of a chain (u, v, l), j
+    past u and l - j past v.  The path counts of the ends that tie are
+    summed; a side that runs back along w's own chain always loses."""
+    dist, sigma = table[x]
     if place[w] is None:
-        ends: tuple[tuple[int, int], ...] = ((w, 0),)
-    else:
-        c, j = place[w]
-        u, v, l = chains[c]
-        ends = ((u, j), (v, l - j))
-    if place[root] is None:
-        dist, sigma = table[root]
-        sides = [(dist[x] + k, sigma[x]) for x, k in ends]
-    else:
-        c0, i = place[root]
-        a, b, length = chains[c0]
-        (da, sa), (db, sb) = table[a], table[b]
-        if place[w] is not None and c == c0:
-            if j < i:
-                sides = [(i - j, 1), (length - i + db[a] + j, sb[a])]
-            else:
-                sides = [(j - i, 1), (i + da[b] + length - j, sa[b])]
-        else:
-            sides = [(i + da[x] + k, sa[x]) for x, k in ends]
-            sides += [(length - i + db[x] + k, sb[x]) for x, k in ends]
-    d = min(p for p, _ in sides)
-    return d, sum(s for p, s in sides if p == d)
+        return dist[w], sigma[w]
+    c, j = place[w]
+    u, v, l = chains[c]
+    p = dist[u] + j
+    q = dist[v] + l - j
+    if p < q:
+        return p, sigma[u]
+    if q < p:
+        return q, sigma[v]
+    return p, sigma[u] + sigma[v]
 
 
 def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[int, ...]) -> bool:
     """Whether each antipodal pair of cycle, a cycle of the graph in
     canonical order, shows the lemma's distance h = len // 2 and path
-    count, by _chain_point on the pairs with a junction at an end, O(1)
-    per junction of the cycle; the pairs at the root hold by construction.
+    count, by _chain_point from the junction end of each pair with one,
+    O(1) per junction of the cycle, which settles the rest; the pairs at
+    the root hold by construction.
 
-    The cycle holds each chain it enters whole.  Take a stretch of pairs
-    (x_p, x_(p+h)) whose ends stay inside chains c and c', and the pairs
-    just before and after it, each with a junction at an end.  Over all
-    of these, each side of _chain_point, through an end of c and one of
-    c', is linear in p with slope -2, 0 or 2, and the shortest is the
-    distance.  The arc of the cycle from x_p to x_(p+h) through one end of
-    each is a walk of length h no shorter than the side through those
-    ends, of slope 0; for even length the other arc gives a second.  So
-    where the outer pairs pass, those sides are at h, each side of slope
-    2 or -2 lies above h inside the stretch, and each pair inside has
-    distance h and the path counts of the sides at h, which are also
-    distinct shortest paths of the outer pair: it passes too."""
+    The cycle x_0 = root, x_1, ... holds each chain it enters whole.
+    Count the root as a junction, take x_p inside the chain from x_s to x_e, s < p < e, and y
+    an end of the chain of x_(p+h), or x_(p+h) itself.  The pair's
+    shortest paths leave x_p's chain at x_s or x_e and reach x_(p+h) from
+    some y.  Where the pair at e has distance h, the walk from x_e through
+    y along the cycle to x_(e+h) shows D[e][y] >= h - |e + h - y|, so the
+    side through x_e and y is at least h + (e - p) + |p + h - y| - |e + h
+    - y| >= h.  It is h only with y at or before x_(p+h), and then its
+    paths continue to shortest paths of the pair at e besides that pair's
+    arc the other way round, so it has one.  Through x_s likewise, where
+    that other arc is h long, so for odd length no side through x_s is at
+    h.  So x_p's pair has distance h and one path per arc of length h.
+
+    The pairs with a junction first would be enough: an even cycle lists
+    the pair at e > h the other way round, but then x_h lies inside x_p's
+    chain, and the root's one shortest path to x_e, along the cycle,
+    bounds the sides through x_e in the same way."""
     length = len(cycle)
     half, want = _lemma_target(length)
     root = cycle[0]
     for i in range(length if length % 2 else half):
         x, y = cycle[i], cycle[(i + half) % length]
-        if (place[x] is None or place[y] is None) and root != x and root != y:
+        if place[y] is None:
+            x, y = y, x
+        if place[x] is None and root != x and root != y:
             if _chain_point(chains, place, table, x, y) != (half, want):
                 return False
     return True
@@ -445,8 +437,9 @@ def _root_row(
     chains: _Chains, place: _Places, table: _Table, root: int,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """(D, S): distances and path counts from root to root and every
-    junction, root's own table entry, or for a root at position i of chain
-    (a, b, length) the sides through a and b (see _chain_point), in O(J)."""
+    junction, in O(J): a junction's own table entry, or for a root at
+    position i of chain (a, b, length) the sides through a and b, i +
+    D[a][x] and length - i + D[b][x] (see _chain_point)."""
     if place[root] is None:
         return table[root]
     c0, i = place[root]
@@ -467,29 +460,26 @@ def _root_row(
 
 
 def _table_row(
-    chains: _Chains, place: _Places, table: _Table, root: int,
+    chains: _Chains, place: _Places, dist: dict[int, int], sigma: dict[int, int], root: int,
 ) -> tuple[int | float, int, int | float, int]:
-    """(odd, edges, merge, ecc) of root's BFS row, read off the table in
-    O(J + C): the level of its first same-level edges (inf if none) and
-    their count, the level of its first vertex with two predecessors (inf
-    if none) and root's eccentricity.
+    """(odd, edges, merge, ecc) of root's BFS row, read off its D and S
+    (dist and sigma, see _root_row) in O(J + C): the level of its first
+    same-level edges (inf if none) and their count, the level of its first
+    vertex with two predecessors (inf if none) and root's eccentricity.
 
-    With D the distances from root to the junctions (see _chain_point), and
-    a chain-interior root's own chain split at it into two chains with the
-    root as their junction, the distance along a chain (u, v, l) rises
-    from both ends to where the two fronts meet, inside the chain exactly
-    when |D[u] - D[v]| < l: at one same-level edge at level (D[u] + D[v] +
-    l - 1) / 2 when D[u] + D[v] + l is odd, else at a vertex with two
-    predecessors at level (D[u] + D[v] + l) / 2.  No other edge is
+    With a chain-interior root's own chain split at it into two chains
+    with the root as their junction, the distance along a chain (u, v, l)
+    rises from both ends to where the two fronts meet, inside the chain
+    exactly when |D[u] - D[v]| < l: at one same-level edge at level (D[u]
+    + D[v] + l - 1) / 2 when D[u] + D[v] + l is odd, else at a vertex with
+    two predecessors at level (D[u] + D[v] + l) / 2.  No other edge is
     same-level, and no other interior vertex has two predecessors.  The
     first vertex with two shortest paths has two predecessors, so the
     first merge is also the least such level or distance of a junction
     with path count 2 or more.  The chain's farthest vertex lies (D[u] +
     D[v] + l) // 2 away."""
-    dist, sigma = _root_row(chains, place, table, root)
-    if place[root] is None:
-        links = chains
-    else:
+    links = chains
+    if place[root] is not None:
         c0, i = place[root]
         a, b, length = chains[c0]
         links = [*chains[:c0], (a, root, i), (root, b, length - i), *chains[c0 + 1:]]
@@ -706,32 +696,33 @@ def _census_chains(
 
     Returns what _census_rows does.  A cycle through a chain-interior
     vertex holds its whole chain (see _contract), so only a junction or a
-    chain's least interior vertex can own a candidate.  Each of these
-    roots sweeps its clean region over the table (_table_sweep), a whole
-    chain per step, from the root's D and S (_root_row), and reads only
-    the chains at the junctions of that region.  A
-    candidate's antipodal pairs are tested as it is built, those with a
-    junction at an end in O(1) each, which settles the rest
-    (_table_holds), so nothing is deferred.
+    chain's least interior vertex can own a candidate.  One pass takes
+    these roots, the junctions first, and reads each root's D and S once
+    (_root_row).  With them the root sweeps its clean region over the
+    table (_table_sweep), a whole chain per step, reading only the chains
+    at the junctions of that region.  A candidate's antipodal pairs are
+    tested as it is built, from the junction end of each pair with one in
+    O(1), which settles the rest (_table_holds), so nothing is deferred.
 
     The girth, far-edge count and diameter come from the table alone.
     Every cycle holds a junction, and the row from any vertex of a girth
     cycle sees a girth event, so the girth is the least event of the
-    junction roots (_table_row).  For odd girth a root's far-edge count is
-    the number of girth cycles through it, and every interior vertex of a
-    chain lies on the same cycles, so the table row of a chain's least
-    interior vertex counts for all length - 1 of them; it is read only
-    where both ends of the chain lie on girth cycles.  A vertex at
+    junction roots' table rows (_table_row), all in before the first
+    chain root.  For odd girth a root's far-edge count is the number of
+    girth cycles through it, and every interior vertex of a chain lies on
+    the same cycles, so the table row of a chain's least interior vertex,
+    from the same D and S, counts for all length - 1 of them; it is read
+    only where both ends of the chain lie on girth cycles.  A vertex at
     position i of chain (a, b, length) has eccentricity at most min(i +
     ecc(a), length - i + ecc(b)), so only a chain where (length + ecc(a) +
     ecc(b)) // 2 exceeds the largest eccentricity seen has its own largest
     found, in O(C) (_chain_eccentricity).
 
-    Time: O(J (J + C) log J) for the table, O(J + C) per root's table
-    row, O(L) per candidate L-cycle and, per root, O(1) per chain end at
-    each junction of its clean region; a chain-interior root adds O(J)
-    for its D and S and O(length) for its own chain, cut at it; memory
-    J * J entries beside O(n + m).
+    Time: O(J (J + C) log J) for the table; per root O(J) for its D and S,
+    O(J + C) for a table row where one is read, and O(1) per chain end at
+    each junction of its clean region, a chain-interior root's own chain
+    cut at it in O(length); O(L) per candidate L-cycle; memory J * J
+    entries beside O(n + m).
     """
     n = len(adjacency)
     cycles: list[tuple[int, ...]] = []
@@ -749,35 +740,34 @@ def _census_chains(
         runs[path[0]].append((path, c))
         runs[path[-1]].append((path[::-1], c))
     girth = math.inf
+    far_edges = 0
     # each junction's first same-level edges, (level, count), and its
     # eccentricity
     first = {}
     eccentricity = {}
-    for x in table:
-        odd, edges, merge, eccentricity[x] = _table_row(chains, place, table, x)
-        first[x] = odd, edges
-        girth = min(girth, 2 * merge, 2 * odd + 1)
-    far_edges = 0
-    if girth % 2:
-        k = girth // 2
-        far_edges = sum(edges for odd, edges in first.values() if odd == k)
-        for c, v in enumerate(low):
-            a, b, length = chains[c]
-            # a girth cycle through the chain runs through both its ends
-            if v < n and first[a][0] == k == first[b][0]:
-                odd, edges, _, _ = _table_row(chains, place, table, v)
-                if odd == k:
-                    far_edges += (length - 1) * edges
     for root in [*table, *(v for v in low if v < n)]:
+        dist, sigma = _root_row(chains, place, table, root)
         if place[root] is None:
             own = runs[root]
+            odd, edges, merge, eccentricity[root] = _table_row(chains, place, dist, sigma, root)
+            first[root] = odd, edges
+            girth = min(girth, 2 * merge, 2 * odd + 1)
         else:
             c, i = place[root]
             own = [(paths[c][i::-1], c), (paths[c][i:], c)]
-        dist, sigma = _root_row(chains, place, table, root)
+            a, b, length = chains[c]
+            k = girth // 2
+            # the junctions came first, so the girth is known; a girth
+            # cycle through the chain runs through both its ends
+            if girth % 2 and first[a][0] == k == first[b][0]:
+                odd, edges, _, _ = _table_row(chains, place, dist, sigma, root)
+                if odd == k:
+                    far_edges += (length - 1) * edges
         for cycle in _table_sweep(dist, sigma, own, runs, low, root):
             if _table_holds(chains, place, table, cycle):
                 cycles.append(cycle)
+    if girth % 2:
+        far_edges += sum(edges for odd, edges in first.values() if odd == girth // 2)
     longest = max(eccentricity.values())
     for c, (a, b, length) in enumerate(chains):
         if (length + eccentricity[a] + eccentricity[b]) // 2 > longest:

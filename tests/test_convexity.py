@@ -729,6 +729,16 @@ def first_level_edges(g: cc.Graph, dist) -> tuple[int, int]:
     return min(levels), levels.count(min(levels))
 
 
+def table_row(g: cc.Graph, record) -> tuple:
+    """(odd, edges, merge, ecc) of a BFS record, as _table_row gives them:
+    the level and count of the first same-level edges (inf if none), the
+    level of the first merge (inf if none) and the eccentricity."""
+    level, count = first_level_edges(g, record.dist)
+    merges = oracles.merge_levels(g, record.dist)
+    return (level if count else math.inf, count, merges[0] if merges else math.inf,
+            max(record.dist))
+
+
 def census_rows(g: cc.Graph, depth: int | None, finish: bool) -> list[tuple]:
     """Every root's census row with the given pending depth, roots in
     increasing order sharing the label and predecessor lists, as in the
@@ -952,19 +962,26 @@ class TestChainRows:
     @staticmethod
     def check(g: cc.Graph) -> list[tuple[int, int, int, int]]:
         """On each component of g with a cycle, check _chain_point from
-        every root to every vertex, and each chain's largest eccentricity;
-        return (|i - j|, distance, path count, lap) per target w at
-        position j on the chain of a root at position i, lap the chain's
-        length when the chain is a cycle through its junction, else 0."""
+        every junction to every vertex, _root_row from every vertex to
+        every junction, _table_row from every vertex and each chain's
+        largest eccentricity; return (|i - j|, distance, path count, lap)
+        per target w at position j on the chain of a root at position i,
+        lap the chain's length when the chain is a cycle through its
+        junction, else 0."""
         own = []
         for h in with_cycles(g):
             chains, place, table = contracted(h)
             eccentricity = [0] * len(chains)
             for v in range(h.n):
                 record = cc.bfs_record(h, v)
-                points = [convexity._chain_point(chains, place, table, v, w) for w in range(h.n)]
-                assert points == list(zip(record.dist, record.sigma))
+                dist, sigma = convexity._root_row(chains, place, table, v)
+                assert dist == {x: record.dist[x] for x in [v, *table]}
+                assert sigma == {x: record.sigma[x] for x in [v, *table]}
+                assert convexity._table_row(chains, place, dist, sigma, v) == table_row(h, record)
                 if place[v] is None:
+                    points = [convexity._chain_point(chains, place, table, v, w)
+                              for w in range(h.n)]
+                    assert points == list(zip(record.dist, record.sigma))
                     continue
                 c, i = place[v]
                 eccentricity[c] = max(eccentricity[c], max(record.dist))
@@ -1127,13 +1144,47 @@ class TestChainRows:
         for h in [h for g in graphs for h in with_cycles(g)]:
             chains, place, table = contracted(h)
             for record in oracles.all_roots_records(h):
-                level, count = first_level_edges(h, record.dist)
-                merges = oracles.merge_levels(h, record.dist)
-                want = (level if count else math.inf, count,
-                        merges[0] if merges else math.inf, max(record.dist))
-                assert convexity._table_row(chains, place, table, record.root) == want
+                dist, sigma = convexity._root_row(chains, place, table, record.root)
+                row = convexity._table_row(chains, place, dist, sigma, record.root)
+                assert row == table_row(h, record)
                 roots += 1
         assert roots > 2000
+
+    def test_one_root_row_per_root(self, monkeypatch, petersen):
+        # the chains kernel reads each root's D and S once, junctions
+        # first, and its table rows, a chain root's far-edge row among
+        # them, read those same D and S: one _root_row call per junction
+        # and per chain's least interior vertex, and none for any other
+        rng = random.Random(27)
+        rows = []
+        table_rows = []
+
+        def read_root_row(*args, kernel=convexity._root_row):
+            rows.append((args[-1], kernel(*args)))
+            return rows[-1][1]
+
+        def read_table_row(chains, place, dist, sigma, root, kernel=convexity._table_row):
+            assert (root, (dist, sigma)) == rows[-1] and rows[-1][1][0] is dist
+            table_rows.append(root)
+            return kernel(chains, place, dist, sigma, root)
+
+        monkeypatch.setattr(convexity, "_root_row", read_root_row)
+        monkeypatch.setattr(convexity, "_table_row", read_table_row)
+        graphs = [cc.cycle_graph(9), theta_graph(2, 5, 5), wedge(cc.cycle_graph(7), path_graph(3))]
+        graphs += [subdivided(base, s) for base in (cc.complete_graph(4), petersen) for s in (3, 5)]
+        far_edge_rows = 0
+        for h in [h for g in graphs for h in with_cycles(relabelled(g, rng))]:
+            chains, place, table = contracted(h)
+            least = {p[0]: v for v, p in reversed(list(enumerate(place))) if p is not None}
+            rows.clear()
+            table_rows.clear()
+            convexity._census_chains(h.adjacency, chains, place, table)
+            roots = [root for root, _ in rows]
+            assert roots[:len(table)] == list(table)
+            assert sorted(roots[len(table):]) == sorted(least.values())
+            assert table_rows[:len(table)] == list(table)
+            far_edge_rows += len(table_rows) - len(table)
+        assert far_edge_rows > 20
 
     def test_no_bfs_rows_on_subdivided_petersen(self, monkeypatch, kernel_inputs):
         # a deterministic count of work, not a timing: on Petersen with
