@@ -14,9 +14,8 @@ Prints one JSON record: the ids killed, survived and stale, the ids whose
 outcome differs from the expected one, and each run's result.  Exits 1 if
 any outcome is unexpected.
 
-    python scripts/mutants.py                 # every mutant
-    python scripts/mutants.py --only ID ...   # the named ones
-    python scripts/mutants.py --gate          # check the script itself
+    python scripts/mutants.py           # every mutant
+    python scripts/mutants.py --gate    # check the script itself
 
 --gate runs three probes and expects each outcome: the equivalent mutants
 survive, `return True` at the top of `_lemma_holds` is killed, and a
@@ -59,7 +58,8 @@ def run(mutant: dict) -> dict:
         (copy / mutant["file"]).write_text(
             source.replace(mutant["snippet"], mutant["replacement"])
         )
-        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
         start = time.monotonic()
         try:
@@ -91,7 +91,6 @@ def report(mutants: list[dict]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
     parser.add_argument("--gate", action="store_true", help="check the script itself")
     args = parser.parse_args(argv)
     mutants = json.loads(DATA.read_text())
@@ -100,11 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         missing = {**probe, "id": "missing-snippet", "expect": "stale",
                    "snippet": "# no such line\n" + probe["snippet"]}
         mutants = [m for m in mutants if m["expect"] == "equivalent"] + [probe, missing]
-    elif args.only:
-        unknown = set(args.only) - {m["id"] for m in mutants}
-        if unknown:
-            parser.error(f"unknown mutant ids: {', '.join(sorted(unknown))}")
-        mutants = [m for m in mutants if m["id"] in args.only]
     record = report(mutants)
     print(json.dumps(record, indent=1))
     return 1 if record["unexpected"] else 0

@@ -404,8 +404,9 @@ def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[in
     the root hold by construction.
 
     The cycle x_0 = root, x_1, ... holds each chain it enters whole.
-    Count the root as a junction, take x_p inside the chain from x_s to x_e, s < p < e, and y
-    an end of the chain of x_(p+h), or x_(p+h) itself.  The pair's
+    Count the root as a junction, take x_p inside the chain from x_s to
+    x_e, s < p < e, and y an end of the chain of x_(p+h), or x_(p+h)
+    itself.  The pair's
     shortest paths leave x_p's chain at x_s or x_e and reach x_(p+h) from
     some y.  Where the pair at e has distance h, the walk from x_e through
     y along the cycle to x_(e+h) shows D[e][y] >= h - |e + h - y|, so the

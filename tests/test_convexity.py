@@ -1043,8 +1043,9 @@ class TestChainRows:
         assert missed >= 3
 
     def test_targets_on_the_roots_own_chain(self):
-        # a target on the root's chain is reached along the chain, or out
-        # through one end and back through the other, or both ways at once
+        # the inputs put targets on the root's own chain: along it, round
+        # through both ends, and tied both ways; check() tests _root_row's
+        # two sides and _table_row's split of the chain at the root there
         rng = random.Random(21)
         own = []
         for lengths in [(1, 9), (2, 8), (3, 9), (1, 2, 10), (4, 4, 7)]:
@@ -1052,15 +1053,16 @@ class TestChainRows:
         along = [d == gap for gap, d, _, _ in own]
         assert all(d <= gap for gap, d, _, _ in own)
         assert any(along) and not all(along)
-        # round through both ends, alone and tied with the way along
+        # the inputs cover targets round through both ends, alone and tied
         assert any(d < gap for gap, d, _, _ in own)
         assert any(d == gap and sigma == 2 for gap, d, sigma, _ in own)
 
     def test_loops_and_cycle_components(self):
         # a lollipop's loop chain at a degree-3 junction, cycle components
-        # and their disconnected unions: with a == b both sides of the
-        # root lead to the one junction, and an even cycle's antipodes sum
-        # the path counts of both sides
+        # and their disconnected unions: the inputs put targets on the
+        # root's own loop (a == b), antipodes on it and targets round
+        # through its junction; check() tests _root_row's two sides and
+        # _table_row's split of the loop at the root there
         rng = random.Random(22)
         graphs = [wedge(cc.cycle_graph(length), path_graph(3)) for length in (7, 10)]
         graphs += [cc.cycle_graph(length) for length in (11, 12)]
@@ -1071,7 +1073,7 @@ class TestChainRows:
         for g in graphs:
             own += self.check(relabelled(g, rng))
         laps = [(gap, d, sigma, lap) for gap, d, sigma, lap in own if lap]
-        # antipodes on the loop, and targets reached round through its junction
+        # the inputs cover antipodes on the loop and targets round its junction
         assert any(2 * d == lap and sigma == 2 for _, d, sigma, lap in laps)
         assert any(d < gap for gap, d, _, _ in laps)
 
