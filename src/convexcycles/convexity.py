@@ -8,8 +8,9 @@ floor(L/2) and is joined by one shortest path (odd L) or two (even L).
 Odd candidates come from (edge, vertex) pairs whose endpoints sit at equal
 distance from the vertex with unique shortest paths, even candidates from
 vertex pairs joined by exactly two shortest paths.  Each root takes the
-candidates it owns (as their minimum vertex) from the vertices it reaches
-by one shortest path through vertices above it.
+candidates it owns (as their minimum vertex, or in the chains kernel
+their least junction) from the vertices it reaches by one shortest path
+through vertices, or junctions, above it.
 
 One component at a time, a sweep of bfs_record from vertex 0 and, unless
 the chains kernel takes the graph, a second one bound every eccentricity,
@@ -20,12 +21,11 @@ its own.  On a graph made of long paths of degree-2 vertices, chains,
 the chains kernel reads every pair it tests, every girth event and every
 eccentricity off one table of distances and path counts between the
 vertices of other degrees, the junctions, where that table pays (see
-_junction_table); only junctions and each chain's least interior vertex
-can own a candidate, and each sweeps its candidates off the table too, a
-whole chain per step, so this kernel runs no BFS.  On any other graph
-the rows kernel runs one BFS row per root, _census_row, which stops
-counting as early as the census allows, takes the girth events, and
-drops its distance-only tail when it cannot raise the diameter.
+_junction_table); each junction sweeps its candidates off the table
+too, a whole chain per step, so this kernel runs no BFS.  On any other
+graph the rows kernel runs one BFS row per root, _census_row, which
+stops counting as early as the census allows, takes the girth events,
+and drops its distance-only tail when it cannot raise the diameter.
 """
 
 from __future__ import annotations
@@ -62,10 +62,16 @@ def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
         raise InvalidCycle(f"a cycle needs at least 3 vertices, got {length}")
     if len(set(seq)) != length:
         raise InvalidCycle(f"repeated vertex in cycle sequence {seq}")
+    return _rotated(seq)
+
+
+def _rotated(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """canonical_cycle of a tuple of three or more distinct vertices,
+    unchecked."""
     i = seq.index(min(seq))
-    if seq[(i + 1) % length] > seq[i - 1]:
+    if seq[(i + 1) % len(seq)] > seq[i - 1]:
         seq = seq[::-1]
-        i = length - 1 - i
+        i = len(seq) - 1 - i
     return seq[i:] + seq[:i]
 
 
@@ -285,7 +291,7 @@ _Chains = list[tuple[int, int, int]]
 _Places = list[tuple[int, int] | None]
 _Ends = dict[int, list[tuple[int, int]]]
 _Table = dict[int, tuple[dict[int, int], dict[int, int]]]
-_Runs = list[tuple[list[int], int]]
+_Runs = list[list[int]]
 _Clean = dict[int, tuple[int, list[int], int]]
 
 
@@ -329,16 +335,16 @@ def _junction_table(
     (D[x], S[x]), distances and path counts from junction x to every
     junction, by one search from each of the J junctions
     (_junction_searches), or None where the table does not pay.  The rule:
-    the R chain roots (each chain's interior but its minimum), which need
-    no candidate sweep of their own, are at least 4 * J, and the J * J
+    the R chain roots (each chain's interior but its minimum) are at
+    least 4 * J, and the J * J
     entries fit the budget.  On the components with a cycle of four G(n,
     p) with each edge cut into s edges, the chains kernel took, in median,
-    1.37-1.68 times the time of the rows kernel at R = 0.1-0.7 * J (s =
-    2), 0.72-0.95 times at R = 2.6-2.9 * J (s = 3), 0.42-0.54 times at R =
-    4.8-5.7 * J (s = 4) and 0.28-0.44 times at R = 6.8-8.6 * J (s = 5),
-    the table 20-51 % of its own time; s = 3 now favours the chains
-    kernel in these medians, but no paired benchmark runs have tested a
-    lower rule, so it stays at 4 * J.  A graph without two adjacent
+    1.04-1.33 times the time of the rows kernel at R = 0.1-0.7 * J (s =
+    2), 0.51-0.65 times at R = 2.6-2.9 * J (s = 3), 0.31-0.46 times at R =
+    4.8-5.7 * J (s = 4) and 0.21-0.31 times at R = 6.8-8.6 * J (s = 5),
+    the table 29-66 % of its own time; s = 3 favours the chains kernel in
+    these medians, but no paired benchmark runs have tested a lower rule,
+    so it stays at 4 * J.  A graph without two adjacent
     vertices of degree 2 (a grid) has R = 0 and is not contracted."""
     if not any(len(adjacency[w]) == 2 for nbrs in adjacency if len(nbrs) == 2 for w in nbrs):
         return None
@@ -397,16 +403,15 @@ def _chain_point(
 
 
 def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[int, ...]) -> bool:
-    """Whether each antipodal pair of cycle, a cycle of the graph in
-    canonical order, shows the lemma's distance h = len // 2 and path
-    count, by _chain_point from the junction end of each pair with one,
-    O(1) per junction of the cycle, which settles the rest; the pairs at
-    the root hold by construction.
+    """Whether each antipodal pair of cycle, a cycle of the graph built
+    from its root, a junction, shows the lemma's distance h = len // 2 and
+    path count, by _chain_point from each pair whose first end is a
+    junction, O(1) per junction of the cycle, which settles the rest; the
+    pairs at the root hold by construction.
 
-    The cycle x_0 = root, x_1, ... holds each chain it enters whole.
-    Count the root as a junction, take x_p inside the chain from x_s to
-    x_e, s < p < e, and y an end of the chain of x_(p+h), or x_(p+h)
-    itself.  The pair's
+    The cycle x_0 = root, x_1, ... holds each chain it enters whole.  Take
+    x_p inside the chain from junction x_s to junction x_e, s < p < e, and
+    y an end of the chain of x_(p+h), or x_(p+h) itself.  The pair's
     shortest paths leave x_p's chain at x_s or x_e and reach x_(p+h) from
     some y.  Where the pair at e has distance h, the walk from x_e through
     y along the cycle to x_(e+h) shows D[e][y] >= h - |e + h - y|, so the
@@ -415,80 +420,43 @@ def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[in
     paths continue to shortest paths of the pair at e besides that pair's
     arc the other way round, so it has one.  Through x_s likewise, where
     that other arc is h long, so for odd length no side through x_s is at
-    h.  So x_p's pair has distance h and one path per arc of length h.
-
-    The pairs with a junction first would be enough: an even cycle lists
-    the pair at e > h the other way round, but then x_h lies inside x_p's
-    chain, and the root's one shortest path to x_e, along the cycle,
-    bounds the sides through x_e in the same way."""
+    h.  So x_p's pair has distance h and one path per arc of length h.  An
+    even cycle lists the pair at e > h the other way round, but then x_h
+    lies inside x_p's chain, and the root's one shortest path to x_e,
+    along the cycle, bounds the sides through x_e in the same way."""
     length = len(cycle)
     half, want = _lemma_target(length)
     root = cycle[0]
-    for i in range(length if length % 2 else half):
+    for i in range(1, length if length % 2 else half):
         x, y = cycle[i], cycle[(i + half) % length]
-        if place[y] is None:
-            x, y = y, x
-        if place[x] is None and root != x and root != y:
+        if place[x] is None and y != root:
             if _chain_point(chains, place, table, x, y) != (half, want):
                 return False
     return True
 
 
-def _root_row(
-    chains: _Chains, place: _Places, table: _Table, root: int,
-) -> tuple[dict[int, int], dict[int, int]]:
-    """(D, S): distances and path counts from root to root and every
-    junction, in O(J): a junction's own table entry, or for a root at
-    position i of chain (a, b, length) the sides through a and b, i +
-    D[a][x] and length - i + D[b][x] (see _chain_point)."""
-    if place[root] is None:
-        return table[root]
-    c0, i = place[root]
-    a, b, length = chains[c0]
-    (da, sa), (db, sb) = table[a], table[b]
-    dist, sigma = {root: 0}, {root: 1}
-    rest = length - i
-    for x, p in da.items():
-        p += i
-        q = rest + db[x]
-        if p < q:
-            dist[x], sigma[x] = p, sa[x]
-        elif q < p:
-            dist[x], sigma[x] = q, sb[x]
-        else:
-            dist[x], sigma[x] = p, sa[x] + sb[x]
-    return dist, sigma
-
-
 def _table_row(
-    chains: _Chains, place: _Places, dist: dict[int, int], sigma: dict[int, int], root: int,
+    chains: _Chains, dist: dict[int, int], sigma: dict[int, int],
 ) -> tuple[int | float, int, int | float, int]:
-    """(odd, edges, merge, ecc) of root's BFS row, read off its D and S
-    (dist and sigma, see _root_row) in O(J + C): the level of its first
+    """(odd, edges, merge, ecc) of a junction's BFS row, read off its
+    table entry (dist and sigma) in O(J + C): the level of its first
     same-level edges (inf if none) and their count, the level of its first
-    vertex with two predecessors (inf if none) and root's eccentricity.
+    vertex with two predecessors (inf if none) and its eccentricity.
 
-    With a chain-interior root's own chain split at it into two chains
-    with the root as their junction, the distance along a chain (u, v, l)
-    rises from both ends to where the two fronts meet, inside the chain
-    exactly when |D[u] - D[v]| < l: at one same-level edge at level (D[u]
-    + D[v] + l - 1) / 2 when D[u] + D[v] + l is odd, else at a vertex with
-    two predecessors at level (D[u] + D[v] + l) / 2.  No other edge is
-    same-level, and no other interior vertex has two predecessors.  The
-    first vertex with two shortest paths has two predecessors, so the
-    first merge is also the least such level or distance of a junction
-    with path count 2 or more.  The chain's farthest vertex lies (D[u] +
-    D[v] + l) // 2 away."""
-    links = chains
-    if place[root] is not None:
-        c0, i = place[root]
-        a, b, length = chains[c0]
-        links = [*chains[:c0], (a, root, i), (root, b, length - i), *chains[c0 + 1:]]
+    The distance along a chain (u, v, l) rises from both ends to where
+    the two fronts meet, inside the chain exactly when |D[u] - D[v]| < l:
+    at one same-level edge at level (D[u] + D[v] + l - 1) / 2 when D[u] +
+    D[v] + l is odd, else at a vertex with two predecessors at level (D[u]
+    + D[v] + l) / 2.  No other edge is same-level, and no other interior
+    vertex has two predecessors.  The first vertex with two shortest paths
+    has two predecessors, so the first merge is also the least such level
+    or distance of a junction with path count 2 or more.  The chain's
+    farthest vertex lies (D[u] + D[v] + l) // 2 away."""
     odd: int | float = math.inf
     edges = 0
     merge = min((d for x, d in dist.items() if sigma[x] > 1), default=math.inf)
     far = 0
-    for u, v, l in links:
+    for u, v, l in chains:
         du = dist[u]
         dv = dist[v]
         top = du + dv + l
@@ -538,38 +506,34 @@ def _table_arm(clean: _Clean, root: int, x: int) -> list[int]:
 
 
 def _close(clean: _Clean, root: int, x: int, middle: list[int], y: int) -> tuple[int, ...]:
-    """The cycle root, x's arm, middle, y's arm back, in canonical order."""
-    seq = [*_table_arm(clean, root, x), *middle, *_table_arm(clean, root, y)[::-1]]
-    if seq[0] > seq[-1]:
-        seq.reverse()
-    return root, *seq
+    """The cycle root, x's arm, middle, y's arm back."""
+    return root, *_table_arm(clean, root, x), *middle, *_table_arm(clean, root, y)[::-1]
 
 
 def _table_sweep(
-    dist: dict[int, int], sigma: dict[int, int], own: _Runs, runs: dict[int, _Runs],
-    low: list[int], root: int,
+    dist: dict[int, int], sigma: dict[int, int], runs: dict[int, _Runs], root: int,
 ) -> list[tuple[int, ...]]:
-    """The candidates root owns, in canonical order, from root's clean
-    region read off the table: dist and sigma from root (see _root_row),
-    own the runs that leave root and runs[x] those that leave junction x,
-    each run a chain's vertices from that end on with its index, and
-    low[c] the least interior vertex of chain c, or one above every vertex.
+    """The candidates junction root owns, each root first, from root's
+    clean region read off the table: dist and sigma, root's table entry,
+    and runs[x] the chains that leave junction x, each as its vertices
+    from x on.
 
-    A clean vertex has one shortest path from root, through vertices above
-    root; its branch is the vertex after root on it.  From root, the sweep
-    steps a whole chain (x, y, l) at a time, its interior above root: when
-    D[x] + l = D[y], y > root is reached through it, clean with S[y] = 1
-    and x as its one arrival, and closes an even candidate with S[y] = 2
-    when it is the second clean arrival, from another branch.  Else the
-    fronts from x and y meet inside the chain when D[x] < D[y] + l, at a
-    same-level edge or at a vertex of path count S[x] + S[y] = 2; with
-    both ends clean, or root, and of two branches, that closes a
-    candidate root, x's arm, the chain's interior, y's arm back.  It is
-    taken once, at the later of x and y, and a loop at root (x = y = root)
-    in the run whose branch is the smaller.  Root's own chain ends at root,
-    so a chain-interior root cuts it there.  A clean junction keeps the
-    junction before it and the run from there, and the arms are built only
-    for candidates (_table_arm)."""
+    A clean vertex has one shortest path from root, whose junctions are
+    above root; its branch is the vertex after root on it.  From root, the
+    sweep steps a whole chain (x, y, l) at a time: when D[x] + l = D[y], y
+    > root is reached through it, clean with S[y] = 1 and x as its one
+    arrival, and closes an even candidate with S[y] = 2 when it is the
+    second clean arrival, from another branch.  Else the fronts from x and
+    y meet inside the chain when D[x] < D[y] + l, at a same-level edge or
+    at a vertex of path count S[x] + S[y] = 2; with both ends clean, or
+    root, and of two branches, that closes a candidate root, x's arm, the
+    chain's interior, y's arm back.  It is taken once, at the later of x
+    and y, and a loop at root (x = y = root) in the run whose branch is
+    the smaller, the run from its first end, as _contract walks a loop
+    from its junction's smaller neighbour; a loop at another junction
+    closes nothing, its two ends being of one branch.  A clean junction
+    keeps the junction before it and the run from there, and the arms are
+    built only for candidates (_table_arm)."""
     owned = []
     # clean junction -> (the clean junction or root before it, the run
     # from there, branch)
@@ -582,11 +546,7 @@ def _table_sweep(
         done.add(x)
         dx = dist[x]
         bx = clean[x][2] if x != root else None
-        for run, c in own if x == root else runs[x]:
-            if low[c] < root:
-                continue
-            if low[c] == root and x != root:
-                run = run[: run.index(root) + 1]
+        for run in runs[x]:
             b = run[1] if bx is None else bx
             y = run[-1]
             l = len(run) - 1
@@ -696,79 +656,65 @@ def _census_chains(
     with the table as its metric.
 
     Returns what _census_rows does.  A cycle through a chain-interior
-    vertex holds its whole chain (see _contract), so only a junction or a
-    chain's least interior vertex can own a candidate.  One pass takes
-    these roots, the junctions first, and reads each root's D and S once
-    (_root_row).  With them the root sweeps its clean region over the
-    table (_table_sweep), a whole chain per step, reading only the chains
-    at the junctions of that region.  A candidate's antipodal pairs are
-    tested as it is built, from the junction end of each pair with one in
-    O(1), which settles the rest (_table_holds), so nothing is deferred.
+    vertex holds its whole chain (see _contract), and every cycle holds a
+    junction, so a candidate belongs to its least junction r: the arms of
+    a convex cycle from r are its only shortest paths from r, and every
+    junction on them is the cycle's own, so above r, while from a larger
+    junction r would lie on an arm.  One pass over the junctions reads
+    each one's table entry, its D and S, and with them the junction
+    sweeps its clean region over the table (_table_sweep), a whole chain
+    per step, reading only the chains at the junctions of that region.  A
+    candidate's antipodal pairs are tested as it is built, root first,
+    from each pair whose first end is a junction in O(1), which settles
+    the rest (_table_holds), so nothing is deferred; each cycle kept is
+    then rotated to canonical order.
 
-    The girth, far-edge count and diameter come from the table alone.
-    Every cycle holds a junction, and the row from any vertex of a girth
-    cycle sees a girth event, so the girth is the least event of the
-    junction roots' table rows (_table_row), all in before the first
-    chain root.  For odd girth a root's far-edge count is the number of
-    girth cycles through it, and every interior vertex of a chain lies on
-    the same cycles, so the table row of a chain's least interior vertex,
-    from the same D and S, counts for all length - 1 of them; it is read
-    only where both ends of the chain lie on girth cycles.  A vertex at
+    The girth, far-edge count and diameter come from the table and the
+    cycles found.  The row from any vertex of a girth cycle sees a girth
+    event, so the girth is the least event of the junctions' table rows
+    (_table_row).  For odd girth g a vertex's far-edge count is the number
+    of girth cycles through it.  The junctions' rows count those at the
+    junctions, and each girth cycle found adds g less its own junctions,
+    so the far-edge check holds exactly when the rows count at the
+    junctions what the cycles found do: a girth cycle missing, or found
+    twice, moves the latter by its junctions, at least one.  A vertex at
     position i of chain (a, b, length) has eccentricity at most min(i +
     ecc(a), length - i + ecc(b)), so only a chain where (length + ecc(a) +
     ecc(b)) // 2 exceeds the largest eccentricity seen has its own largest
     found, in O(C) (_chain_eccentricity).
 
-    Time: O(J (J + C) log J) for the table; per root O(J) for its D and S,
-    O(J + C) for a table row where one is read, and O(1) per chain end at
-    each junction of its clean region, a chain-interior root's own chain
-    cut at it in O(length); O(L) per candidate L-cycle; memory J * J
-    entries beside O(n + m).
+    Time: O(J (J + C) log J) for the table; per junction O(J + C) for its
+    table row and O(1) per chain end at each junction of its clean region;
+    O(L) per candidate L-cycle; memory J * J entries beside O(n + m).
     """
-    n = len(adjacency)
     cycles: list[tuple[int, ...]] = []
-    # each chain's vertices from a to b, and its least interior vertex, n
-    # for none
+    # each chain's vertices from a to b
     paths = [[a, *[b] * length] for a, b, length in chains]
     for v, p in enumerate(place):
         if p is not None:
             c, j = p
             paths[c][j] = v
-    low = [min(path[1:-1], default=n) for path in paths]
     # each junction's chains, each as a run of its vertices from there on
     runs: dict[int, _Runs] = {x: [] for x in table}
-    for c, path in enumerate(paths):
-        runs[path[0]].append((path, c))
-        runs[path[-1]].append((path[::-1], c))
+    for path in paths:
+        runs[path[0]].append(path)
+        runs[path[-1]].append(path[::-1])
     girth = math.inf
     far_edges = 0
-    # each junction's first same-level edges, (level, count), and its
-    # eccentricity
-    first = {}
     eccentricity = {}
-    for root in [*table, *(v for v in low if v < n)]:
-        dist, sigma = _root_row(chains, place, table, root)
-        if place[root] is None:
-            own = runs[root]
-            odd, edges, merge, eccentricity[root] = _table_row(chains, place, dist, sigma, root)
-            first[root] = odd, edges
-            girth = min(girth, 2 * merge, 2 * odd + 1)
-        else:
-            c, i = place[root]
-            own = [(paths[c][i::-1], c), (paths[c][i:], c)]
-            a, b, length = chains[c]
-            k = girth // 2
-            # the junctions came first, so the girth is known; a girth
-            # cycle through the chain runs through both its ends
-            if girth % 2 and first[a][0] == k == first[b][0]:
-                odd, edges, _, _ = _table_row(chains, place, dist, sigma, root)
-                if odd == k:
-                    far_edges += (length - 1) * edges
-        for cycle in _table_sweep(dist, sigma, own, runs, low, root):
+    for root, (dist, sigma) in table.items():
+        odd, edges, merge, eccentricity[root] = _table_row(chains, dist, sigma)
+        if (event := min(2 * merge, 2 * odd + 1)) < girth:
+            girth, far_edges = event, 0
+        if 2 * odd + 1 == girth:
+            far_edges += edges
+        for cycle in _table_sweep(dist, sigma, runs, root):
             if _table_holds(chains, place, table, cycle):
-                cycles.append(cycle)
+                cycles.append(_rotated(cycle))
     if girth % 2:
-        far_edges += sum(edges for odd, edges in first.values() if odd == girth // 2)
+        # the far edges seen from each girth cycle's other vertices
+        far_edges += sum(girth - sum(place[v] is None for v in c)
+                         for c in cycles if len(c) == girth)
     longest = max(eccentricity.values())
     for c, (a, b, length) in enumerate(chains):
         if (length + eccentricity[a] + eccentricity[b]) // 2 > longest:
@@ -1038,12 +984,13 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     (odd) or as its smaller end (even); each root builds only the
     candidates it owns that way, from the vertices with one shortest path
     from the root through vertices above it, so each candidate is built
-    once.  Girth is the least 2d+1 over same-level edges and 2d over
-    vertices with two or more shortest paths.  For odd girth g = 2k+1 each
-    girth cycle shows one same-level edge at level k to each of its g
-    vertices and no other such edge exists, so g times the census's
-    girth-cycle count must equal that edge count; a mismatch raises
-    ConsistencyError.
+    once; the chains kernel does the same with junctions in place of
+    vertices (see _census_chains).  Girth is the least 2d+1 over
+    same-level edges and 2d over vertices with two or more shortest
+    paths.  For odd girth g = 2k+1 each girth cycle shows one same-level
+    edge at level k to each of its g vertices and no other such edge
+    exists, so g times the census's girth-cycle count must equal that
+    edge count; a mismatch raises ConsistencyError.
 
     The first sweep (see _eccentricity_bounds) shows whether g is
     connected.  If not, g is split in O(n + m), and each component with a

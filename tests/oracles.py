@@ -8,7 +8,7 @@ BFS record per root kept for the whole graph, scans of every antipodal pair,
 a path rebuild per pair and an O(L^2) vertex-pair verifier.  owned_candidates
 is the slow reference for one root's candidate sweep: it reads the root's
 same-level edges and merges off a full row and walks each back to the root,
-refusing the walks that do not stay above it or that meet early.
+refusing the walks that pass a junction below it or that meet early.
 """
 
 from __future__ import annotations
@@ -135,44 +135,45 @@ def merge_levels(g: Graph, dist) -> list[int]:
     )
 
 
-def _walk_owned(g: Graph, dist, owner: int, a: int, b: int, far: tuple[int, ...]):
+def _walk_owned(g: Graph, dist, owner: int, under: set[int], a: int, b: int,
+                far: tuple[int, ...]):
     """The cycle owner ~ a, *far, b ~ owner in canonical order, or None
-    when a walk back to owner passes a vertex below owner or the two walks
+    when a walk back to owner passes a vertex of under or the two walks
     meet before owner.  a and b sit at equal distance with one shortest
     path each, so each step has one neighbor a level closer."""
     left, right = [], []
     d = dist[a]
     while d:
-        if a < owner or b < owner or a == b:
+        if a in under or b in under or a == b:
             return None
         left.append(a)
         right.append(b)
         d -= 1
         a = next(w for w in g.adjacency[a] if dist[w] == d)
         b = next(w for w in g.adjacency[b] if dist[w] == d)
-    if left[-1] > right[-1]:
-        left, right = right, left
-    return (owner, *left[::-1], *far, *right)
+    return canonical_cycle((owner, *left[::-1], *far, *right))
 
 
-def owned_candidates(g: Graph, v: int) -> list[tuple[int, ...]]:
+def owned_candidates(g: Graph, v: int, junctions) -> list[tuple[int, ...]]:
     """The candidate cycles root v owns, sorted: every same-level edge with
-    ends of one shortest path each, and every vertex above v with exactly
-    two shortest paths, walked back to v through v's full row; a walk that
-    passes a vertex below v, or two walks that meet before v, are refused."""
+    ends of one shortest path each, and every vertex but a junction below
+    v with exactly two shortest paths, walked back to v through v's full
+    row; a walk that passes a junction below v, or two walks that meet
+    before v, are refused.  With every vertex a junction, v owns the
+    candidates whose least vertex it is."""
     rec = bfs_counts(g, v)
     dist, sigma = rec.dist, rec.sigma
+    under = {u for u in junctions if u < v}
     owned = [
-        _walk_owned(g, dist, v, x, y, ())
+        _walk_owned(g, dist, v, under, x, y, ())
         for x, y in g.edge_list
-        if dist[x] is not None and dist[x] == dist[y]
-        and x > v and sigma[x] == 1 and sigma[y] == 1
+        if dist[x] is not None and dist[x] == dist[y] and sigma[x] == 1 and sigma[y] == 1
     ]
-    for w in range(v + 1, g.n):
+    for w in range(g.n):
         # sigma 2 with two or more predecessors means two of sigma 1
         below = [u for u in g.adjacency[w] if dist[w] and dist[u] == dist[w] - 1]
-        if len(below) >= 2 and sigma[w] == 2:
-            owned.append(_walk_owned(g, dist, v, *below, (w,)))
+        if len(below) >= 2 and sigma[w] == 2 and w not in under:
+            owned.append(_walk_owned(g, dist, v, under, *below, (w,)))
     return sorted(c for c in owned if c is not None)
 
 
