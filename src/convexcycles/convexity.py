@@ -12,20 +12,20 @@ candidates it owns (as their minimum vertex, or in the chains kernel
 their least junction) from the vertices it reaches by one shortest path
 through vertices, or junctions, above it.
 
-One component at a time, a sweep of bfs_record from vertex 0 and, unless
-the chains kernel takes the graph, a second one bound every eccentricity,
-and on a graph with a cycle the largest one they see picks one of three
-kernels: on small-world graphs the planes kernel runs every root at once
-as bits of Python ints, with path counts capped at 3, in a BFS loop of
-its own.  On a graph made of long paths of degree-2 vertices, chains,
-the chains kernel reads every pair it tests, every girth event and every
-eccentricity off one table of distances and path counts between the
-vertices of other degrees, the junctions, where that table pays (see
-_junction_table); each junction sweeps its candidates off the table
-too, a whole chain per step, so this kernel runs no BFS.  On any other
-graph the rows kernel runs one BFS row per root, _census_row, which
-stops counting as early as the census allows, takes the girth events,
-and drops its distance-only tail when it cannot raise the diameter.
+One component at a time, one flat rule picks one of three kernels for a
+graph with a cycle.  On a graph made of long paths of degree-2
+vertices, chains, the chains kernel reads every pair it tests, every
+girth event and every eccentricity off one table of distances and path
+counts between the vertices of other degrees, the junctions, where that
+table pays (see _junction_table); each junction sweeps its candidates
+off the table too, a whole chain per step, so this kernel runs no BFS.
+Else, where a sweep of bfs_record from vertex 0 shows a small world, the
+planes kernel runs every root at once as bits of Python ints, with path
+counts capped at 3, in a BFS loop of its own.  On any other graph a
+second sweep bounds every eccentricity, and the rows kernel runs one BFS
+row per root, _census_row, which stops counting as early as the census
+allows, takes the girth events, and drops its distance-only tail when it
+cannot raise the diameter.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ def _eccentricity_bounds(g: Graph, dist: Sequence[int]) -> tuple[int, list[int]]
     least vertex a farthest from 0.  longest = ecc(a) is a lower bound on
     the diameter, which is at most 2 * longest and on a tree equals it, and
     upper[w] = ecc(a) + d(a, w) bounds ecc(w) from above by the triangle
-    inequality.  The census pass lowers upper further from each row it
-    finishes.
+    inequality.  Only a tree and the rows kernel read them, so only they
+    pay for the second sweep; the rows kernel lowers upper further from
+    each row it finishes.
     """
     dist = bfs_record(g, dist.index(max(dist))).dist
     longest = max(dist)
@@ -289,51 +290,52 @@ def _census_row(
 
 _Chains = list[tuple[int, int, int]]
 _Places = list[tuple[int, int] | None]
-_Ends = dict[int, list[tuple[int, int]]]
 _Table = dict[int, tuple[dict[int, int], dict[int, int]]]
-_Runs = list[list[int]]
+_Runs = dict[int, list[list[int]]]
 _Clean = dict[int, tuple[int, list[int], int]]
 
 
 def _contract(
     adjacency: tuple[tuple[int, ...], ...],
-) -> tuple[_Chains, _Places, _Ends]:
-    """(chains, place, ends): the graph contracted to its junctions.
+) -> tuple[_Chains, _Places, _Runs]:
+    """(chains, place, runs): the graph contracted to its junctions.
 
     A junction is a vertex whose degree is not 2, or vertex 0 of a cycle
-    graph; the graph is connected.  A chain (a, b, length) is a maximal path
-    from junction a to junction b (a == b for a cycle through a) whose
-    interior vertices have degree 2.  place[v] is (chain index, position
-    from a) for an interior vertex v, None for a junction, and ends[x]
-    holds (y, length) per chain from junction x to y.
+    graph; the graph is connected.  A chain (a, b, length), a <= b, is a
+    maximal path from junction a to junction b (a == b for a cycle through
+    a) whose interior vertices have degree 2.  place[v] is (chain index,
+    position from a) for an interior vertex v, None for a junction, and
+    runs[x] holds each chain at junction x as its vertices from x on, in
+    chain order, a loop once from each end.
     """
     place: _Places = [None] * len(adjacency)
     junction = [len(nbrs) != 2 for nbrs in adjacency]
     junction[0] |= not any(junction)
     chains: _Chains = []
-    ends: _Ends = {}
+    runs: _Runs = {}
     for a in [a for a, j in enumerate(junction) if j]:
         for x in adjacency[a]:
             if place[x] is not None or junction[x] and x < a:
                 continue  # walked from its other end
-            c, prev, length = len(chains), a, 1
+            c, run = len(chains), [a]
             while not junction[x]:
-                place[x] = (c, length)
+                place[x] = (c, len(run))
+                run.append(x)
                 u, w = adjacency[x]
-                prev, x = x, w if u == prev else u
-                length += 1
-            chains.append((a, x, length))
-            ends.setdefault(a, []).append((x, length))
-            ends.setdefault(x, []).append((a, length))
-    return chains, place, ends
+                x = w if u == run[-2] else u
+            run.append(x)
+            chains.append((a, x, len(run) - 1))
+            runs.setdefault(a, []).append(run)
+            runs.setdefault(x, []).append(run[::-1])
+    return chains, place, runs
 
 
 def _junction_table(
     adjacency: tuple[tuple[int, ...], ...],
-) -> tuple[_Chains, _Places, _Table] | None:
-    """(chains, place, table): _contract's chains and place, and table[x] =
-    (D[x], S[x]), distances and path counts from junction x to every
-    junction, by one search from each of the J junctions
+) -> tuple[_Chains, _Places, _Runs, _Table] | None:
+    """(chains, place, runs, table): _contract's chains, place and runs,
+    and table[x] = (D[x], S[x]), distances and path counts from junction x
+    to every junction, by one search from each of the J junctions
     (_junction_searches), or None where the table does not pay.  The rule:
     the R chain roots (each chain's interior but its minimum) are at
     least 4 * J, and the J * J
@@ -344,23 +346,30 @@ def _junction_table(
     4.8-5.7 * J (s = 4) and 0.21-0.31 times at R = 6.8-8.6 * J (s = 5),
     the table 29-66 % of its own time; s = 3 favours the chains kernel in
     these medians, but no paired benchmark runs have tested a lower rule,
-    so it stays at 4 * J.  A graph without two adjacent
-    vertices of degree 2 (a grid) has R = 0 and is not contracted."""
-    if not any(len(adjacency[w]) == 2 for nbrs in adjacency if len(nbrs) == 2 for w in nbrs):
+    so it stays at 4 * J.  R is at most the number of vertices of
+    degree 2, and J the number of others, so a graph with fewer than 4
+    of degree 2 per other vertex (a grid, sparse G(n, p)) is not
+    contracted: the census tries the table first on every graph with a
+    cycle."""
+    two = [*map(len, adjacency)].count(2)
+    if two < _ROOTS_PER_SEARCH * (len(adjacency) - two):
         return None
-    chains, place, ends = _contract(adjacency)
+    chains, place, runs = _contract(adjacency)
     roots = sum(length - 2 for _, _, length in chains if length > 2)
-    if roots < _ROOTS_PER_SEARCH * len(ends) or len(ends) ** 2 * _TABLE_ENTRY_BYTES > _BUDGET:
+    if roots < _ROOTS_PER_SEARCH * len(runs) or len(runs) ** 2 * _TABLE_ENTRY_BYTES > _BUDGET:
         return None
-    return chains, place, _junction_searches(ends)
+    return chains, place, runs, _junction_searches(runs)
 
 
-def _junction_searches(ends: _Ends) -> _Table:
-    """table[x] = (D[x], S[x]) for every junction x of _contract's ends: a
+def _junction_searches(runs: _Runs) -> _Table:
+    """table[x] = (D[x], S[x]) for every junction x of _contract's runs: a
     heap search over the junctions, chain lengths as weights, in O((J + C)
-    log J) per junction for J junctions and C chains.  A shortest path
-    between junctions runs along whole chains, so the path counts S are
-    the graph's; a chain from a junction back to itself lies on none."""
+    log J) per junction for J junctions and C chains, over each
+    junction's (far end, length) pairs, read off its runs once.  A
+    shortest path between junctions runs along whole chains, so the path
+    counts S are the graph's; a chain from a junction back to itself lies
+    on none."""
+    ends = {x: [(run[-1], len(run) - 1) for run in xs] for x, xs in runs.items()}
     table: _Table = {}
     for x in ends:
         dist, sigma = table[x] = {x: 0}, {x: 1}
@@ -511,7 +520,7 @@ def _close(clean: _Clean, root: int, x: int, middle: list[int], y: int) -> tuple
 
 
 def _table_sweep(
-    dist: dict[int, int], sigma: dict[int, int], runs: dict[int, _Runs], root: int,
+    dist: dict[int, int], sigma: dict[int, int], runs: _Runs, root: int,
 ) -> list[tuple[int, ...]]:
     """The candidates junction root owns, each root first, from root's
     clean region read off the table: dist and sigma, root's table entry,
@@ -649,11 +658,12 @@ def _census_rows(
 
 
 def _census_chains(
-    adjacency: tuple[tuple[int, ...], ...], chains: _Chains, place: _Places, table: _Table,
+    adjacency: tuple[tuple[int, ...], ...], chains: _Chains, place: _Places,
+    runs: _Runs, table: _Table,
 ) -> tuple[list[tuple[int, ...]], int, int, int]:
     """The chains kernel: a connected graph with a cycle, contracted to
     its junctions where the junction table pays (see _junction_table),
-    with the table as its metric.
+    with the table as its metric and _contract's runs as its chains.
 
     Returns what _census_rows does.  A cycle through a chain-interior
     vertex holds its whole chain (see _contract), and every cycle holds a
@@ -663,7 +673,7 @@ def _census_chains(
     junction r would lie on an arm.  One pass over the junctions reads
     each one's table entry, its D and S, and with them the junction
     sweeps its clean region over the table (_table_sweep), a whole chain
-    per step, reading only the chains at the junctions of that region.  A
+    per step, reading only the runs at the junctions of that region.  A
     candidate's antipodal pairs are tested as it is built, root first,
     from each pair whose first end is a junction in O(1), which settles
     the rest (_table_holds), so nothing is deferred; each cycle kept is
@@ -681,24 +691,14 @@ def _census_chains(
     position i of chain (a, b, length) has eccentricity at most min(i +
     ecc(a), length - i + ecc(b)), so only a chain where (length + ecc(a) +
     ecc(b)) // 2 exceeds the largest eccentricity seen has its own largest
-    found, in O(C) (_chain_eccentricity).
+    found, in O(C) (_chain_eccentricity), once per distinct (a, b,
+    length): twin chains share it.
 
     Time: O(J (J + C) log J) for the table; per junction O(J + C) for its
     table row and O(1) per chain end at each junction of its clean region;
     O(L) per candidate L-cycle; memory J * J entries beside O(n + m).
     """
     cycles: list[tuple[int, ...]] = []
-    # each chain's vertices from a to b
-    paths = [[a, *[b] * length] for a, b, length in chains]
-    for v, p in enumerate(place):
-        if p is not None:
-            c, j = p
-            paths[c][j] = v
-    # each junction's chains, each as a run of its vertices from there on
-    runs: dict[int, _Runs] = {x: [] for x in table}
-    for path in paths:
-        runs[path[0]].append(path)
-        runs[path[-1]].append(path[::-1])
     girth = math.inf
     far_edges = 0
     eccentricity = {}
@@ -716,7 +716,11 @@ def _census_chains(
         far_edges += sum(girth - sum(place[v] is None for v in c)
                          for c in cycles if len(c) == girth)
     longest = max(eccentricity.values())
-    for c, (a, b, length) in enumerate(chains):
+    # swapping two chains of the same ends and length is an automorphism,
+    # so such twins have the same largest eccentricity: one per (a, b,
+    # length), canonical as _contract stores a <= b
+    for c in {chain: c for c, chain in enumerate(chains)}.values():
+        a, b, length = chains[c]
         if (length + eccentricity[a] + eccentricity[b]) // 2 > longest:
             longest = max(longest, _chain_eccentricity(chains, table, c))
     return cycles, girth, far_edges, longest
@@ -967,13 +971,14 @@ def _profile_and_census_of(
     return MetricProfile(girth, longest, True), census
 
 
-def _small_world(n: int, longest: int) -> bool:
+def _small_world(n: int, ecc0: int) -> bool:
     """Whether the census runs the planes kernel: on a connected graph
-    whose largest eccentricity seen by the sweeps is at most log2(n), and
-    whose planes fit the budget.  The diameter is at most 2 * longest, so
-    they take about (2 * longest + 10) * n * n / 4 bytes (see
-    _census_planes); the list of convex cycles comes on top."""
-    return 2**longest <= n and (2 * longest + 10) * n * n // 4 <= _BUDGET
+    where vertex 0's eccentricity ecc0 is at most log2(n), and whose planes
+    fit the budget.  By the triangle inequality through vertex 0 the
+    diameter is at most 2 * ecc0, so the planes take about (2 * ecc0 + 10)
+    * n * n / 4 bytes (see _census_planes); the list of convex cycles comes
+    on top."""
+    return 2**ecc0 <= n and (2 * ecc0 + 10) * n * n // 4 <= _BUDGET
 
 
 def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
@@ -992,37 +997,33 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     exists, so g times the census's girth-cycle count must equal that
     edge count; a mismatch raises ConsistencyError.
 
-    The first sweep (see _eccentricity_bounds) shows whether g is
-    connected.  If not, g is split in O(n + m), and each component with a
-    cycle, relabelled by increasing vertex (which keeps canonical order),
-    goes through this pass as a connected graph; the girth is the least
-    of theirs, the diameter infinite.  On a connected graph two sweeps
-    bound every eccentricity and give a tree its diameter.  A graph with
-    a cycle whose largest eccentricity they see is at most log2(n) takes
-    the planes kernel (see _census_planes); any other where the junction
-    table pays, such as a long cycle or a subdivided graph, the chains
-    kernel (see _census_chains); the rest, such as a grid, the rows kernel
-    (see _census_rows).  All three hand their cycles, girth, far-edge
-    count and diameter to the same checks.
+    A sweep of bfs_record from vertex 0 shows whether g is connected.  If
+    not, g is split in O(n + m), and each component with a cycle,
+    relabelled by increasing vertex (which keeps canonical order), goes
+    through this pass as a connected graph; the girth is the least of
+    theirs, the diameter infinite.  A connected graph takes the first of:
+    a tree, its diameter from a second sweep (see _eccentricity_bounds);
+    where the junction table pays, such as a long cycle, a subdivided graph
+    or a flower of cycles through one vertex, the chains kernel (see
+    _census_chains); where vertex 0's eccentricity is at most log2(n), the
+    planes kernel (see _census_planes); else, such as a grid, the rows
+    kernel (see _census_rows), with the second sweep's bounds.  All three
+    hand their cycles, girth, far-edge count and diameter to the same
+    checks.
     """
     adjacency = g.adjacency
     if not g.n:
         return MetricProfile(math.inf, 0, True), CycleCensus.from_cycles(())
     dist = bfs_record(g, 0).dist
     if None not in dist:
-        # ecc(0) <= longest, and _small_world passes less as longest grows
-        tried = g.m >= g.n and not _small_world(g.n, max(dist))
-        if tried and (contracted := _junction_table(adjacency)):
-            return _profile_and_census_of(*_census_chains(adjacency, *contracted))
-        longest, upper = _eccentricity_bounds(g, dist)
         if g.m < g.n:
-            found = [], math.inf, 0, longest
-        elif _small_world(g.n, longest):
-            found = _census_planes(adjacency)
-        elif not tried and (contracted := _junction_table(adjacency)):
+            found = [], math.inf, 0, _eccentricity_bounds(g, dist)[0]
+        elif contracted := _junction_table(adjacency):
             found = _census_chains(adjacency, *contracted)
+        elif _small_world(g.n, max(dist)):
+            found = _census_planes(adjacency)
         else:
-            found = _census_rows(adjacency, longest, upper)
+            found = _census_rows(adjacency, *_eccentricity_bounds(g, dist))
         return _profile_and_census_of(*found)
     # components named by their least vertex; each one's vertices increase
     part = [-1] * g.n

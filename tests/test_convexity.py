@@ -99,6 +99,14 @@ def theta_graph(*lengths: int) -> cc.Graph:
     return cc.Graph(n, edges)
 
 
+def flower_graph(petals: int, length: int) -> cc.Graph:
+    """petals cycles of the given length through vertex 0."""
+    g = cc.cycle_graph(length)
+    for _ in range(petals - 1):
+        g = wedge(g, cc.cycle_graph(length))
+    return g
+
+
 def subdivided_unevenly(g: cc.Graph, rng: random.Random) -> cc.Graph:
     """g with each edge cut into 1 to 5 edges, drawn from rng."""
     n, edges = g.n, []
@@ -446,6 +454,28 @@ class TestReferencePipeline:
         for g in chain_families():
             self.check(g)
 
+    def test_flipped_kernels(self):
+        # graphs that the flat kernel rule moved: flowers of cycles through
+        # one vertex and theta graphs, with twin chains (same ends and
+        # length) and mixed lengths, from planes to chains; sparse giants
+        # with ecc(0) <= log2(n) < the sweeps' largest eccentricity from
+        # rows to planes.  Theta(9, 9, 2) needs a twin's eccentricity for
+        # its diameter, 9, where the 2-chain's gives 6
+        rng = random.Random(29)
+        graphs = [flower_graph(petals, length)
+                  for petals, length in [(20, 6), (12, 4), (9, 5), (3, 10)]]
+        graphs.append(wedge(flower_graph(4, 6), flower_graph(3, 9)))
+        graphs += [theta_graph(*lengths) for lengths in [
+            (5,) * 10, (3,) * 12, (9, 9, 2), (2, 9, 9), (9, 2, 9), (6, 6, 6, 3, 3),
+            (4, 4, 7, 7, 7), (5,) * 6 + (6,) * 6,
+        ]]
+        graphs += [cc.gnp_random_graph(n, c / (n - 1), seed)
+                   for n, c, seed in [(60, 3, 1), (60, 3.5, 2), (60, 4, 5), (100, 3.5, 1),
+                                      (100, 4, 4)]]
+        for g in graphs:
+            self.check(g)
+            self.check(relabelled(g, rng))
+
     @pytest.mark.parametrize(
         "g, by_length",
         [
@@ -523,14 +553,15 @@ class TestEccentricityBounds:
 
 
 class TestKernelChoice:
-    """The census takes the planes kernel exactly on connected graphs whose
-    largest eccentricity seen by the sweeps is at most log2(n), the chains
-    kernel on the others where the junction table pays, and each
-    component of a disconnected graph takes its own kernel."""
+    """The census takes, on each connected graph with a cycle, the chains
+    kernel where the junction table pays, else the planes kernel exactly
+    where vertex 0's eccentricity is at most log2(n) and the planes fit
+    the budget, else the rows kernel; each component of a disconnected
+    graph takes its own kernel."""
 
     @staticmethod
     def small_world(g: cc.Graph) -> bool:
-        return convexity._small_world(g.n, eccentricity_bounds(g)[0])
+        return convexity._small_world(g.n, max(cc.bfs_record(g, 0).dist))
 
     def test_sparse_random_graph_takes_planes(self):
         assert self.small_world(cc.gnp_random_graph(270, 9 / 269, 16))
@@ -557,6 +588,49 @@ class TestKernelChoice:
             cc.profile_and_census(g)
             assert kernel_inputs == [(kernel, g.adjacency)]
 
+    def test_small_worlds_where_the_table_pays_take_chains(self, kernel_inputs):
+        # 20 hexagons through vertex 0 (ecc(0) = 3, and no eccentricity
+        # above 6 <= log2(101)) and 10 chains of length 5 between vertices
+        # 0 and 1 (ecc(0) = 5 <= log2(42)) are small worlds, but the table
+        # pays first: R = 80 for J = 1 and R = 30 for J = 2
+        flower = flower_graph(20, 6)
+        for g in [flower, relabelled(flower, random.Random(6)), theta_graph(*[5] * 10)]:
+            assert self.small_world(g)
+            kernel_inputs.clear()
+            cc.profile_and_census(g)
+            assert kernel_inputs == [("_census_chains", g.adjacency)]
+
+    def test_sparse_giant_takes_planes_from_the_first_sweep(self, kernel_inputs):
+        # ecc(0) = 4 <= log2(60) < 6, the largest eccentricity the two
+        # sweeps see, and the table does not pay: the first sweep alone
+        # picks the planes kernel, whose budget the diameter's bound of
+        # 2 * ecc(0) keeps sound
+        g = cc.gnp_random_graph(60, 4 / 59, 5)
+        assert max(cc.bfs_record(g, 0).dist) <= math.log2(g.n) < eccentricity_bounds(g)[0]
+        assert convexity._junction_table(g.adjacency) is None
+        cc.profile_and_census(g)
+        assert kernel_inputs == [("_census_planes", g.adjacency)]
+
+    def test_second_sweep_only_for_trees_and_rows(self, monkeypatch, petersen):
+        # the planes and chains kernels read nothing of the second sweep,
+        # so a graph bound for either never runs it; a tree takes its
+        # diameter from it and the rows kernel its bounds
+        def refuse(g, dist):
+            raise AssertionError("second sweep")
+
+        monkeypatch.setattr(convexity, "_eccentricity_bounds", refuse)
+        for g in [
+            cc.gnp_random_graph(270, 9 / 269, 16), cc.gnp_random_graph(60, 4 / 59, 5),
+            flower_graph(20, 6), theta_graph(*[5] * 10), cc.cycle_graph(301),
+            subdivided(petersen, 23), union(cc.cycle_graph(31), path_graph(4)),
+        ]:
+            cc.profile_and_census(g)
+        grid = relabelled(cc.Graph(484, grid_edges(22, 22)), random.Random(22))
+        for g in [path_graph(9), wedge(path_graph(3), path_graph(5)), grid,
+                  cc.Graph(36, grid_edges(6, 6)), subdivided(petersen, 3)]:
+            with pytest.raises(AssertionError, match="second sweep"):
+                cc.profile_and_census(g)
+
     def test_components_take_their_own_kernels(self, kernel_inputs):
         # two triangles are two small worlds; beside a triangle, C31 takes
         # chains; an isolated vertex no longer sends a small-world giant
@@ -573,12 +647,12 @@ class TestKernelChoice:
         cc.profile_and_census(union(giant, cc.Graph(1, [])))
         assert kernel_inputs == [("_census_planes", giant.adjacency)]
 
-    def test_planes_over_budget_take_rows(self, monkeypatch):
-        # the planes of G(270, 9/269), longest 4 or 5, are predicted at
-        # (2 * longest + 10) * n * n / 4 bytes, well under 1 MiB
+    def test_planes_over_budget_take_rows(self, monkeypatch, kernel_inputs):
+        # the planes of G(270, 9/269), ecc(0) 4 or 5, are predicted at
+        # (2 * ecc(0) + 10) * n * n / 4 bytes, well under 1 MiB
         g = cc.gnp_random_graph(270, 9 / 269, 16)
-        longest, _ = eccentricity_bounds(g)
-        planes = (2 * longest + 10) * g.n * g.n // 4
+        ecc0 = max(cc.bfs_record(g, 0).dist)
+        planes = (2 * ecc0 + 10) * g.n * g.n // 4
         assert planes < 1 << 20
         monkeypatch.setattr(convexity, "_BUDGET", planes)
         assert self.small_world(g)
@@ -587,6 +661,7 @@ class TestKernelChoice:
         assert census_of(g) == cc.CycleCensus.from_cycles(
             convexity._census_planes(g.adjacency)[0]
         )
+        assert [kernel for kernel, _ in kernel_inputs] == ["_census_rows", "_census_planes"]
 
 
 def unions() -> list[cc.Graph]:
@@ -953,9 +1028,9 @@ class TestCandidateSweep:
         monkeypatch.setattr(convexity, "_table_sweep", sweep)
         roots = candidates = 0
         for h in [h for g in graphs for h in with_cycles(relabelled(g, rng))]:
-            chains, place, table = contracted(h)
+            chains, place, runs, table = contracted(h)
             swept.clear()
-            convexity._census_chains(h.adjacency, chains, place, table)
+            convexity._census_chains(h.adjacency, chains, place, runs, table)
             assert [root for root, _ in swept] == list(table)
             for root, owned in swept:
                 assert all(cycle[0] == root for cycle in owned)
@@ -966,11 +1041,11 @@ class TestCandidateSweep:
         assert roots > 2800 and candidates > 4900
 
 
-def contracted(g: cc.Graph) -> tuple[list, list, dict]:
-    """chains, place and table of a connected graph with a cycle, with no
-    pay rule: the contraction and a search from every junction."""
-    chains, place, ends = convexity._contract(g.adjacency)
-    return chains, place, convexity._junction_searches(ends)
+def contracted(g: cc.Graph) -> tuple[list, list, dict, dict]:
+    """chains, place, runs and table of a connected graph with a cycle,
+    with no pay rule: the contraction and a search from every junction."""
+    chains, place, runs = convexity._contract(g.adjacency)
+    return chains, place, runs, convexity._junction_searches(runs)
 
 
 def random_cubic(n: int, rng: random.Random) -> cc.Graph:
@@ -1001,7 +1076,7 @@ class TestChainRows:
         through x, else 0."""
         own = []
         for h in with_cycles(g):
-            chains, place, table = contracted(h)
+            chains, place, _, table = contracted(h)
             eccentricity = [0] * len(chains)
             for v in range(h.n):
                 record = cc.bfs_record(h, v)
@@ -1030,23 +1105,35 @@ class TestChainRows:
     def test_contraction(self):
         # every edge lies on one chain, whose interior vertices have
         # degree 2 and whose ends are the junctions, on each component
-        # with a cycle
+        # with a cycle; each run at a junction is the walk of the
+        # adjacency from it through the run's second vertex to the next
+        # junction, and each chain is a run from either end; a loop's run
+        # from its second end closes no candidate (see _table_sweep), so
+        # only its first is pinned
         for g in [h for g in chain_families() for h in with_cycles(g)]:
-            chains, place, ends = convexity._contract(g.adjacency)
+            chains, place, runs = convexity._contract(g.adjacency)
             placed = [(v, *p) for v, p in enumerate(place) if p is not None]
             edges = set()
             for c, (a, b, length) in enumerate(chains):
                 inner = sorted((j, v) for v, k, j in placed if k == c)
                 path = [a, *(v for _, v in inner), b]
-                assert [j for j, _ in inner] == list(range(1, length))
+                assert [j for j, _ in inner] == list(range(1, length)) and a <= b
                 assert all(len(g.adjacency[v]) == 2 for v in path[1:-1])
                 if len(g.adjacency[a]) == 2 or len(g.adjacency[b]) == 2:
                     # a junction of degree 2 is vertex 0 of a cycle graph
                     assert a == b == 0 and len(chains) == 1
                 edges.update(frozenset(e) for e in zip(path, path[1:]))
-                assert (b, length) in ends[a] and (a, length) in ends[b]
+                assert path in runs[a] and (a == b or path[::-1] in runs[b])
             assert edges == {frozenset(e) for e in g.edge_list}
             assert len(edges) == sum(length for _, _, length in chains)
+            assert sorted(runs) == [v for v, p in enumerate(place) if p is None]
+            for x, xs in runs.items():
+                for run in xs:
+                    walk = [x, run[1]]
+                    while place[walk[-1]] is not None:
+                        u, w = g.adjacency[walk[-1]]
+                        walk.append(w if u == walk[-2] else u)
+                    assert run[1] in g.adjacency[x] and walk == run
 
     def test_chain_families(self):
         assert sum(len(self.check(g)) for g in chain_families()) > 1700
@@ -1140,9 +1227,10 @@ class TestChainRows:
         assert convexity._junction_table(g.adjacency) is None
 
     def test_grids_are_not_contracted(self, monkeypatch):
-        # a grid of three rows and columns or more has no two adjacent
-        # vertices of degree 2, so no chain root and no contraction; its
-        # rows kernel's census is the planes kernel's
+        # a grid of three rows and columns or more has 4 vertices of
+        # degree 2, its corners, against n - 4 others, too few for the
+        # rule R >= 4 * J, so no contraction; its rows kernel's census is
+        # the planes kernel's
         rng = random.Random(23)
 
         def refuse(adjacency):
@@ -1178,15 +1266,17 @@ class TestChainRows:
         junctions = 0
         for g in graphs:
             self.check(g)
-            junctions += sum(len(contracted(h)[2]) for h in with_cycles(g))
+            junctions += sum(len(contracted(h)[3]) for h in with_cycles(g))
         assert junctions > 350
 
     def test_one_root_row_per_root(self, monkeypatch, petersen):
         # the chains kernel reads each junction's table entry once, as its
         # D and S: one _table_row and then one _table_sweep per junction,
-        # both on that entry, and none for any chain
+        # both on that entry, and none for any chain; each sweep reads
+        # _contract's runs as given
         rng = random.Random(27)
         calls = []
+        given = []
 
         def read_table_row(chains, dist, sigma, kernel=convexity._table_row):
             calls.append((None, dist, sigma))
@@ -1194,6 +1284,7 @@ class TestChainRows:
 
         def sweep(dist, sigma, runs, root, kernel=convexity._table_sweep):
             calls.append((root, dist, sigma))
+            given.append(runs)
             return kernel(dist, sigma, runs, root)
 
         monkeypatch.setattr(convexity, "_table_row", read_table_row)
@@ -1201,10 +1292,12 @@ class TestChainRows:
         graphs = [cc.cycle_graph(9), theta_graph(2, 5, 5), wedge(cc.cycle_graph(7), path_graph(3))]
         graphs += [subdivided(base, s) for base in (cc.complete_graph(4), petersen) for s in (3, 5)]
         for h in [h for g in graphs for h in with_cycles(relabelled(g, rng))]:
-            chains, place, table = contracted(h)
+            chains, place, runs, table = contracted(h)
             calls.clear()
-            convexity._census_chains(h.adjacency, chains, place, table)
+            given.clear()
+            convexity._census_chains(h.adjacency, chains, place, runs, table)
             assert len(calls) == 2 * len(table)
+            assert len(given) == len(table) and all(r is runs for r in given)
             for (root, (dist, sigma)), row, swept in zip(table.items(), calls[::2], calls[1::2]):
                 assert row[0] is None and swept[0] == root
                 assert row[1] is swept[1] is dist and row[2] is swept[2] is sigma
