@@ -8,6 +8,11 @@ into 6-bit groups offset by 63; the short header covers n <= 62 and the
 4-byte graph6 header holds.  Lines end only at '\n' (a '\r' before it is
 dropped), and tokens are separated only by spaces and tabs; a graph6 line
 sheds only the same blanks and its line end.
+
+An edge list is checked edge by edge in `Graph()`.  A graph6 line is
+decoded straight into sorted neighbor lists and frozen by the trusted
+builder `Graph._from_sorted`: every set bit is one pair u < v < n, so
+the decoded graph has no fault for `Graph()` to find.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ GRAPH6_HEADER = ">>graph6<<"
 FOUR_BYTE_MAX_ORDER = 258047
 
 _OUTSIDE_ALPHABET = re.compile(r"[^?-~]")
+_ALPHABET = bytes(range(63, 127))
 _BLANKS = re.compile("[ \t]+")
 _FROM_GRAPH6 = bytes((c - 63) % 256 for c in range(256))
 _TO_GRAPH6 = bytes((c + 63) % 256 for c in range(256))
@@ -62,16 +68,26 @@ def _graph6_line(text: str) -> str:
     return text.removesuffix("\n").removesuffix("\r").strip(" \t")
 
 
+def _in_alphabet(s: str) -> bool:
+    """Whether every character of s lies in graph6's '?'..'~'."""
+    return s.isascii() and not s.encode("ascii").translate(None, _ALPHABET)
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a labeled graph."""
+    """Decode one graph6 line into a labeled graph.
+
+    The neighbor lists are filled in the decode loop and frozen by
+    `Graph._from_sorted`, unchecked; the payload length is checked before
+    any per-vertex list is allocated.
+    """
     line = _graph6_line(text)
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]
     if not line:
         raise ParseError("empty graph6 line")
-    bad = _OUTSIDE_ALPHABET.search(line)
-    if bad:
-        raise ParseError(f"character {bad.group()!r} outside the graph6 alphabet")
+    if not _in_alphabet(line):
+        bad = _OUTSIDE_ALPHABET.search(line).group()
+        raise ParseError(f"character {bad!r} outside the graph6 alphabet")
     data = line.encode("ascii").translate(_FROM_GRAPH6)
     # the '~' marker itself decodes to 63, only legal inside the size header
     n, start = _decode_size(data)
@@ -84,8 +100,12 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(f"graph6 payload too long: {len(payload)} bytes, need {need}")
     # bit b of the payload is the pair (u, v), u < v, with b = row + u for
     # column v's first bit row = v(v-1)/2; set bits come in increasing
-    # order, so the column only moves on; bits at or past nbits are padding
-    edges = []
+    # order, so the column only moves on; bits at or past nbits are padding.
+    # Each list comes out sorted: vertex x gets its neighbors u < x in
+    # increasing u during column x, then its neighbors v > x in increasing
+    # v in the later columns.  Each bit is one pair u < v < n, so no list
+    # holds a loop, a repeat or a label out of range.
+    neighbors: list = [[] for _ in range(n)]
     row, v = 0, 1
     for match in _NONZERO.finditer(payload):
         i = match.start()
@@ -96,8 +116,10 @@ def parse_graph6(text: str) -> Graph:
             while b - row >= v:
                 row += v
                 v += 1
-            edges.append((b - row, v))
-    return Graph(n, edges)
+            u = b - row
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+    return Graph._from_sorted(neighbors)
 
 
 def _encode_size(n: int) -> str:
@@ -164,7 +186,7 @@ def looks_like_graph6(line: str) -> bool:
     s = _graph6_line(line)
     if s.startswith(GRAPH6_HEADER):
         return True
-    return bool(s) and not _OUTSIDE_ALPHABET.search(s)
+    return bool(s) and _in_alphabet(s)
 
 
 def load_graph_text(text: str) -> Graph:

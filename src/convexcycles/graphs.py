@@ -13,7 +13,10 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     The graph is its adjacency: one sorted tuple of neighbors per vertex.
-    Instances are immutable after construction.
+    Instances are immutable after construction.  The constructor checks
+    every edge; the one trusted builder, `Graph._from_sorted`, takes
+    neighbor lists that are sorted, simple and symmetric by construction
+    and is called only by `formats.parse_graph6`.
     """
 
     __slots__ = ("n", "m", "adjacency")
@@ -37,6 +40,19 @@ class Graph:
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(neighbors)
         self.m = sum(map(len, self.adjacency)) // 2
+
+    @classmethod
+    def _from_sorted(cls, neighbors: list[list[int]]) -> Graph:
+        """The graph on len(neighbors) vertices with these neighbor lists,
+        taken on trust: each list strictly increasing, within 0..n-1 and
+        without its own vertex, and v in neighbors[u] exactly when u is in
+        neighbors[v].  Nothing is checked or sorted; a builder calls this
+        only when its construction guarantees all of that."""
+        g = cls.__new__(cls)
+        g.n = len(neighbors)
+        g.adjacency = tuple(map(tuple, neighbors))
+        g.m = sum(map(len, g.adjacency)) // 2
+        return g
 
     @property
     def edge_list(self) -> tuple[tuple[int, int], ...]:

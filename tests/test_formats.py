@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -12,6 +14,9 @@ from .strategies import graphs
 
 # graph6 lines of K4 wrapped in blanks that an edge-list line may not hold
 OTHER_BLANKS = ["\x1cC~\n", "C~\u3000\n", " C~\x0b\n"]
+
+# a long-form line (n = 100) whose first fault is far into the payload
+_LONG = cc.write_graph6(cc.gnp_random_graph(100, 0.3, 8))
 
 
 class TestParseGraph6:
@@ -56,6 +61,41 @@ class TestParseGraph6:
         with pytest.raises(cc.ParseError):
             cc.parse_graph6(bad)
 
+    @pytest.mark.parametrize(
+        "bad, char",
+        [
+            ("A *", " "),  # below the alphabet, with a payload of valid length
+            ("C~>", ">"),  # one below '?'
+            ("A\x7f", "\x7f"),  # one above '~'
+            ("A\u00e9", "\u00e9"),  # not ASCII
+            (_LONG[:-40] + ">" + _LONG[-39:-1] + "\u00e9", ">"),
+        ],
+        ids=["space", "gt", "del", "non-ascii", "long-prefix"],
+    )
+    def test_alphabet_refusal_names_first_bad_character(self, bad, char):
+        message = f"character {char!r} outside the graph6 alphabet"
+        with pytest.raises(cc.ParseError) as parsed:
+            cc.parse_graph6(bad)
+        assert str(parsed.value) == message
+        # the header marks the line as graph6, so the loader parses it too
+        with pytest.raises(cc.ParseError) as loaded:
+            cc.load_graph_text(formats.GRAPH6_HEADER + bad + "\n")
+        assert str(loaded.value) == message
+
+    def test_forged_order_allocates_nothing(self):
+        # 8-byte headers before a one-byte payload; n = 2**20 comes first so
+        # that a decoder allocating before the length check fails on tens
+        # of MiB before it can try 2**36 - 1 lists
+        tracemalloc.start()
+        try:
+            for n in (2**20, 2**36 - 1):
+                tracemalloc.reset_peak()
+                with pytest.raises(cc.ParseError, match="payload too short"):
+                    cc.parse_graph6(formats._encode_size(n) + "?")
+                assert tracemalloc.get_traced_memory()[1] < 2**20, n
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("bad", OTHER_BLANKS)
     def test_load_refuses_other_blanks(self, bad):
         with pytest.raises(cc.ParseError):
@@ -95,10 +135,11 @@ class TestGraph6AgainstPerBitReference:
 
     @staticmethod
     def check(text: str) -> cc.Graph:
+        # the trusted decoder against the checked constructor, whole graphs
         g = cc.parse_graph6(text)
         n, edges = oracles.graph6_per_bit(text)
-        assert g.n == n
-        assert set(g.edge_list) == edges
+        expected = cc.Graph(n, sorted(edges))
+        assert (g.n, g.m, g.adjacency) == (expected.n, expected.m, expected.adjacency)
         return g
 
     def test_corpus(self):
