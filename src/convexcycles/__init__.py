@@ -45,14 +45,12 @@ from .graphs import (
     petersen_graph,
 )
 from .metric import DistanceRecord, MetricProfile, bfs_record
-from .spectral import (
-    IntPolynomial,
-    char_poly,
-    expand_factored,
-    girth_cycle_count_spectral,
-)
 
 __version__ = "0.1.0"
+
+# spectral's names, bound here on first use: a run without the spectral
+# section never imports the module
+_SPECTRAL = ("IntPolynomial", "char_poly", "expand_factored", "girth_cycle_count_spectral")
 
 
 def __getattr__(name: str):
@@ -62,7 +60,16 @@ def __getattr__(name: str):
         from .cli import run
 
         return run
+    if name in _SPECTRAL:
+        from . import spectral
+
+        globals().update((each, getattr(spectral, each)) for each in _SPECTRAL)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))
 
 
 __all__ = [

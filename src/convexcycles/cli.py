@@ -32,7 +32,6 @@ from .extremal import Classification, check_extremal, check_moore_by_count, is_m
 from .formats import load_graph_text, write_graph6
 from .graphs import Graph, generate
 from .metric import MetricProfile
-from .spectral import char_poly, girth_cycle_count_spectral
 
 DEFAULT_SPECTRAL_CAP = 100
 DEFAULT_ORACLE_CAP = 12
@@ -133,12 +132,15 @@ def _spectral_section(
         raise InvalidParameter(
             f"spectral analysis refused for n={g.n} > cap {cap} (raise with --max-n)"
         )
-    poly = char_poly(g)
+    # imported here, so that a run without this section never loads it
+    from . import spectral
+
+    poly = spectral.char_poly(g)
     section: dict = {"polynomial": poly.to_text()}
     if profile.girth != math.inf and profile.girth % 2 == 1:
         girth = int(profile.girth)
         section["coefficient"] = poly.coefficient(g.n - girth)
-        section["count"] = girth_cycle_count_spectral(poly, g.n, girth)
+        section["count"] = spectral.girth_cycle_count_spectral(poly, g.n, girth)
         counted = census.by_length.get(girth, 0)
         if section["count"] != counted:
             raise ConsistencyError(

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, InvalidCycle, NotApplicable
-from .graphs import Graph
+from .graphs import Graph, _Record
 from .metric import DistanceRecord, MetricProfile, bfs_record
 
 # Bytes for the planes' rings (see _small_world) or the junction table (see
@@ -75,19 +74,23 @@ def _rotated(seq: tuple[int, ...]) -> tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
-@dataclass(frozen=True)
-class CycleCensus:
+class CycleCensus(_Record):
     """Convex cycles with their odd/even split and length histogram.
 
     Each cycle is a vertex tuple in canonical order (see canonical_cycle),
-    and cycles are sorted by (length, vertices).
+    and cycles are sorted by (length, vertices).  Equality and hashing
+    leave out by_length, which the cycles determine.
     """
 
+    __slots__ = ("cycles", "total", "odd_count", "even_count", "by_length")
     cycles: tuple[tuple[int, ...], ...]
     total: int
     odd_count: int
     even_count: int
-    by_length: dict[int, int] = field(compare=False)
+    by_length: dict[int, int]
+
+    def _key(self) -> tuple:
+        return self.cycles, self.total, self.odd_count, self.even_count
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[tuple[int, ...]]) -> "CycleCensus":

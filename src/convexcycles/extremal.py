@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .convexity import CycleCensus, girth_cycle_count
 from .errors import ConsistencyError, Disconnected, InvalidParameter, NotApplicable
-from .graphs import Graph
+from .graphs import Graph, _Record
 from .metric import MetricProfile
 
 
@@ -25,8 +24,8 @@ class Classification(enum.Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(_Record):
+    __slots__ = ("n", "m", "girth", "total", "bound", "equality", "classification")
     n: int
     m: int
     girth: int
@@ -36,22 +35,22 @@ class ExtremalReport:
     classification: Classification
 
 
-@dataclass(frozen=True)
-class MooreReport:
+class MooreReport(_Record):
     """Diameter/girth Moore test; degree is the common degree when the
     graph is regular, else None."""
 
+    __slots__ = ("is_moore", "diameter", "girth", "degree")
     is_moore: bool
     diameter: int
     girth: int | float
     degree: int | None
 
 
-@dataclass(frozen=True)
-class MooreCountCheck:
+class MooreCountCheck(_Record):
     """Result of the counting criterion: a connected graph of odd girth is
     a Moore graph exactly when its girth-cycle count hits n(m-n+1)/g."""
 
+    __slots__ = ("count", "target", "is_moore_by_count")
     count: int
     target: Fraction
     is_moore_by_count: bool

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from operator import eq
-from typing import Iterable, Sequence
 
 from .errors import DuplicateEdge, InvalidEdge, InvalidParameter, OutOfRange
 
@@ -78,6 +78,62 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields, in order, in __slots__.  It is built by
+    position or keyword; equality and hashing read the fields of `_key`,
+    all of them unless the subclass overrides it; assignment and deletion
+    raise AttributeError; and `__reduce__` rebuilds it through the
+    constructor, so that pickle and copy never assign to a field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        # the slots' own setters, which bypass the refusing __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        # a keyword left over is unknown or repeats a positional argument
+        if kwargs or len(args) != len(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes exactly the arguments {', '.join(names)}"
+            )
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _first_fault(n: int, edges: Sequence[tuple[int, int]]) -> Exception:

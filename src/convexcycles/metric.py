@@ -11,14 +11,11 @@ counting BFS row loop, and the tests' oracles, run BFS loops of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OutOfRange
-from .graphs import Graph
+from .graphs import Graph, _Record
 
 
-@dataclass(frozen=True)
-class DistanceRecord:
+class DistanceRecord(_Record):
     """BFS result from one root.
 
     sigma[v] is the exact number of distinct shortest root-v paths (0 when
@@ -26,15 +23,16 @@ class DistanceRecord:
     neighbors w of v with dist[w] == dist[v] - 1.
     """
 
+    __slots__ = ("root", "dist", "sigma")
     root: int
     dist: tuple[int | None, ...]
     sigma: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MetricProfile:
+class MetricProfile(_Record):
     """Girth, diameter and connectivity of one graph."""
 
+    __slots__ = ("girth", "diameter", "connected")
     girth: int | float
     diameter: int | float
     connected: bool

@@ -12,22 +12,22 @@ spectra have few distinct eigenvalues, which keeps the recurrence short.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import ConsistencyError, InconsistentInput, InvalidParameter, NotApplicable
-from .graphs import Graph
+from .graphs import Graph, _Record
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Record):
     """Dense integer polynomial; coeffs[j] multiplies x**j."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise InvalidParameter("a polynomial needs at least one coefficient")
+        super().__init__(coeffs)
 
     @property
     def degree(self) -> int:

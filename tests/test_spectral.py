@@ -240,6 +240,13 @@ class TestSpectralCount:
         with pytest.raises(cc.InconsistentInput):
             cc.girth_cycle_count_spectral(poly, 3, 3)
 
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_positive_even_coefficient_rejected(self, c):
+        # -c/2 would count a negative number of triangles
+        poly = cc.IntPolynomial((c, 0, 0, 1))
+        with pytest.raises(cc.InconsistentInput):
+            cc.girth_cycle_count_spectral(poly, 3, 3)
+
     def test_agrees_with_census_on_odd_girth_corpus(self, corpus_profiles):
         checked = 0
         for g, profile, census in corpus_profiles:
