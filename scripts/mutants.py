@@ -14,8 +14,12 @@ Prints one JSON record: the ids killed, survived and stale, the ids whose
 outcome differs from the expected one, and each run's result.  Exits 1 if
 any outcome is unexpected.
 
-    python scripts/mutants.py           # every mutant
-    python scripts/mutants.py --gate    # check the script itself
+    python scripts/mutants.py                     # every mutant
+    python scripts/mutants.py --only ID [ID ...]  # the named mutants only
+    python scripts/mutants.py --gate              # check the script itself
+
+--only runs the named mutants alone, so that a change can check its own
+mutants without the whole run; an unknown id is refused before any run.
 
 --gate runs three probes and expects each outcome: the equivalent mutants
 survive, `return True` at the top of `_lemma_holds` is killed, and a
@@ -91,10 +95,17 @@ def report(mutants: list[dict]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--gate", action="store_true", help="check the script itself")
+    chosen = parser.add_mutually_exclusive_group()
+    chosen.add_argument("--gate", action="store_true", help="check the script itself")
+    chosen.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
     args = parser.parse_args(argv)
     mutants = json.loads(DATA.read_text())
-    if args.gate:
+    if args.only:
+        unknown = set(args.only) - {m["id"] for m in mutants}
+        if unknown:
+            parser.error(f"no mutant with id {', '.join(sorted(unknown))}")
+        mutants = [m for m in mutants if m["id"] in args.only]
+    elif args.gate:
         probe = next(m for m in mutants if m["id"] == GATE_KILLED)
         missing = {**probe, "id": "missing-snippet", "expect": "stale",
                    "snippet": "# no such line\n" + probe["snippet"]}

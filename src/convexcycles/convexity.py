@@ -78,8 +78,9 @@ class CycleCensus(_Record):
     """Convex cycles with their odd/even split and length histogram.
 
     Each cycle is a vertex tuple in canonical order (see canonical_cycle),
-    and cycles are sorted by (length, vertices).  Equality and hashing
-    leave out by_length, which the cycles determine.
+    and cycles are sorted by (length, vertices); from_cycles leaves the
+    sort to the first read of .cycles.  Equality and hashing leave out
+    by_length, which the cycles determine.
     """
 
     __slots__ = ("cycles", "total", "odd_count", "even_count", "by_length")
@@ -95,19 +96,39 @@ class CycleCensus(_Record):
     @classmethod
     def from_cycles(cls, cycles: Iterable[tuple[int, ...]]) -> "CycleCensus":
         """Census of distinct cycles, each in canonical order; a repeated
-        cycle is counted twice."""
-        # a stable sort by length keeps the vertex order within a length
-        ordered = sorted(cycles)
-        ordered.sort(key=len)
-        histogram = dict(Counter(map(len, ordered)))
+        cycle is counted twice.  The counts are taken unsorted; .cycles
+        sorts on its first read."""
+        found = _Found(cycles)
+        histogram = dict(sorted(Counter(map(len, found)).items()))
         odd = sum(count for length, count in histogram.items() if length % 2)
         return cls(
-            cycles=tuple(ordered),
-            total=len(ordered),
+            cycles=found,
+            total=len(found),
             odd_count=odd,
-            even_count=len(ordered) - odd,
+            even_count=len(found) - odd,
             by_length=histogram,
         )
+
+
+class _Found(list):
+    """A census's cycles as found, until .cycles sorts them."""
+
+
+# the cycles slot, which from_cycles fills with a _Found
+_cycles_slot = CycleCensus.cycles
+
+
+def _sorted_cycles(census: CycleCensus) -> tuple[tuple[int, ...], ...]:
+    cycles = _cycles_slot.__get__(census)
+    if cycles.__class__ is _Found:
+        # a stable sort by length keeps the vertex order within a length
+        cycles.sort()
+        cycles.sort(key=len)
+        _cycles_slot.__set__(census, cycles := tuple(cycles))
+    return cycles
+
+
+CycleCensus.cycles = property(_sorted_cycles)
 
 
 def _antipodal_pairs(verts: Sequence[int]) -> list[tuple[int, int]]:
@@ -729,14 +750,6 @@ def _census_chains(
     return cycles, girth, far_edges, longest
 
 
-def _in_plane(plane: list[int], bits: list[int], us: list[int], vs: list[int]) -> bool:
-    """Whether plane[u] holds v for every pair (u, v) of zip(us, vs)."""
-    for u, v in zip(us, vs):
-        if not plane[u] & bits[v]:
-            return False
-    return True
-
-
 def _predecessor_pairs(
     near: list[int], ring: list[int], evens: list[tuple[int, int]],
 ) -> Iterable[tuple[int, int, tuple[int], int]]:
@@ -771,9 +784,10 @@ def _read_back(
     the vertices at distance j from root u.  A clean vertex has one
     shortest path from the root, so its predecessor is the one vertex in
     both its neighbour mask rings[1][u] and the root's ring a level below,
-    and no arm is stored.  Arms longer than two are read only when exact[x]
-    and exact[y] each hold a neighbour of r, as the pairs of x and of y
-    with the other arm's level-1 vertex require.
+    and no arm is stored.  For k >= 2 an arm's level-1 vertex is the one
+    neighbour of r at distance k - 1 from x or y, so the pairs (a[0], y)
+    and (x, b[k - 1]) are tested on masks before any walk; they also keep
+    the arms apart, as exact[y] holds no vertex at distance k - 1 from y.
     """
     if k == 1:
         for x, y, apex, roots in found:
@@ -804,28 +818,33 @@ def _read_back(
                         b = mb.bit_length() - 1
                         cycles.append((r, a, x, *apex, y, b) if a < b else (r, b, y, *apex, x, a))
         return
-    below = rings[k - 1:0:-1]
+    top = rings[k - 1]
+    below = rings[k - 1:1:-1]
     for x, y, apex, roots in found:
-        ex, ey = exact[x], exact[y]
+        ex, ey, tx, ty = exact[x], exact[y], top[x], top[y]
         while roots:
             bit = roots & -roots
             roots ^= bit
             r = bit.bit_length() - 1
             nr = near[r]
-            if not (ex & nr and ey & nr):
+            # each arm's level-1 vertex, as a mask, and its pair as in k == 2
+            ma = nr & tx
+            mb = nr & ty
+            if not (ma != mb and ey & ma and ex & mb):
                 continue
-            # both arms downwards, a level per ring, to u and v at level 1
+            # both arms downwards, a level per ring, to level 2, then level 1
             a = [u := x]
             b = [v := y]
             for ring in below:
                 rr = ring[r]
                 a.append(u := (near[u] & rr).bit_length() - 1)
                 b.append(v := (near[v] & rr).bit_length() - 1)
+            a.append(u := ma.bit_length() - 1)
+            b.append(v := mb.bit_length() - 1)
             a.reverse()
-            if (
-                u != v and _in_plane(exact, bits, a, b)
-                and (not odd or _in_plane(exact, bits, a, b[1:]))
-            ):
+            # the pairs a[i], b[i] not yet tested, and a[i], b[i + 1] when odd
+            pairs = chain(zip(a[1:-1], b[1:-1]), zip(a, b[1:]) if odd else ())
+            if all(exact[p] & bits[q] for p, q in pairs):
                 if u > v:
                     a, b = b[::-1], a[::-1]
                 cycles.append((r, *a, *apex, *b))
@@ -1050,7 +1069,8 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
         edges = [(label[v], label[w]) for v in vertices for w in adjacency[v] if v < w]
         profile, census = profile_and_census(Graph(len(vertices), edges))
         girth = min(girth, profile.girth)
-        cycles += [tuple(map(vertices.__getitem__, c)) for c in census.cycles]
+        # as the component's kernel found them, sorted once for the union
+        cycles += [tuple(map(vertices.__getitem__, c)) for c in _cycles_slot.__get__(census)]
     return MetricProfile(girth, math.inf, False), CycleCensus.from_cycles(cycles)
 
 

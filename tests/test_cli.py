@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import convexcycles as cc
 import convexcycles.cli as cli
 import convexcycles.spectral as spectral
+from convexcycles import convexity
 
 ROOT = Path(__file__).parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -145,6 +146,27 @@ class TestAnalyze:
         assert int(rows["total"]) == as_json["census"]["total"]
         assert rows["bound"] == as_json["extremal"]["bound"]
         assert (rows["equality"] == "yes") == as_json["extremal"]["equality"]
+
+    @pytest.mark.parametrize("command", ["analyze", "bound", "moore"])
+    def test_report_never_orders_the_cycles(self, tmp_path, capsys, monkeypatch, command):
+        # the report reads only the census's counts, so the cycles stay as
+        # the kernels found them, out of (length, vertices) order here
+        censuses = []
+
+        def census_pass(g, kernel=cli.profile_and_census):
+            profile, census = kernel(g)
+            censuses.append(census)
+            return profile, census
+
+        monkeypatch.setattr(cli, "profile_and_census", census_pass)
+        path = tmp_path / "gnp.g6"
+        path.write_text(cc.write_graph6(cc.gnp_random_graph(60, 0.1, 32)) + "\n")
+        assert cc.cli_run([command, str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 60
+        (census,) = censuses
+        found = convexity._cycles_slot.__get__(census)
+        assert type(found) is convexity._Found
+        assert found != sorted(found, key=lambda c: (len(c), c))
 
     def test_edge_list_input(self, tmp_path):
         path = tmp_path / "triangle.txt"
@@ -377,8 +399,6 @@ class TestExitCodes:
     def drop_first_cycle(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
         """Make each census kernel lose the first cycle it hands to the
         shared checks; returns the list that receives (kernel, lost cycle)."""
-        import convexcycles.convexity as convexity
-
         dropped = []
         for name in ("_census_planes", "_census_chains", "_census_rows"):
 
@@ -473,8 +493,6 @@ class TestExitCodes:
 
     def test_memory_error_maps_to_two(self, petersen_file, monkeypatch, capsys):
         # running out of memory is a resource refusal: one line, exit 2
-        import convexcycles.convexity as convexity
-
         def exhaust(adjacency):
             raise MemoryError
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -343,6 +345,90 @@ class TestEnumeration:
         g = cc.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         census = census_of(g)
         assert census.total == 2
+
+
+def found_order(census: cc.CycleCensus) -> list[tuple[int, ...]]:
+    """A census's cycles as the kernels found them, read past the sort."""
+    return list(convexity._cycles_slot.__get__(census))
+
+
+def matched_cycles(census: cc.CycleCensus) -> tuple[tuple[int, ...], ...]:
+    match census:
+        case cc.CycleCensus(cycles):
+            return cycles
+
+
+class TestCycleOrder:
+    """census.cycles is in (length, vertices) order, each cycle canonical,
+    whatever order the kernels found the cycles in: the census sorts them
+    on the first read of .cycles, once, and takes its counts unsorted."""
+
+    @staticmethod
+    def check(g: cc.Graph) -> bool:
+        """Check g's census order; whether its kernels found the cycles
+        out of that order."""
+        census = census_of(g)
+        found = found_order(census)
+        cycles = census.cycles
+        assert type(cycles) is tuple and census.cycles is cycles
+        assert list(cycles) == sorted(found, key=lambda c: (len(c), c))
+        assert all(c == cc.canonical_cycle(c) for c in cycles)
+        assert census.by_length == {
+            length: sum(len(c) == length for c in cycles)
+            for length in sorted({len(c) for c in cycles})
+        }
+        assert list(census.by_length) == sorted(census.by_length)
+        return found != list(cycles)
+
+    def test_corpus(self, corpus):
+        assert sum(map(self.check, corpus)) > 0
+
+    def test_seeded_gnp(self):
+        graphs = [cc.gnp_random_graph(40 + 20 * (i % 5), 6 / 60, 32_000 + i) for i in range(20)]
+        assert all(map(self.check, graphs))
+
+    def test_disconnected_union(self, petersen, q3):
+        g = union(cc.gnp_random_graph(30, 0.15, 32), petersen, path_graph(3), q3,
+                  cc.cycle_graph(11), cc.Graph(2, []))
+        assert len(components(g)) > 2
+        assert self.check(g)
+        assert self.check(relabelled(g, random.Random(32)))
+
+    def test_chains(self, petersen):
+        rng = random.Random(32)
+        graphs = [subdivided(petersen, 8), flower_graph(6, 8), theta_graph(7, 8, 9, 10)]
+        for g in graphs:
+            assert convexity._junction_table(g.adjacency)
+        assert sum(self.check(relabelled(g, rng)) for g in graphs) > 0
+        assert sum(map(self.check, chain_families())) > 0
+
+    def test_oracle_agrees(self, petersen, q3):
+        g = union(petersen, q3, cc.complete_graph(4), cc.gnp_random_graph(9, 0.5, 32))
+        census = census_of(g)
+        assert found_order(census) != list(census.cycles)
+        assert cc.brute_force_convex_cycles(g, 10).cycles == census.cycles
+
+    def test_readers_see_the_sorted_record(self):
+        # each reader, on a fresh census, sees what a census built from
+        # the sorted tuple shows
+        g = cc.gnp_random_graph(60, 0.1, 32)
+        sorted_census = census_of(g)
+        built = cc.CycleCensus(*(getattr(sorted_census, f) for f in cc.CycleCensus.__slots__))
+        assert found_order(census_of(g)) != list(built.cycles)
+        readers = {
+            "equality": lambda c: c == built and built == c,
+            "hash": lambda c: hash(c) == hash(built),
+            "repr": lambda c: repr(c) == repr(built),
+            "pickle": lambda c: all(
+                pickle.dumps(c, protocol) == pickle.dumps(built, protocol)
+                and pickle.loads(pickle.dumps(c, protocol)).cycles == built.cycles
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ),
+            "copy": lambda c: copy.copy(c).cycles == copy.deepcopy(c).cycles == built.cycles,
+            "match": lambda c: matched_cycles(c) == built.cycles,
+        }
+        for name, reads in readers.items():
+            assert reads(census_of(g)), name
 
 
 class TestReferencePipeline:
