@@ -18,14 +18,16 @@ vertices, chains, the chains kernel reads every pair it tests, every
 girth event and every eccentricity off one table of distances and path
 counts between the vertices of other degrees, the junctions, where that
 table pays (see _junction_table); each junction sweeps its candidates
-off the table too, a whole chain per step, so this kernel runs no BFS.
-Else, where a sweep of bfs_record from vertex 0 shows a small world, the
-planes kernel runs every root at once as bits of Python ints, with path
-counts capped at 3, in a BFS loop of its own.  On any other graph a
-second sweep bounds every eccentricity, and the rows kernel runs one BFS
-row per root, _census_row, which stops counting as early as the census
-allows, takes the girth events, and drops its distance-only tail when it
-cannot raise the diameter.
+off the table too, a whole chain per step.  The contraction and the
+table also show that such a graph is connected, so neither the census
+nor this kernel runs a BFS on it.  Else, where a sweep of bfs_record
+from vertex 0 shows a small world, the planes kernel runs every root at
+once as bits of Python ints, with path counts capped at 3, in a BFS loop
+of its own.  On any other graph a second sweep bounds every
+eccentricity, and the rows kernel runs one BFS row per root,
+_census_row, which stops counting as early as the census allows, takes
+the girth events, and drops its distance-only tail when it cannot raise
+the diameter.
 """
 
 from __future__ import annotations
@@ -324,13 +326,16 @@ def _contract(
 ) -> tuple[_Chains, _Places, _Runs]:
     """(chains, place, runs): the graph contracted to its junctions.
 
-    A junction is a vertex whose degree is not 2, or vertex 0 of a cycle
-    graph; the graph is connected.  A chain (a, b, length), a <= b, is a
-    maximal path from junction a to junction b (a == b for a cycle through
-    a) whose interior vertices have degree 2.  place[v] is (chain index,
-    position from a) for an interior vertex v, None for a junction, and
-    runs[x] holds each chain at junction x as its vertices from x on, in
-    chain order, a loop once from each end.
+    A junction is a vertex whose degree is not 2, or vertex 0 when every
+    vertex has degree 2.  A chain (a, b, length), a <= b, is a maximal
+    path from junction a to junction b (a == b for a cycle through a) whose
+    interior vertices have degree 2.  place[v] is (chain index, position
+    from a) for an interior vertex v, None for a junction, and runs[x]
+    holds each chain at junction x as its vertices from x on, in chain
+    order, a loop once from each end.  On any graph the chains are those
+    that end at a junction: a component that is a cycle through no
+    junction lies on none, its vertices' place None as a junction's, and
+    an isolated vertex is a junction without runs.
     """
     place: _Places = [None] * len(adjacency)
     junction = [len(nbrs) != 2 for nbrs in adjacency]
@@ -360,39 +365,47 @@ def _junction_table(
     """(chains, place, runs, table): _contract's chains, place and runs,
     and table[x] = (D[x], S[x]), distances and path counts from junction x
     to every junction, by one search from each of the J junctions
-    (_junction_searches), or None where the table does not pay.  The rule:
+    (_junction_searches), or None where the graph is disconnected or the
+    table does not pay.  The graph is connected exactly when every vertex
+    is a junction with a chain or a chain's interior, so that the J
+    junctions with runs and the chains' interiors, length - 1 each, count
+    n, and the first junction's search reaches all J; no BFS runs, and a
+    disconnected graph is refused before the other searches.  The rule:
     the R chain roots (each chain's interior but its minimum) are at
-    least 4 * J, and the J * J
-    entries fit the budget.  On the components with a cycle of four G(n,
-    p) with each edge cut into s edges, the chains kernel took, in median,
-    1.04-1.33 times the time of the rows kernel at R = 0.1-0.7 * J (s =
-    2), 0.51-0.65 times at R = 2.6-2.9 * J (s = 3), 0.31-0.46 times at R =
-    4.8-5.7 * J (s = 4) and 0.21-0.31 times at R = 6.8-8.6 * J (s = 5),
-    the table 29-66 % of its own time; s = 3 favours the chains kernel in
-    these medians, but no paired benchmark runs have tested a lower rule,
-    so it stays at 4 * J.  R is at most the number of vertices of
-    degree 2, and J the number of others, so a graph with fewer than 4
-    of degree 2 per other vertex (a grid, sparse G(n, p)) is not
-    contracted: the census tries the table first on every graph with a
-    cycle."""
+    least 4 * J, and the J * J entries fit the budget.  On the components
+    with a cycle of four G(n, p) with each edge cut into s edges, the
+    chains kernel took, in median, 1.04-1.33 times the time of the rows
+    kernel at R = 0.1-0.7 * J (s = 2), 0.51-0.65 times at R = 2.6-2.9 * J
+    (s = 3), 0.31-0.46 times at R = 4.8-5.7 * J (s = 4) and 0.21-0.31
+    times at R = 6.8-8.6 * J (s = 5), the table 29-66 % of its own time;
+    s = 3 favours the chains kernel in these medians, but no paired
+    benchmark runs have tested a lower rule, so it stays at 4 * J.  R is
+    at most the number of vertices of degree 2, and J the number of
+    others, so a graph with fewer than 4 of degree 2 per other vertex (a
+    grid, sparse G(n, p)) is not contracted: the census tries the table
+    first on every graph with m >= n."""
     two = [*map(len, adjacency)].count(2)
     if two < _ROOTS_PER_SEARCH * (len(adjacency) - two):
         return None
     chains, place, runs = _contract(adjacency)
+    if len(runs) + sum(length - 1 for _, _, length in chains) != len(adjacency):
+        return None
     roots = sum(length - 2 for _, _, length in chains if length > 2)
     if roots < _ROOTS_PER_SEARCH * len(runs) or len(runs) ** 2 * _TABLE_ENTRY_BYTES > _BUDGET:
         return None
-    return chains, place, runs, _junction_searches(runs)
+    table = _junction_searches(runs)
+    return None if table is None else (chains, place, runs, table)
 
 
-def _junction_searches(runs: _Runs) -> _Table:
+def _junction_searches(runs: _Runs) -> _Table | None:
     """table[x] = (D[x], S[x]) for every junction x of _contract's runs: a
     heap search over the junctions, chain lengths as weights, in O((J + C)
     log J) per junction for J junctions and C chains, over each
     junction's (far end, length) pairs, read off its runs once.  A
     shortest path between junctions runs along whole chains, so the path
     counts S are the graph's; a chain from a junction back to itself lies
-    on none."""
+    on none.  None when the first search leaves a junction unreached, as
+    on a disconnected graph, before any other search runs."""
     ends = {x: [(run[-1], len(run) - 1) for run in xs] for x, xs in runs.items()}
     table: _Table = {}
     for x in ends:
@@ -411,6 +424,8 @@ def _junction_searches(runs: _Runs) -> _Table:
                     heappush(heap, (e, y))
                 elif e == was:
                     sigma[y] += s
+        if len(dist) < len(ends):
+            return None
     return table
 
 
@@ -435,12 +450,35 @@ def _chain_point(
     return p, sigma[u] + sigma[v]
 
 
-def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[int, ...]) -> bool:
+def _junction_positions(chains: _Chains, place: _Places, cycle: tuple[int, ...]) -> list[int]:
+    """The positions of the junctions on cycle, a cycle of the graph from
+    junction cycle[0], in increasing order, in O(1) per junction: the
+    cycle holds each chain it enters whole, so from a chain's first
+    interior vertex it skips length - 1 positions to the chain's far end,
+    a junction or, at the end of the cycle, cycle[0] again."""
+    at = [0]
+    i = 1
+    length = len(cycle)
+    while i < length:
+        if (p := place[cycle[i]]) is not None:
+            i += chains[p[0]][2] - 1
+            if i == length:
+                break
+        at.append(i)
+        i += 1
+    return at
+
+
+def _table_holds(
+    chains: _Chains, place: _Places, table: _Table, cycle: tuple[int, ...], at: list[int],
+) -> bool:
     """Whether each antipodal pair of cycle, a cycle of the graph built
     from its root, a junction, shows the lemma's distance h = len // 2 and
     path count, by _chain_point from each pair whose first end is a
-    junction, O(1) per junction of the cycle, which settles the rest; the
-    pairs at the root hold by construction.
+    junction, O(1) per junction of the cycle, which settles the rest; at
+    holds the junctions' positions on cycle in increasing order, the
+    root's 0 first, and only they are read.  The pairs at the root hold by
+    construction.
 
     The cycle x_0 = root, x_1, ... holds each chain it enters whole.  Take
     x_p inside the chain from junction x_s to junction x_e, s < p < e, and
@@ -460,11 +498,13 @@ def _table_holds(chains: _Chains, place: _Places, table: _Table, cycle: tuple[in
     length = len(cycle)
     half, want = _lemma_target(length)
     root = cycle[0]
-    for i in range(1, length if length % 2 else half):
-        x, y = cycle[i], cycle[(i + half) % length]
-        if place[x] is None and y != root:
-            if _chain_point(chains, place, table, x, y) != (half, want):
-                return False
+    end = length if length % 2 else half
+    for i in at[1:]:
+        if i >= end:
+            break
+        y = cycle[(i + half) % length]
+        if y != root and _chain_point(chains, place, table, cycle[i], y) != (half, want):
+            return False
     return True
 
 
@@ -512,19 +552,34 @@ def _chain_eccentricity(chains: _Chains, table: _Table, c0: int) -> int:
     """The largest eccentricity of chain c0's interior, in O(chains):
     from position x of c0 = (a, b, length), junction y lies d_y(x) = min(x
     + D[a][y], length - x + D[b][y]) and the far point of another chain
-    (u, v, l) (d_u(x) + d_v(x) + l) // 2 away.  That sum is concave, level
-    between the breakpoints (length + D[b][y] - D[a][y]) / 2 of d_u and
-    d_v, so it peaks at the floor of the first or the position after.  On
-    c0 the far point lies (length + min(length - 2, D[a][b])) // 2 from
-    position length - 1."""
+    (u, v, l) f(x) // 2 away, f(x) = d_u(x) + d_v(x) + l.  That sum is
+    concave, level between the breakpoints (length + D[b][y] - D[a][y]) /
+    2 of d_u and d_v, so it peaks at the floor of the first or the
+    position after.  On c0 the far point lies (length + min(length - 2,
+    D[a][b])) // 2 from position length - 1.  Taking one side of each min,
+    f(x) <= length + l + D[a][u] + D[b][v] and f(x) <= length + l + D[b][u]
+    + D[a][v], so a chain where the lesser bound is at most the largest f
+    so far cannot raise it and is skipped in O(1); the others take two
+    positions of plain comparisons."""
     a, b, length = chains[c0]
     da, db = table[a][0], table[b][0]
     far = length + min(length - 2, da[b])
+    last = length - 1
     for u, v, l in chains[:c0] + chains[c0 + 1:]:
         au, bu, av, bv = da[u], db[u], da[v], db[v]
-        mid = (length + min(bu - au, bv - av)) // 2
-        for x in (min(max(mid, 1), length - 1), min(mid + 1, length - 1)):
-            far = max(far, min(x + au, length - x + bu) + min(x + av, length - x + bv) + l)
+        if length + l + (au + bv if au + bv < bu + av else bu + av) <= far:
+            continue
+        mid = (length + (bu - au if bu - au < bv - av else bv - av)) // 2
+        first = 1 if mid < 1 else last if mid > last else mid
+        for x in (first, mid + 1 if mid < last else last):
+            du = x + au
+            if length - x + bu < du:
+                du = length - x + bu
+            dv = x + av
+            if length - x + bv < dv:
+                dv = length - x + bv
+            if du + dv + l > far:
+                far = du + dv + l
     return far // 2
 
 
@@ -698,10 +753,11 @@ def _census_chains(
     each one's table entry, its D and S, and with them the junction
     sweeps its clean region over the table (_table_sweep), a whole chain
     per step, reading only the runs at the junctions of that region.  A
-    candidate's antipodal pairs are tested as it is built, root first,
-    from each pair whose first end is a junction in O(1), which settles
-    the rest (_table_holds), so nothing is deferred; each cycle kept is
-    then rotated to canonical order.
+    candidate's junction positions are read once, a chain per step
+    (_junction_positions); its antipodal pairs are tested as it is built, root first, from each pair
+    whose first end is a junction in O(1), which settles the rest
+    (_table_holds), so nothing is deferred; each cycle kept is then
+    rotated to canonical order.
 
     The girth, far-edge count and diameter come from the table and the
     cycles found.  The row from any vertex of a girth cycle sees a girth
@@ -709,23 +765,29 @@ def _census_chains(
     (_table_row).  For odd girth g a vertex's far-edge count is the number
     of girth cycles through it.  The junctions' rows count those at the
     junctions, and each girth cycle found adds g less its own junctions,
-    so the far-edge check holds exactly when the rows count at the
-    junctions what the cycles found do: a girth cycle missing, or found
-    twice, moves the latter by its junctions, at least one.  A vertex at
+    the count its pair test read, so the far-edge check holds exactly when
+    the rows count at the junctions what the cycles found do: a girth
+    cycle missing, or found twice, moves the latter by its junctions, at
+    least one.  A vertex at
     position i of chain (a, b, length) has eccentricity at most min(i +
     ecc(a), length - i + ecc(b)), so only a chain where (length + ecc(a) +
     ecc(b)) // 2 exceeds the largest eccentricity seen has its own largest
     found, in O(C) (_chain_eccentricity), once per distinct (a, b,
-    length): twin chains share it.
+    length): twin chains share it, and there each other chain whose bound
+    cannot raise the largest far sum seen costs one comparison.
 
     Time: O(J (J + C) log J) for the table; per junction O(J + C) for its
     table row and O(1) per chain end at each junction of its clean region;
-    O(L) per candidate L-cycle; memory J * J entries beside O(n + m).
+    per candidate L-cycle O(L) for its arms and its rotation, and O(1) per
+    junction for its positions and pairs; memory J * J entries beside O(n
+    + m).
     """
     cycles: list[tuple[int, ...]] = []
     girth = math.inf
     far_edges = 0
     eccentricity = {}
+    # length -> the vertices not junctions over the cycles kept of that length
+    outside: dict[int, int] = {}
     for root, (dist, sigma) in table.items():
         odd, edges, merge, eccentricity[root] = _table_row(chains, dist, sigma)
         if (event := min(2 * merge, 2 * odd + 1)) < girth:
@@ -733,12 +795,14 @@ def _census_chains(
         if 2 * odd + 1 == girth:
             far_edges += edges
         for cycle in _table_sweep(dist, sigma, runs, root):
-            if _table_holds(chains, place, table, cycle):
+            length = len(cycle)
+            at = _junction_positions(chains, place, cycle)
+            if _table_holds(chains, place, table, cycle, at):
                 cycles.append(_rotated(cycle))
+                outside[length] = outside.get(length, 0) + length - len(at)
     if girth % 2:
         # the far edges seen from each girth cycle's other vertices
-        far_edges += sum(girth - sum(place[v] is None for v in c)
-                         for c in cycles if len(c) == girth)
+        far_edges += outside.get(girth, 0)
     longest = max(eccentricity.values())
     # swapping two chains of the same ends and length is an automorphism,
     # so such twins have the same largest eccentricity: one per (a, b,
@@ -1019,29 +1083,31 @@ def profile_and_census(g: Graph) -> tuple[MetricProfile, CycleCensus]:
     exists, so g times the census's girth-cycle count must equal that
     edge count; a mismatch raises ConsistencyError.
 
-    A sweep of bfs_record from vertex 0 shows whether g is connected.  If
-    not, g is split in O(n + m), and each component with a cycle,
-    relabelled by increasing vertex (which keeps canonical order), goes
-    through this pass as a connected graph; the girth is the least of
-    theirs, the diameter infinite.  A connected graph takes the first of:
-    a tree, its diameter from a second sweep (see _eccentricity_bounds);
-    where the junction table pays, such as a long cycle, a subdivided graph
-    or a flower of cycles through one vertex, the chains kernel (see
-    _census_chains); where vertex 0's eccentricity is at most log2(n), the
-    planes kernel (see _census_planes); else, such as a grid, the rows
-    kernel (see _census_rows), with the second sweep's bounds.  All three
-    hand their cycles, girth, far-edge count and diameter to the same
-    checks.
+    A graph with m >= n tries the junction table first: where it pays,
+    such as a long cycle, a subdivided graph or a flower of cycles through
+    one vertex, the graph is connected and takes the chains kernel (see
+    _census_chains), with no BFS; the table refuses a disconnected graph
+    from its contraction alone (see _junction_table).  For every other
+    graph a sweep of bfs_record from vertex 0 shows whether g is
+    connected.  If not, g is split in O(n + m), and each component with a
+    cycle, relabelled by increasing vertex (which keeps canonical order),
+    goes through this pass as a connected graph; the girth is the least of
+    theirs, the diameter infinite.  Else g takes the first of: a tree, its
+    diameter from a second sweep (see _eccentricity_bounds); where vertex
+    0's eccentricity is at most log2(n), the planes kernel (see
+    _census_planes); else, such as a grid, the rows kernel (see
+    _census_rows), with the second sweep's bounds.  All three kernels hand
+    their cycles, girth, far-edge count and diameter to the same checks.
     """
     adjacency = g.adjacency
     if not g.n:
         return MetricProfile(math.inf, 0, True), CycleCensus.from_cycles(())
+    if g.m >= g.n and (contracted := _junction_table(adjacency)):
+        return _profile_and_census_of(*_census_chains(adjacency, *contracted))
     dist = bfs_record(g, 0).dist
     if None not in dist:
         if g.m < g.n:
             found = [], math.inf, 0, _eccentricity_bounds(g, dist)[0]
-        elif contracted := _junction_table(adjacency):
-            found = _census_chains(adjacency, *contracted)
         elif _small_world(g.n, max(dist)):
             found = _census_planes(adjacency)
         else:

@@ -717,6 +717,20 @@ class TestKernelChoice:
             with pytest.raises(AssertionError, match="second sweep"):
                 cc.profile_and_census(g)
 
+    def test_no_first_sweep_for_chains(self, monkeypatch, petersen):
+        # the junction table shows a graph connected from its contraction
+        # alone, so a graph bound for the chains kernel runs no BFS at all
+        def refuse(g, root):
+            raise AssertionError("first sweep")
+
+        graphs = [cc.cycle_graph(301), subdivided(petersen, 23), flower_graph(20, 6),
+                  theta_graph(*[5] * 10)]
+        expected = [census_of(g) for g in graphs]
+        monkeypatch.setattr(convexity, "bfs_record", refuse)
+        assert [census_of(g) for g in graphs] == expected
+        with pytest.raises(AssertionError, match="first sweep"):
+            census_of(cc.petersen_graph())
+
     def test_components_take_their_own_kernels(self, kernel_inputs):
         # two triangles are two small worlds; beside a triangle, C31 takes
         # chains; an isolated vertex no longer sends a small-world giant
@@ -890,8 +904,8 @@ class TestFarEdgeCheck:
         # (s = 23, g = 115) five of its ten
         lost = []
 
-        def lose_first(chains, place, table, cycle, kernel=convexity._table_holds):
-            holds = kernel(chains, place, table, cycle)
+        def lose_first(chains, place, table, cycle, at, kernel=convexity._table_holds):
+            holds = kernel(chains, place, table, cycle, at)
             if holds and not lost:
                 lost.append(cycle)
                 return False
@@ -1311,6 +1325,46 @@ class TestChainRows:
         assert convexity._junction_table(g.adjacency)
         monkeypatch.setattr(convexity, "_BUDGET", 100 * convexity._TABLE_ENTRY_BYTES - 1)
         assert convexity._junction_table(g.adjacency) is None
+
+    def test_junction_positions(self, petersen):
+        # each candidate a junction sweeps, loops and cycle graphs among
+        # them, has its junctions where a scan of every vertex finds them
+        rng = random.Random(33)
+        graphs = chain_families() + [relabelled(subdivided(petersen, 3), rng)]
+        swept = 0
+        for h in [h for g in graphs for h in with_cycles(g)]:
+            chains, place, runs, table = contracted(h)
+            for root, (dist, sigma) in table.items():
+                for cycle in convexity._table_sweep(dist, sigma, runs, root):
+                    swept += 1
+                    assert convexity._junction_positions(chains, place, cycle) == [
+                        i for i, v in enumerate(cycle) if place[v] is None
+                    ]
+        assert swept > 200
+
+    def test_disconnected_graphs_are_refused(self, petersen):
+        # each union passes the degree-2 pre-test (C300 + K1 has m < n, so
+        # the census sweeps it first); beside an isolated vertex or a cycle
+        # through no junction, not every vertex is a junction with a chain
+        # or a chain's interior, and two thetas, or
+        # subdivided Petersen beside a path, have every vertex on a chain
+        # but junctions that the first search does not reach
+        theta = theta_graph(*[5] * 10)
+        uncovered = [union(cc.cycle_graph(300), cc.Graph(1, [])),
+                     union(theta, cc.cycle_graph(31))]
+        unreached = [union(theta, theta), union(subdivided(petersen, 23), path_graph(4))]
+        for g in uncovered + unreached:
+            two = [len(nbrs) for nbrs in g.adjacency].count(2)
+            assert two >= convexity._ROOTS_PER_SEARCH * (g.n - two)
+            assert convexity._junction_table(g.adjacency) is None
+            profile, census = cc.profile_and_census(g)
+            girth, diameter, connected, cycles = oracles.reference_census(g)
+            assert (profile.girth, profile.diameter, profile.connected) == (
+                girth, diameter, connected,
+            ) == (girth, math.inf, False)
+            assert list(census.cycles) == cycles
+        for g in unreached:
+            assert convexity._junction_searches(convexity._contract(g.adjacency)[2]) is None
 
     def test_grids_are_not_contracted(self, monkeypatch):
         # a grid of three rows and columns or more has 4 vertices of
