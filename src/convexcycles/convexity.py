@@ -245,7 +245,7 @@ def _sweep(
 
 def _census_row(
     adjacency: tuple[tuple[int, ...], ...], root: int, depth: int, finish: bool,
-    branch: list[int], pred: list[int],
+    branch: list[int], pred: list[int], dist: list, sigma: list[int],
 ) -> tuple[list, list[int], list[int], int, int, int | None, list[tuple[int, ...]]]:
     """Root's BFS row and the candidates root owns: (dist, sigma, order,
     odd, edges, merge, owned), with the level of the first same-level edge
@@ -258,10 +258,17 @@ def _census_row(
     boundary d where they hold, before level d is scanned; sigma is then
     exact through d, and the girth events are complete.  With finish,
     dist and order are then completed without counting, else the row ends
-    with level d.  branch and pred are the kernel's clean-vertex lists."""
+    with level d.  branch and pred are the kernel's clean-vertex lists.
+
+    dist and sigma are the caller's buffers of n entries, filled in place
+    and returned.  dist must be all None on entry; the row sets it exactly
+    at the vertices of order.  sigma may hold anything: counting writes
+    sigma[w] when it sets dist[w], and every read of sigma, here and in
+    _sweep, is of a vertex whose dist counting set in this row.  So sigma
+    is exact through the level where counting stopped, at least depth, and
+    stale only at vertices the row did not count: those of the
+    distance-only tail, which lie deeper, and those it never reached."""
     n = len(adjacency)
-    dist: list[int | None] = [None] * n
-    sigma = [0] * n
     dist[root] = 0
     sigma[root] = 1
     order = [root]
@@ -684,6 +691,18 @@ def _census_rows(
     row finishes it, raises longest to its eccentricity e and lowers
     upper[w] to e + d(v, w) for the vertices w of its BFS-order prefix
     where that is at most longest.
+
+    Every row shares one dist buffer and one sigma buffer, so a row pays
+    for the vertices it reaches, not for n.  dist is all None when a row
+    starts; once the row is read (its pending pairs, its eccentricity and
+    the tightening of upper), the kernel clears it over the row's order,
+    or, when the row reached every vertex, replaces it with a fresh list,
+    which costs less than clearing all n entries.  sigma is never cleared (see _census_row):
+    a pending pair (w, distance, count) reads sigma[w], stale when w lies
+    in the row's distance-only tail, but such a w lies deeper than the
+    level where counting stopped, itself at least depth, the deepest
+    pending distance, so dist[w] already fails the test; an unreached w
+    has dist None and fails it too.
     """
     n = len(adjacency)
     girth = math.inf
@@ -698,12 +717,14 @@ def _census_rows(
     # predecessor, kept across roots
     branch = [0] * n
     pred = [0] * n
+    dist: list[int | None] = [None] * n
+    sigma = [0] * n
     for v in range(n):
         pending = deferred.pop(v, ())
-        depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]], default=0)
+        depth = max([(targets[cid] or (0,))[0] for cid in pending[1::2]]) if pending else 0
         finish = upper[v] > longest
-        dist, sigma, order, odd, edges, merge, owned = _census_row(
-            adjacency, v, depth, finish, branch, pred
+        _, _, order, odd, edges, merge, owned = _census_row(
+            adjacency, v, depth, finish, branch, pred, dist, sigma
         )
         ecc = dist[order[-1]]
         longest = max(longest, ecc)
@@ -719,6 +740,11 @@ def _census_rows(
         for w, cid in zip(pending[::2], pending[1::2]):
             if (dist[w], sigma[w]) != targets[cid]:
                 targets[cid] = None
+        if len(order) == n:
+            dist = [None] * n
+        else:
+            for w in order:
+                dist[w] = None
         if merge is not None and 2 * merge < girth:
             girth, far_edges = 2 * merge, 0
         if edges and 2 * odd + 1 < girth:

@@ -948,10 +948,13 @@ def table_row(g: cc.Graph, record) -> tuple:
 def census_rows(g: cc.Graph, depth: int | None, finish: bool) -> list[tuple]:
     """Every root's census row with the given pending depth, roots in
     increasing order sharing the label and predecessor lists, as in the
-    census."""
+    census, each with fresh distance and path-count buffers."""
     branch, pred = [0] * g.n, [0] * g.n
     return [
-        convexity._census_row(g.adjacency, v, depth, finish, branch, pred) for v in range(g.n)
+        convexity._census_row(
+            g.adjacency, v, depth, finish, branch, pred, [None] * g.n, [0] * g.n
+        )
+        for v in range(g.n)
     ]
 
 
@@ -1061,13 +1064,92 @@ class TestCountCutoff:
         # ends, at the boundary of level 6, past that merge
         g = cc.Graph(19 if tail else 14, self.ONE_BRANCH + tail)
         dist, sigma, _, _, _, found, owned = convexity._census_row(
-            g.adjacency, 0, 0, True, [0] * g.n, [0] * g.n
+            g.adjacency, 0, 0, True, [0] * g.n, [0] * g.n, [None] * g.n, [0] * g.n
         )
         assert dist == list(oracles.bfs_distances(g, 0))
         assert min(wrong_sigma_levels(g, 0, dist, sigma)) == stopped_at + 1
         # 0 owns no cycle
         assert (owned, found) == ([], merge)
         TestReferencePipeline.check(g)
+
+
+def torus_edges(r: int, c: int) -> list[tuple[int, int]]:
+    """The r x c torus's edges, r, c >= 3, vertex x * c + y at row x and
+    column y."""
+    edges = [(x * c + y, x * c + (y + 1) % c) for x in range(r) for y in range(c)]
+    return edges + [(x * c + y, (x + 1) % r * c + y) for x in range(r) for y in range(c)]
+
+
+def grids_and_tori() -> list[cc.Graph]:
+    rng = random.Random(19)
+    shapes = [cc.Graph(r * c, grid_edges(r, c)) for r in range(2, 8) for c in range(r, 9)]
+    shapes += [cc.Graph(r * c, torus_edges(r, c)) for r in range(3, 7) for c in range(r, 8)]
+    return [relabelled(g, rng) for g in shapes]
+
+
+class TestRowBuffers:
+    """The rows kernel hands every row one distance buffer, all None on
+    entry and cleared after the row, and one path-count buffer that is
+    never cleared."""
+
+    @staticmethod
+    def check(g: cc.Graph) -> int:
+        # rows sharing a dist buffer cleared the kernel's way and a sigma
+        # buffer of junk agree with fresh-buffer rows wherever a reader
+        # may look: dist through the order, sigma through the levels the
+        # row counted, the girth events and the owned candidates; returns
+        # the number of rows cleared entry by entry
+        n = g.n
+        cleared = 0
+        for depth in (0, 2):
+            for finish in (True, False):
+                fresh = census_rows(g, depth, finish)
+                branch, pred = [0] * n, [0] * n
+                dist, sigma = [None] * n, [-7] * n
+                for v, (fresh_dist, fresh_sigma, fresh_order, *found) in enumerate(fresh):
+                    row = convexity._census_row(
+                        g.adjacency, v, depth, finish, branch, pred, dist, sigma
+                    )
+                    assert row[0] is dist and row[1] is sigma
+                    order = row[2]
+                    assert (order, row[3:]) == (fresh_order, tuple(found))
+                    assert [dist[w] for w in order] == [fresh_dist[w] for w in order]
+                    counted = max(fresh_dist[w] for w in order if fresh_sigma[w])
+                    assert all(
+                        sigma[w] == fresh_sigma[w] for w in order if dist[w] <= counted
+                    )
+                    if len(order) == n:
+                        dist = [None] * n
+                    else:
+                        for w in order:
+                            dist[w] = None
+                        assert dist == [None] * n
+                        cleared += 1
+        return cleared
+
+    def test_corpus(self, corpus):
+        assert sum(map(self.check, corpus))
+
+    def test_relabelled_grids_and_tori(self):
+        assert sum(map(self.check, grids_and_tori()))
+
+    def test_kernel_clears_dist_between_rows(self, monkeypatch, corpus):
+        # every row the kernel runs starts from an all-None dist and the
+        # one sigma buffer of the run; TestReferencePipeline checks what
+        # the kernel finds with them
+        seen = []
+        kernel = convexity._census_row
+
+        def row(adjacency, root, depth, finish, branch, pred, dist, sigma):
+            assert dist == [None] * len(adjacency)
+            seen.append(sigma)
+            return kernel(adjacency, root, depth, finish, branch, pred, dist, sigma)
+
+        monkeypatch.setattr(convexity, "_census_row", row)
+        for g in [h for g in corpus for h in with_cycles(g)] + grids_and_tori():
+            seen.clear()
+            convexity._census_rows(g.adjacency, *eccentricity_bounds(g))
+            assert len(seen) == g.n and all(s is seen[0] for s in seen)
 
 
 class TestCandidateSweep:
